@@ -23,8 +23,10 @@
 //! Each scale point is measured for throughput (sites/s wall) and peak
 //! heap per site (a tracking allocator wraps `System`), and the largest
 //! point must stay under a bytes/site ceiling — the memory claim is
-//! asserted in-binary, not eyeballed. One entry is **appended** to
-//! `BENCH_fleet_scale.json` (`silvasec-fleet-scale-trajectory/1`).
+//! asserted in-binary, not eyeballed. A full run **appends** one entry
+//! to `BENCH_fleet_scale.json` (`silvasec-fleet-scale-trajectory/1`); a
+//! `--smoke` run prints its results and appends nothing, so the
+//! trajectory holds full runs only.
 //!
 //! Run keys come from the environment, never from a wall clock inside
 //! the simulation:
@@ -425,6 +427,11 @@ fn main() {
     );
     println!("tamper parity: 4096/4096 rejected through the batched verify");
     println!("determinism: parallel == sequential == same-seed twin, legacy trace pinned");
+
+    if smoke {
+        eprintln!("smoke mode: skipping trajectory append");
+        return;
+    }
 
     let out_path = trajectory_out_path("SILVASEC_FLEET_SCALE_OUT", "BENCH_fleet_scale.json");
     append_trajectory_run(&out_path, "silvasec-fleet-scale-trajectory/1", None, &entry);

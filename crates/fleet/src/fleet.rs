@@ -1320,6 +1320,10 @@ impl Fleet {
             trace_pushed: trace.as_ref().map_or(0, |s| s.pushed),
             trace_ring_dropped: trace.as_ref().map_or(0, |s| s.dropped),
             shadow_mem_bytes: self.shadows.as_ref().map_or(0, ShadowPopulation::mem_bytes),
+            shadow_calendar_bytes: self
+                .shadows
+                .as_ref()
+                .map_or(0, ShadowPopulation::calendar_bytes),
         }
     }
 }
@@ -1349,8 +1353,12 @@ pub struct FleetSecuritySnapshot {
     pub trace_pushed: u64,
     /// Events the fleet trace ring has dropped (ring full).
     pub trace_ring_dropped: u64,
-    /// Bytes held by the shadow population (struct-of-arrays state).
+    /// Bytes held by the shadow population (struct-of-arrays state,
+    /// verdict caches and alert calendars).
     pub shadow_mem_bytes: usize,
+    /// The part of `shadow_mem_bytes` held by alert calendars: zero
+    /// until a campaign class can first fire.
+    pub shadow_calendar_bytes: usize,
 }
 
 #[cfg(test)]

@@ -19,6 +19,15 @@
 //!   something (the active rollout wave, the alert-active sites), not
 //!   the population.
 //!
+//! Campaign alerts keep that cost model through a per-shard *alert
+//! calendar*. A site's detection latency for a detector class is a
+//! fixed draw, so the first time a class can fire in a shard, the shard
+//! sorts every slot by that latency (4 B per site per alerting class,
+//! built in place, never at commissioning). A tick then binary-searches
+//! the latencies whose alert instant falls inside it, so it costs
+//! O(alerting sites + log shard) per campaign instead of a sweep over
+//! every slot. The packing caps a shard at [`MAX_SHARD_SITES`] sites.
+//!
 //! Shards are stepped on the workspace's deterministic sweep pool
 //! ([`silvasec_sim::sweep::par_sweep_mut`]) and their outputs merged in
 //! shard order, so a sharded run's security trace is byte-identical to
@@ -108,10 +117,23 @@ pub struct ShadowLayout {
     pub shard_sites: usize,
 }
 
+/// Most sites one shard may hold: an alert-calendar entry packs the
+/// slot index into its low 18 bits.
+pub const MAX_SHARD_SITES: usize = 1 << SLOT_BITS;
+
 impl ShadowLayout {
     /// Builds the layout for `sites` sites under `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.shard_sites` exceeds [`MAX_SHARD_SITES`].
     #[must_use]
     pub fn new(sites: usize, config: &ShadowConfig) -> Self {
+        assert!(
+            config.shard_sites <= MAX_SHARD_SITES,
+            "shard_sites {} exceeds the {MAX_SHARD_SITES}-site shard cap",
+            config.shard_sites
+        );
         ShadowLayout {
             sites,
             full: full_site_indices(sites, config.full_sites),
@@ -271,11 +293,30 @@ pub struct ShadowAlert {
     pub at_ms: u64,
 }
 
+/// Shortest detection latency a shadow site draws.
+const LATENCY_MIN_MS: u64 = 1_000;
+
+/// Number of distinct latencies: they lie in
+/// `[LATENCY_MIN_MS, LATENCY_MIN_MS + LATENCY_SPAN_MS)`.
+const LATENCY_SPAN_MS: u64 = 10_000;
+
+/// Low bits of an alert-calendar entry holding the slot; the high 14
+/// hold the latency above [`LATENCY_MIN_MS`].
+const SLOT_BITS: u32 = 18;
+const _: () = assert!(LATENCY_SPAN_MS <= 1 << (32 - SLOT_BITS));
+
+/// The per-`(site, class)` detection latency, 1–11 s: how long the
+/// site's detector of `class` lags a campaign's start.
+fn detection_latency_ms(key: u64, class: &str) -> u64 {
+    LATENCY_MIN_MS
+        + (u01(hash3(key, class_tag(class), SALT_LATENCY)) * LATENCY_SPAN_MS as f64) as u64
+}
+
 /// Emits the alert instants of `(site, class)` under a campaign window
 /// `[start_ms, end_ms)` that fall in the tick `(prev_ms, now_ms]`.
 ///
-/// A site's first alert lags campaign start by a per-`(site, class)`
-/// detection latency of 1–11 s; while the campaign stays active the
+/// A site's first alert lags campaign start by its
+/// [`detection_latency_ms`]; while the campaign stays active the
 /// detector re-alerts every [`ALERT_COOLDOWN_MS`]. The schedule is a
 /// pure function, so a million dormant sites cost nothing and any tick
 /// can be evaluated without replaying the ticks before it.
@@ -288,8 +329,7 @@ fn alerts_in_tick(
     now_ms: u64,
     mut emit: impl FnMut(u64),
 ) {
-    let latency = 1_000 + (u01(hash3(key, class_tag(class), SALT_LATENCY)) * 10_000.0) as u64;
-    let first = start_ms + latency;
+    let first = start_ms + detection_latency_ms(key, class);
     let n = if prev_ms < first {
         0
     } else {
@@ -400,6 +440,15 @@ struct CachedVerdict {
 /// Sentinel: no delivery in flight.
 const NO_DELIVERY: u16 = u16::MAX;
 
+/// One detector class's alert calendar: every slot packed as
+/// `(latency - LATENCY_MIN_MS) << SLOT_BITS | slot` and sorted, so the
+/// slots whose alert instant falls in a tick form one contiguous run.
+#[derive(Debug)]
+struct AlertCalendar {
+    class: &'static str,
+    packed: Vec<u32>,
+}
+
 // ---------------------------------------------------------------------
 // The shard.
 // ---------------------------------------------------------------------
@@ -440,6 +489,8 @@ pub struct ShadowShard {
     /// Per-rollout shared verdicts (at most one per distributed bundle
     /// variant).
     verdicts: Vec<CachedVerdict>,
+    /// Alert calendars, one per detector class that could fire so far.
+    calendars: Vec<AlertCalendar>,
     /// Fleet seed material for this shard's stateless draws.
     seed: u64,
 }
@@ -468,6 +519,7 @@ impl ShadowShard {
             old_bundle: vec![false; n],
             poisoned: Vec::new(),
             verdicts: Vec::new(),
+            calendars: Vec::new(),
             seed,
             site_index: site_indices,
         }
@@ -515,7 +567,8 @@ impl ShadowShard {
         self.verdicts.clear();
     }
 
-    /// Approximate resident bytes of this shard's arrays.
+    /// Approximate resident bytes of this shard: its arrays, verdict
+    /// cache and alert calendars.
     #[must_use]
     pub fn mem_bytes(&self) -> usize {
         self.site_index.capacity() * 4
@@ -529,8 +582,21 @@ impl ShadowShard {
             + self.pending_chunks.capacity() * 2
             + self.tampered.capacity()
             + self.old_bundle.capacity()
-            + self.poisoned.capacity() * 12
+            + self.poisoned.capacity() * std::mem::size_of::<(u32, u64)>()
+            + self.verdicts.capacity() * std::mem::size_of::<CachedVerdict>()
+            + self.calendar_bytes()
             + std::mem::size_of::<Self>()
+    }
+
+    /// Bytes held by the shard's alert calendars: 4 per site per
+    /// detector class that could fire, none before the first.
+    fn calendar_bytes(&self) -> usize {
+        self.calendars.capacity() * std::mem::size_of::<AlertCalendar>()
+            + self
+                .calendars
+                .iter()
+                .map(|c| c.packed.capacity() * 4)
+                .sum::<usize>()
     }
 
     /// Runs one distribution tick for the shard's members of the global
@@ -727,37 +793,98 @@ impl ShadowShard {
         }
     }
 
+    /// The alert calendar of `class`, built on first use: every slot's
+    /// packed detection latency, sorted in place.
+    fn calendar(&mut self, class: &'static str) -> &[u32] {
+        let at = match self.calendars.iter().position(|c| c.class == class) {
+            Some(at) => at,
+            None => {
+                let seed = self.seed;
+                let mut packed: Vec<u32> = self
+                    .site_index
+                    .iter()
+                    .enumerate()
+                    .map(|(slot, &site)| {
+                        let offset =
+                            detection_latency_ms(site_key(seed, site), class) - LATENCY_MIN_MS;
+                        ((offset as u32) << SLOT_BITS) | slot as u32
+                    })
+                    .collect();
+                packed.sort_unstable();
+                self.calendars.push(AlertCalendar { class, packed });
+                self.calendars.len() - 1
+            }
+        };
+        &self.calendars[at].packed
+    }
+
     /// Emits the shard's IDS alerts for the tick `(prev_ms, now_ms]`:
     /// campaign-driven alerts across every site plus misbehaviour from
     /// poisoned sites. Bumps the per-site alert and risk counters.
+    ///
+    /// Campaign alerts come from the class's alert calendar, built the
+    /// first time the class can fire in this shard (4 B per site). For
+    /// each cooldown period overlapping the tick, one binary search
+    /// finds the sites whose alert instant falls in the tick and before
+    /// the campaign ends, so a tick costs O(alerting sites + log shard)
+    /// per campaign. Alerts come out ordered by (slot, campaign,
+    /// instant), the order of a slot-by-slot evaluation of
+    /// `alerts_in_tick`.
     pub fn alert_tick(
         &mut self,
         campaigns: &[ShadowCampaign],
         prev_ms: u64,
         now_ms: u64,
     ) -> Vec<ShadowAlert> {
-        let mut alerts = Vec::new();
-        // Campaign-driven alerts: skip the whole shard unless a window
-        // overlaps this tick.
-        let any_active = campaigns
-            .iter()
-            .any(|c| c.start_ms <= now_ms && c.end_ms > prev_ms.saturating_sub(ALERT_COOLDOWN_MS));
-        if any_active {
-            for (slot, &site) in self.site_index.iter().enumerate() {
-                let key = site_key(self.seed, site);
-                for c in campaigns {
-                    alerts_in_tick(key, c.class, c.start_ms, c.end_ms, prev_ms, now_ms, |t| {
-                        alerts.push(ShadowAlert {
-                            site,
-                            class: c.class,
-                            at_ms: t,
-                        });
-                        self.alert_count[slot] = self.alert_count[slot].saturating_add(1);
-                        self.risk_score[slot] = self.risk_score[slot].saturating_add(16);
-                    });
-                }
+        const LATENCY_MAX_MS: u64 = LATENCY_MIN_MS + LATENCY_SPAN_MS - 1;
+        // (slot, campaign index, instant) of every campaign alert.
+        let mut hits: Vec<(u32, u32, u64)> = Vec::new();
+        for (index, c) in campaigns.iter().enumerate() {
+            // Instants are start + latency + k·cooldown with k ≥ 0, in
+            // (prev_ms, last].
+            let Some(last) = c.end_ms.checked_sub(1).map(|end| end.min(now_ms)) else {
+                continue;
+            };
+            if last <= prev_ms || last < c.start_ms + LATENCY_MIN_MS {
+                continue;
+            }
+            let k_lo = match prev_ms.checked_sub(c.start_ms + LATENCY_MAX_MS) {
+                Some(behind) => behind / ALERT_COOLDOWN_MS + 1,
+                None => 0,
+            };
+            let k_hi = (last - c.start_ms - LATENCY_MIN_MS) / ALERT_COOLDOWN_MS;
+            if k_lo > k_hi {
+                continue;
+            }
+            let calendar = self.calendar(c.class);
+            for k in k_lo..=k_hi {
+                // Latency offsets (above LATENCY_MIN_MS) alerting in
+                // the tick during cooldown period k.
+                let base = c.start_ms + k * ALERT_COOLDOWN_MS + LATENCY_MIN_MS;
+                let lo = (prev_ms + 1).saturating_sub(base);
+                let hi = (last - base).min(LATENCY_SPAN_MS - 1);
+                let from = calendar.partition_point(|&p| p < (lo as u32) << SLOT_BITS);
+                let to = calendar.partition_point(|&p| p < ((hi + 1) as u32) << SLOT_BITS);
+                hits.extend(calendar[from..to].iter().map(|&p| {
+                    let slot = p & ((1 << SLOT_BITS) - 1);
+                    (slot, index as u32, base + u64::from(p >> SLOT_BITS))
+                }));
             }
         }
+        hits.sort_unstable();
+        let mut alerts: Vec<ShadowAlert> = hits
+            .iter()
+            .map(|&(slot, index, at_ms)| {
+                let slot = slot as usize;
+                self.alert_count[slot] = self.alert_count[slot].saturating_add(1);
+                self.risk_score[slot] = self.risk_score[slot].saturating_add(16);
+                ShadowAlert {
+                    site: self.site_index[slot],
+                    class: campaigns[index as usize].class,
+                    at_ms,
+                }
+            })
+            .collect();
         for &(slot, start_ms) in &self.poisoned {
             let site = self.site_index[slot as usize];
             let key = site_key(self.seed, site);
@@ -859,6 +986,13 @@ impl ShadowPopulation {
     #[must_use]
     pub fn mem_bytes(&self) -> usize {
         self.shards.iter().map(ShadowShard::mem_bytes).sum()
+    }
+
+    /// The part of [`ShadowPopulation::mem_bytes`] held by alert
+    /// calendars.
+    #[must_use]
+    pub fn calendar_bytes(&self) -> usize {
+        self.shards.iter().map(ShadowShard::calendar_bytes).sum()
     }
 
     /// Clears per-rollout state in every shard.
@@ -997,6 +1131,142 @@ mod tests {
             prev = now;
         }
         assert_eq!(fired, stepped, "schedule must be evaluation-invariant");
+    }
+
+    /// Slot-by-slot evaluation of `alerts_in_tick` for every campaign,
+    /// then the poisoned sites: the definition `alert_tick` must match.
+    fn brute_force_alert_tick(
+        shard: &mut ShadowShard,
+        campaigns: &[ShadowCampaign],
+        prev_ms: u64,
+        now_ms: u64,
+    ) -> Vec<ShadowAlert> {
+        let mut fired = Vec::new();
+        for slot in 0..shard.len() {
+            let key = site_key(shard.seed, shard.site_index[slot]);
+            for c in campaigns {
+                alerts_in_tick(key, c.class, c.start_ms, c.end_ms, prev_ms, now_ms, |t| {
+                    fired.push((slot, c.class, t));
+                });
+            }
+        }
+        for &(slot, start_ms) in &shard.poisoned {
+            let key = site_key(shard.seed, shard.site_index[slot as usize]);
+            for class in POISON_CLASSES {
+                let end_ms = start_ms + POISON_DURATION_MS;
+                alerts_in_tick(key, class, start_ms, end_ms, prev_ms, now_ms, |t| {
+                    fired.push((slot as usize, class, t));
+                });
+            }
+        }
+        fired
+            .into_iter()
+            .map(|(slot, class, at_ms)| {
+                shard.alert_count[slot] = shard.alert_count[slot].saturating_add(1);
+                shard.risk_score[slot] = shard.risk_score[slot].saturating_add(16);
+                ShadowAlert {
+                    site: shard.site_index[slot],
+                    class,
+                    at_ms,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn alert_calendar_matches_brute_force_scan() {
+        const CLASSES: [&str; 2] = ["deauth-flood", "gnss-spoofing"];
+        // Under EDGE_SEED, sites whose first-class latency is the
+        // shortest or the longest drawable: the calendar's end entries.
+        const EDGE_SEED: u64 = 7;
+        let edge_sites: Vec<u32> = (0u32..)
+            .filter(|&s| {
+                let latency = detection_latency_ms(site_key(EDGE_SEED, s), CLASSES[0]);
+                latency == LATENCY_MIN_MS || latency == LATENCY_MIN_MS + LATENCY_SPAN_MS - 1
+            })
+            .take(4)
+            .collect();
+        let mut state = 0x0CA1_E4DA_u64;
+        let mut draw = |n: u64| {
+            state = mix64(state);
+            state % n
+        };
+        let (mut alerts, mut multi_period) = (0usize, 0usize);
+        for case in 0..300 {
+            let edge = case % 4 == 0;
+            let seed = if edge { EDGE_SEED } else { draw(1 << 32) };
+            let mut sites = Vec::new();
+            let mut site = draw(5) as u32;
+            for _ in 0..1 + draw(60) {
+                sites.push(site);
+                site += 2 + draw(4) as u32;
+            }
+            if edge {
+                sites.extend(&edge_sites);
+                sites.sort_unstable();
+                sites.dedup();
+            }
+            let mut fast = ShadowShard::new(sites.clone(), seed);
+            let mut slow = ShadowShard::new(sites.clone(), seed);
+            let campaigns: Vec<ShadowCampaign> = (0..1 + draw(4))
+                .map(|_| {
+                    let class = CLASSES[draw(2) as usize];
+                    let start_ms = draw(120_000);
+                    let end_ms = match draw(5) {
+                        0 => start_ms,
+                        // Ends exactly on one site's alert instant.
+                        1 => {
+                            let site = sites[draw(sites.len() as u64) as usize];
+                            let latency = detection_latency_ms(site_key(seed, site), class);
+                            start_ms + latency + draw(3) * ALERT_COOLDOWN_MS
+                        }
+                        _ => start_ms + draw(150_000),
+                    };
+                    ShadowCampaign {
+                        class,
+                        start_ms,
+                        end_ms,
+                    }
+                })
+                .collect();
+            for slot in 0..fast.len() as u32 {
+                if draw(8) == 0 {
+                    let at = (slot, draw(150_000));
+                    fast.poisoned.push(at);
+                    slow.poisoned.push(at);
+                }
+            }
+            let mut prev = draw(3_000);
+            while prev < 400_000 {
+                let width = match draw(5) {
+                    0 => 1 + draw(20),
+                    1 => 500,
+                    2 => 1 + draw(1_000),
+                    3 => 1 + draw(ALERT_COOLDOWN_MS),
+                    _ => ALERT_COOLDOWN_MS + draw(65_001),
+                };
+                let now = prev + width;
+                let got = fast.alert_tick(&campaigns, prev, now);
+                let want = brute_force_alert_tick(&mut slow, &campaigns, prev, now);
+                assert_eq!(
+                    got, want,
+                    "case {case}, tick ({prev}, {now}]: {campaigns:?}"
+                );
+                alerts += got.len();
+                multi_period += got
+                    .windows(2)
+                    .filter(|w| w[0].site == w[1].site && w[0].class == w[1].class)
+                    .count();
+                prev = now;
+            }
+            assert_eq!(fast.alert_count, slow.alert_count, "case {case}");
+            assert_eq!(fast.risk_score, slow.risk_score, "case {case}");
+        }
+        assert!(alerts > 1_000, "the cases must raise alerts: {alerts}");
+        assert!(
+            multi_period > 0,
+            "wide ticks must raise a site's class more than once"
+        );
     }
 
     #[test]

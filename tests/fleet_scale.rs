@@ -12,7 +12,7 @@ use silvasec::experiments::{
     fleet_config, fleet_decisions, fleet_scale_config, run_fleet_scale_point,
     run_fleet_scale_scenario, FleetScenario,
 };
-use silvasec::fleet::{ShadowConfig, SiteSlot};
+use silvasec::fleet::{Fleet, ShadowConfig, SiteSlot};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
@@ -116,11 +116,17 @@ fn batched_verify_amortizes_across_shadow_sites() {
     );
 }
 
-/// The security snapshot surfaces the population split and the places
-/// alerts can be lost (SIEM windows, trace ring) as observable
-/// counters.
+/// The security snapshot surfaces the population split, the shadow
+/// state (alert calendars included) and the places alerts can be lost
+/// (SIEM windows, trace ring) as observable counters.
 #[test]
 fn security_snapshot_surfaces_population_and_loss_counters() {
+    let fresh = Fleet::new(fleet_scale_config(64, false), 11).security_snapshot();
+    assert!(fresh.shadow_mem_bytes > 0);
+    assert_eq!(
+        fresh.shadow_calendar_bytes, 0,
+        "alert calendars are built when a campaign can fire, not at commissioning"
+    );
     let (_, fleet) = run_fleet_scale_scenario(fleet_scale_config(64, false), 11);
     let snapshot = fleet.security_snapshot();
     assert_eq!(snapshot.sites, 64);
@@ -129,7 +135,16 @@ fn security_snapshot_surfaces_population_and_loss_counters() {
     assert_eq!(snapshot.full_sites + snapshot.shadow_sites, snapshot.sites);
     assert!(snapshot.siem_records_ingested > 0);
     assert!(snapshot.trace_pushed > 0);
-    assert!(snapshot.shadow_mem_bytes > 0);
+    // The deauth flood builds one calendar: 4 B per shadow site, counted
+    // in the shadow total.
+    assert!(
+        snapshot.shadow_calendar_bytes >= 4 * snapshot.shadow_sites,
+        "{snapshot:?}"
+    );
+    assert!(
+        snapshot.shadow_mem_bytes >= fresh.shadow_mem_bytes + snapshot.shadow_calendar_bytes,
+        "{snapshot:?}"
+    );
     // No drops at this scale — the counters exist and read zero, which
     // is itself the observable claim (loss would be counted, not
     // silent). Zero-drop classes are listed on purpose.

@@ -1,0 +1,67 @@
+//! Golden digests: byte-for-byte pins of canonical scenario outputs.
+//!
+//! Each pin is the sha256 of a scenario's simulated outputs, hashed the
+//! way the pathway benchmark (`benchmark/`) digests a round: every part
+//! is prefixed with its length as a little-endian `u64`. A pin moves
+//! only when a change alters the trace or the reports. Performance work
+//! must leave every pin where it is.
+//!
+//! Re-pinning (the one procedure): when a change is *meant* to alter an
+//! output, run `cargo test --test golden`, check that the change
+//! explains the difference, copy the new digest from the failure
+//! message into the constant, and say in the commit message which pin
+//! moved and why.
+
+use silvasec::attacks::AttackKind;
+use silvasec::crypto::sha256::Sha256;
+use silvasec::experiments::{campaign_for, fleet_scale_config, FleetScenario};
+use silvasec::fleet::{Fleet, RolloutReport};
+use silvasec::sim::time::{SimDuration, SimTime};
+
+/// The benchmark's `fleet_scale` scenario at seed 11 on 16 384 sites
+/// (4 full, two 8 192-site shadow shards): fleet trace JSONL, then the
+/// clean and the tampered `RolloutReport` JSON.
+const FLEET_SCALE_16K_SEED11: &str =
+    "b3c9f68992428d6e1520c04b0b5c47b1f3edad20ae20d2f0c60d893d89aef666";
+
+/// sha256 over `parts`, each length-prefixed, as hex.
+fn digest(parts: &[&[u8]]) -> String {
+    let mut h = Sha256::new();
+    for p in parts {
+        h.update(&(p.len() as u64).to_le_bytes());
+        h.update(p);
+    }
+    h.finalize().iter().map(|b| format!("{b:02x}")).collect()
+}
+
+#[test]
+fn fleet_scale_scenario_matches_its_pin() {
+    let mut fleet = Fleet::new(fleet_scale_config(16_384, true), 11);
+    // Disclosure and a 60 s deauth flood inside a 90 s free run, then a
+    // clean version-2 rollout and an in-transit-tampered version 3.
+    fleet.disclose_vulnerability("update-tampering");
+    fleet.schedule_fleet_attack(campaign_for(
+        AttackKind::DeauthFlood,
+        SimTime::from_secs(5),
+        SimDuration::from_secs(60),
+    ));
+    fleet.run(SimDuration::from_secs(90));
+    let clean = fleet.run_rollout(2);
+    fleet.schedule_fleet_attack(
+        FleetScenario::Tampered
+            .campaign()
+            .expect("the tampered scenario has a campaign"),
+    );
+    let tampered = fleet.run_rollout(3);
+
+    let report = |r: &RolloutReport| serde_json::to_string(r).expect("report serializes");
+    let got = digest(&[
+        fleet.export_trace_jsonl().as_bytes(),
+        report(&clean).as_bytes(),
+        report(&tampered).as_bytes(),
+    ]);
+    assert_eq!(
+        got, FLEET_SCALE_16K_SEED11,
+        "fleet_scale seed-11 16k-site outputs moved (re-pin procedure: module doc)"
+    );
+}
