@@ -140,7 +140,7 @@ pub struct FleetBackend {
 }
 
 impl FleetBackend {
-    fn commission(rng: &mut SimRng) -> Self {
+    pub(crate) fn commission(rng: &mut SimRng) -> Self {
         let mut root = CertificateAuthority::new_root(
             "fleet-root",
             &rng.next_seed(),

@@ -43,7 +43,11 @@
 //! version rule ([`UpdateBundle::check_version`]). Tampered deliveries
 //! corrupt *per-site* bytes, so they fall off the shared path and are
 //! decoded + verified individually — exactly the precedence the full
-//! path has.
+//! path has. They share one scratch copy of the delivered bundle per
+//! shard tick: each site flips its corruption in, verifies and flips
+//! it back out. The JSON decoder's structural pre-scan stops at the
+//! first broken token without building anything, so a tampered site
+//! costs a scan of its bundle's intact prefix, not a copy and a tree.
 //!
 //! [`Worksite`]: silvasec_sos::Worksite
 
@@ -440,6 +444,29 @@ struct CachedVerdict {
 /// Sentinel: no delivery in flight.
 const NO_DELIVERY: u16 = u16::MAX;
 
+/// One shard tick's scratch copy of a delivered bundle variant. Each
+/// tampered site flips its corruption into it, verifies, and flips it
+/// back, so a tick copies a bundle only when the variant changes (the
+/// new bundle or the downgrade one), not once per site.
+#[derive(Debug, Default)]
+struct TamperBuffer {
+    bytes: Vec<u8>,
+    /// Which variant `bytes` holds; `None` until the first copy.
+    old_bundle: Option<bool>,
+}
+
+impl TamperBuffer {
+    /// The buffer holding `bundle`, the variant `old_bundle` names.
+    fn holding(&mut self, old_bundle: bool, bundle: &[u8]) -> &mut [u8] {
+        if self.old_bundle != Some(old_bundle) {
+            self.bytes.clear();
+            self.bytes.extend_from_slice(bundle);
+            self.old_bundle = Some(old_bundle);
+        }
+        &mut self.bytes
+    }
+}
+
 /// One detector class's alert calendar: every slot packed as
 /// `(latency - LATENCY_MIN_MS) << SLOT_BITS | slot` and sorted, so the
 /// slots whose alert instant falls in a tick form one contiguous run.
@@ -604,6 +631,7 @@ impl ShadowShard {
     /// range, not the shard size.
     pub fn rollout_tick(&mut self, lo: u32, hi: u32, ctx: &ShadowRolloutCtx<'_>) -> ShadowWaveOut {
         let mut out = ShadowWaveOut::default();
+        let mut tamper_buffer = TamperBuffer::default();
         let from = self.site_index.partition_point(|&s| s < lo);
         let to = self.site_index.partition_point(|&s| s < hi);
         for slot in from..to {
@@ -659,7 +687,7 @@ impl ShadowShard {
             }
             if self.pending_chunks[slot] == 0 {
                 self.pending_chunks[slot] = NO_DELIVERY;
-                self.resolve(slot, key, ctx, &mut out);
+                self.resolve(slot, key, ctx, &mut tamper_buffer, &mut out);
             }
         }
         out
@@ -671,6 +699,7 @@ impl ShadowShard {
         slot: usize,
         key: u64,
         ctx: &ShadowRolloutCtx<'_>,
+        tamper_buffer: &mut TamperBuffer,
         out: &mut ShadowWaveOut,
     ) {
         let old = self.old_bundle[slot];
@@ -681,7 +710,7 @@ impl ShadowShard {
         };
         let verdict = if self.tampered[slot] {
             out.individually_verified_sites += 1;
-            Self::verify_tampered(bytes, key, ctx)
+            verify_tampered(tamper_buffer.holding(old, bytes), key, ctx)
         } else {
             out.batch_verified_sites += 1;
             self.shared_verdict(old, bytes, ctx, out)
@@ -732,65 +761,13 @@ impl ShadowShard {
             return cached.shared;
         }
         out.batch_verify_calls += 1;
-        let shared = match UpdateBundle::decode(bytes) {
-            Err(e) => Err(reject_code(e.reason())),
-            Ok(bundle) => match bundle.verify_shared_with_crls(
-                ctx.store,
-                ctx.now_ms,
-                ctx.crls,
-                crate::FLEET_COMPONENT,
-            ) {
-                Ok(()) => Ok(bundle.manifest.version),
-                Err(e) => Err(reject_code(match e {
-                    BundleError::Chain(_) => "chain",
-                    other => other.reason(),
-                })),
-            },
-        };
+        let shared = bundle_verdict(bytes, ctx);
         self.verdicts.push(CachedVerdict {
             update_id: ctx.update_id,
             old_bundle,
             shared,
         });
         shared
-    }
-
-    /// Verifies a tampered delivery individually: rebuilds the bytes
-    /// the site received (three deterministic flips per chunk body,
-    /// mirroring the full transport's MITM) and runs the complete
-    /// verification on them. Per-site corruption cannot share a
-    /// verdict.
-    fn verify_tampered(bytes: &[u8], key: u64, ctx: &ShadowRolloutCtx<'_>) -> Result<u32, u8> {
-        let mut copy = bytes.to_vec();
-        let total = chunk_count(copy.len(), ctx.chunk_bytes);
-        for chunk in 0..total {
-            let start = chunk * ctx.chunk_bytes;
-            let span = ctx.chunk_bytes.min(copy.len() - start) as u64;
-            if span == 0 {
-                continue;
-            }
-            for flip in 0..3u64 {
-                let at = start + (hash3(key ^ SALT_TAMPER, chunk as u64, flip) % span) as usize;
-                copy[at] ^= 0x41;
-            }
-        }
-        match UpdateBundle::decode(&copy) {
-            Err(e) => Err(reject_code(e.reason())),
-            Ok(bundle) => {
-                match bundle.verify_shared_with_crls(
-                    ctx.store,
-                    ctx.now_ms,
-                    ctx.crls,
-                    crate::FLEET_COMPONENT,
-                ) {
-                    Ok(()) => Ok(bundle.manifest.version),
-                    Err(e) => Err(reject_code(match e {
-                        BundleError::Chain(_) => "chain",
-                        other => other.reason(),
-                    })),
-                }
-            }
-        }
     }
 
     /// The alert calendar of `class`, built on first use: every slot's
@@ -912,6 +889,47 @@ impl ShadowShard {
         }
         alerts
     }
+}
+
+/// Decodes `bytes` and runs the site-independent bundle checks:
+/// `Ok(offered_version)`, or the reject code.
+fn bundle_verdict(bytes: &[u8], ctx: &ShadowRolloutCtx<'_>) -> Result<u32, u8> {
+    let bundle = UpdateBundle::decode(bytes).map_err(|e| reject_code(e.reason()))?;
+    match bundle.verify_shared_with_crls(ctx.store, ctx.now_ms, ctx.crls, crate::FLEET_COMPONENT) {
+        Ok(()) => Ok(bundle.manifest.version),
+        Err(e) => Err(reject_code(match e {
+            BundleError::Chain(_) => "chain",
+            other => other.reason(),
+        })),
+    }
+}
+
+/// XORs a tampered delivery's corruption into `bundle`: three
+/// deterministic flips per chunk body, mirroring the full transport's
+/// MITM. XOR undoes itself, so a second call restores the bytes.
+fn flip_tampered_bytes(bundle: &mut [u8], key: u64, chunk_bytes: usize) {
+    for chunk in 0..chunk_count(bundle.len(), chunk_bytes) {
+        let start = chunk * chunk_bytes;
+        let span = chunk_bytes.min(bundle.len() - start) as u64;
+        if span == 0 {
+            continue;
+        }
+        for flip in 0..3u64 {
+            let at = start + (hash3(key ^ SALT_TAMPER, chunk as u64, flip) % span) as usize;
+            bundle[at] ^= 0x41;
+        }
+    }
+}
+
+/// Verifies a tampered delivery individually, in place: flips the
+/// site's corruption into `bundle` (the delivered bytes), runs the
+/// complete verification on it and flips it back out. Per-site
+/// corruption cannot share a verdict.
+fn verify_tampered(bundle: &mut [u8], key: u64, ctx: &ShadowRolloutCtx<'_>) -> Result<u32, u8> {
+    flip_tampered_bytes(bundle, key, ctx.chunk_bytes);
+    let verdict = bundle_verdict(bundle, ctx);
+    flip_tampered_bytes(bundle, key, ctx.chunk_bytes);
+    verdict
 }
 
 // ---------------------------------------------------------------------
@@ -1295,6 +1313,139 @@ mod tests {
             );
             prev = now;
         }
+    }
+
+    /// The copy-per-site tamper path the in-place buffer replaced: flip a
+    /// fresh copy of the delivered bytes.
+    fn flipped_copy(bytes: &[u8], key: u64, chunk_bytes: usize) -> Vec<u8> {
+        let mut copy = bytes.to_vec();
+        let total = chunk_count(copy.len(), chunk_bytes);
+        for chunk in 0..total {
+            let start = chunk * chunk_bytes;
+            let span = chunk_bytes.min(copy.len() - start) as u64;
+            if span == 0 {
+                continue;
+            }
+            for flip in 0..3u64 {
+                let at = start + (hash3(key ^ SALT_TAMPER, chunk as u64, flip) % span) as usize;
+                copy[at] ^= 0x41;
+            }
+        }
+        copy
+    }
+
+    /// ... and the verdict on that copy.
+    fn copy_verdict(bytes: &[u8], key: u64, ctx: &ShadowRolloutCtx<'_>) -> Result<u32, u8> {
+        bundle_verdict(&flipped_copy(bytes, key, ctx.chunk_bytes), ctx)
+    }
+
+    /// A backend's baseline (version 1, the downgrade bundle) and
+    /// version-2 bundles at the fleet's default image size, and its
+    /// trust store.
+    fn two_bundles() -> (Vec<u8>, Vec<u8>, TrustStore) {
+        let mut rng = silvasec_sim::rng::SimRng::from_seed(5);
+        let mut backend = crate::FleetBackend::commission(&mut rng);
+        let payload = crate::FleetConfig::default().image_payload_bytes;
+        let old = backend.publish(1, payload, 0, &mut rng).encode();
+        let new = backend.publish(2, payload, 1_000, &mut rng).encode();
+        (old, new, backend.trust_store().clone())
+    }
+
+    fn rollout_ctx<'a>(
+        new: &'a [u8],
+        old: &'a [u8],
+        store: &'a TrustStore,
+        chunk_bytes: usize,
+    ) -> ShadowRolloutCtx<'a> {
+        ShadowRolloutCtx {
+            version: 2,
+            update_id: 2,
+            encoded: new,
+            old_encoded: Some(old),
+            store,
+            crls: &[],
+            chunk_bytes,
+            budget: 1,
+            now_ms: 5_000,
+            tick_index: 0,
+            tamper: true,
+            downgrade: false,
+            poison_at_ms: None,
+            jam: 0.0,
+        }
+    }
+
+    #[test]
+    fn in_place_tamper_matches_a_fresh_flipped_copy() {
+        let (old, new, store) = two_bundles();
+        assert!(
+            new.len() > 8_000,
+            "a fleet-sized bundle: {} bytes",
+            new.len()
+        );
+        let misfit = 1_000;
+        assert_ne!(new.len() % misfit, 0, "{misfit} must not divide the length");
+        let mut verdicts = 0;
+        for chunk_bytes in [1, 768, misfit, new.len() + 5] {
+            let ctx = rollout_ctx(&new, &old, &store, chunk_bytes);
+            let mut buffer = TamperBuffer::default();
+            for site in 0..24u32 {
+                let key = site_key(0xF1EE7, site);
+                for (old_bundle, delivered) in [(false, &new), (true, &old)] {
+                    let want = copy_verdict(delivered, key, &ctx);
+                    let bytes = buffer.holding(old_bundle, delivered);
+                    flip_tampered_bytes(bytes, key, chunk_bytes);
+                    assert_eq!(*bytes, flipped_copy(delivered, key, chunk_bytes));
+                    flip_tampered_bytes(bytes, key, chunk_bytes);
+                    assert_eq!(verify_tampered(bytes, key, &ctx), want);
+                    assert_eq!(*bytes, **delivered, "the buffer is restored");
+                    verdicts += 1;
+                }
+            }
+        }
+        assert_eq!(verdicts, 4 * 24 * 2);
+    }
+
+    #[test]
+    fn tamper_buffer_serves_both_variants_in_one_tick() {
+        let (old, new, store) = two_bundles();
+        let sites: Vec<u32> = (0..48).collect();
+        let mut shard = ShadowShard::new(sites.clone(), 0xD0_96);
+        // Tick 0: every other block of four sites starts receiving the
+        // new bundle under tampering and cannot finish on one chunk.
+        let mut ctx = rollout_ctx(&new, &old, &store, 768);
+        for lo in (0..48).step_by(8) {
+            let out = shard.rollout_tick(lo, lo + 4, &ctx);
+            assert_eq!(out.resolved(), 0);
+        }
+        let started_new: Vec<bool> = shard
+            .pending_chunks
+            .iter()
+            .map(|&p| p != NO_DELIVERY)
+            .collect();
+        // Tick 1: a downgrade MITM joins the tampering, so the blocks in
+        // between start on the old bundle; everyone gets time to finish.
+        ctx.downgrade = true;
+        ctx.budget = 256;
+        ctx.tick_index = 1;
+        let out = shard.rollout_tick(0, 48, &ctx);
+        assert_eq!(out.resolved(), 48, "every delivery completes");
+        assert_eq!(out.individually_verified_sites, 48);
+        assert_eq!(out.batch_verify_calls, 0);
+        let mut variants = [0; 2];
+        for (slot, &site) in sites.iter().enumerate() {
+            assert_eq!(shard.old_bundle[slot], !started_new[slot]);
+            let delivered = if started_new[slot] { &new } else { &old };
+            let want = match copy_verdict(delivered, site_key(0xD0_96, site), &ctx) {
+                Ok(version) if version > 1 => OUTCOME_APPLIED,
+                Ok(_) => reject_code("downgrade"),
+                Err(code) => code,
+            };
+            assert_eq!(shard.outcome[slot], want, "slot {slot}");
+            variants[usize::from(started_new[slot])] += 1;
+        }
+        assert_eq!(variants, [24, 24]);
+        assert_eq!(out.reject_reasons.iter().sum::<u32>(), out.rejected);
     }
 
     #[test]
