@@ -14,15 +14,31 @@
 
 use silvasec::attacks::AttackKind;
 use silvasec::crypto::sha256::Sha256;
-use silvasec::experiments::{campaign_for, fleet_scale_config, FleetScenario};
+use silvasec::experiments::{
+    campaign_for, figure1_trace, fleet_scale_config, EpisodeRunner, EpisodeSpec, FleetScenario,
+};
 use silvasec::fleet::{Fleet, RolloutReport};
+use silvasec::sim::rng::hash3;
 use silvasec::sim::time::{SimDuration, SimTime};
+use silvasec::sos::SecurityPosture;
 
 /// The benchmark's `fleet_scale` scenario at seed 11 on 16 384 sites
 /// (4 full, two 8 192-site shadow shards): fleet trace JSONL, then the
 /// clean and the tampered `RolloutReport` JSON.
 const FLEET_SCALE_16K_SEED11: &str =
     "b3c9f68992428d6e1520c04b0b5c47b1f3edad20ae20d2f0c60d893d89aef666";
+
+/// The Figure-1 security trace: one secure standard-config worksite at
+/// seed 11 for 3 600 sim-s (7 200 ticks) under the five back-to-back
+/// Figure-1 campaigns, as `figure1_trace` exports it.
+const FIGURE1_SECURE_SEED11: &str =
+    "3db68164ea19e3a14d65289fdeee4e516422a0e4901b2f4a61d52fde94f96b8a";
+
+/// The benchmark's `episode_sweep` round at seed 11 cut to two worlds:
+/// 32 compact 20 s episodes (2 worlds × 2 postures × 8 attack cells) on
+/// one pooled worker, one `{:?}` line per `EpisodeOutcome`.
+const EPISODE_SWEEP_2W_SEED11: &str =
+    "54f4455e287d6e5c05941801e3d0e1fc76aafff3954dd40f029573da18234397";
 
 /// sha256 over `parts`, each length-prefixed, as hex.
 fn digest(parts: &[&[u8]]) -> String {
@@ -63,5 +79,54 @@ fn fleet_scale_scenario_matches_its_pin() {
     assert_eq!(
         got, FLEET_SCALE_16K_SEED11,
         "fleet_scale seed-11 16k-site outputs moved (re-pin procedure: module doc)"
+    );
+}
+
+#[test]
+fn figure1_trace_matches_its_pin() {
+    let trace = figure1_trace(SecurityPosture::secure(), 11, SimDuration::from_secs(3600));
+    assert_eq!(
+        digest(&[trace.as_bytes()]),
+        FIGURE1_SECURE_SEED11,
+        "figure-1 seed-11 trace moved (re-pin procedure: module doc)"
+    );
+}
+
+#[test]
+fn pooled_episode_sweep_matches_its_pin() {
+    // The benchmark's sweep order: worlds seed-major, then posture, then
+    // attack cell, each world seed derived from the round seed.
+    const WORLD_SALT: u64 = 0xE9150DE5;
+    let cells = [
+        None,
+        Some(AttackKind::RfJamming),
+        Some(AttackKind::DeauthFlood),
+        Some(AttackKind::GnssSpoofing),
+        Some(AttackKind::GnssJamming),
+        Some(AttackKind::CameraBlinding),
+        Some(AttackKind::Replay),
+        Some(AttackKind::RogueNode),
+    ];
+    let mut specs = Vec::new();
+    for world in 0..2 {
+        let seed = hash3(11, WORLD_SALT, world);
+        for posture in [SecurityPosture::secure(), SecurityPosture::insecure()] {
+            for attack in cells {
+                specs.push(EpisodeSpec::compact(
+                    posture,
+                    attack,
+                    seed,
+                    SimDuration::from_secs(20),
+                ));
+            }
+        }
+    }
+    let outcomes = EpisodeRunner::with_workers(1).run(&specs);
+    assert_eq!(outcomes.len(), 32);
+    let text: String = outcomes.iter().map(|o| format!("{o:?}\n")).collect();
+    assert_eq!(
+        digest(&[text.as_bytes()]),
+        EPISODE_SWEEP_2W_SEED11,
+        "pooled episode sweep seed-11 outcomes moved (re-pin procedure: module doc)"
     );
 }
