@@ -62,14 +62,13 @@ pub fn foliage_loss_db(config: &PropagationConfig, stand: &TreeStand, from: Vec3
     // Only trees tall enough to reach the link height matter.
     let link_z = from.z.min(to.z);
     let mut crossing_count = 0usize;
-    // Visitor form: same trees in the same order as the collecting
-    // `trees_near_segment`, without the per-call `Vec` — this runs once
-    // per delivery attempt on the radio hot path. The visitor reuses
-    // the distance the grid filter already computed, and stops as soon
-    // as the crossing count saturates `max_foliage_db` — further
-    // crossings cannot change the capped loss.
-    stand.for_trees_near_segment_dist(a2, b2, 1.5, |tree, dist| {
-        if dist <= 1.5 && tree.height_m >= link_z {
+    // Runs once per delivery attempt on the radio hot path: the trunk
+    // query culls at the 1.5 m radius alone (canopies play no part),
+    // and the visitor stops as soon as the crossing count saturates
+    // `max_foliage_db` — further crossings cannot change the capped
+    // loss.
+    stand.for_trunks_near_segment(a2, b2, 1.5, |tree| {
+        if tree.height_m >= link_z {
             crossing_count += 1;
             if config.per_tree_db > 0.0
                 && crossing_count as f64 * config.per_tree_db >= config.max_foliage_db

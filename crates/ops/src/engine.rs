@@ -980,7 +980,7 @@ mod tests {
             h.run_to_idle(
                 &mut |a| {
                     h2 = h2.wrapping_add(1);
-                    !matches!(a, Action::QuarantineSite { site } if site % 2 == 1 && h2 % 3 == 0)
+                    !matches!(a, Action::QuarantineSite { site } if site % 2 == 1 && h2.is_multiple_of(3))
                 },
                 2_000,
             );

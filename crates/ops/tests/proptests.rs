@@ -56,7 +56,7 @@ impl Harness {
                 continue;
             }
             self.verdicts += 1;
-            let ok = hash3(self.script, self.verdicts, 0xF1) % 5 != 0;
+            let ok = !hash3(self.script, self.verdicts, 0xF1).is_multiple_of(5);
             cmds.extend(self.engine.complete(cmd.id, ok, self.now));
         }
     }
@@ -64,7 +64,7 @@ impl Harness {
     /// One scheduler round: scripted reviews, tick, scripted verdicts.
     fn round(&mut self) {
         for run in self.engine.pending_reviews() {
-            let decision = if hash3(self.script, run, 0x6A7E) % 3 == 0 {
+            let decision = if hash3(self.script, run, 0x6A7E).is_multiple_of(3) {
                 GateDecision::Reject
             } else {
                 GateDecision::Approve
@@ -93,7 +93,7 @@ impl Harness {
 }
 
 fn incident(k: u64, at_ms: u64) -> Incident {
-    let scope = if k % 6 == 0 {
+    let scope = if k.is_multiple_of(6) {
         IncidentScope::Fleet {
             sites: 2 + (k % 7) as u32,
         }
@@ -102,7 +102,7 @@ fn incident(k: u64, at_ms: u64) -> Incident {
     };
     Incident {
         class: CLASSES[(k % 4) as usize].to_string(),
-        severity: SEVERITIES[(k % 4 ^ k % 3) as usize % 4],
+        severity: SEVERITIES[((k % 4) ^ (k % 3)) as usize % 4],
         scope,
         detected_at_ms: at_ms,
     }

@@ -84,18 +84,57 @@ impl Vec2 {
         self.y.atan2(self.x)
     }
 
-    /// Distance from this point to the segment `a`–`b`.
-    #[must_use]
-    pub fn distance_to_segment(self, a: Vec2, b: Vec2) -> f64 {
+    /// Offset of this point from its closest point on the segment
+    /// `a`–`b`; its length is [`Vec2::distance_to_segment`].
+    #[inline]
+    fn offset_from_segment(self, a: Vec2, b: Vec2) -> Vec2 {
         let ab = b - a;
         let len2 = ab.dot(ab);
         if len2 < 1e-12 {
-            return self.distance(a);
+            return self - a;
         }
         let t = ((self - a).dot(ab) / len2).clamp(0.0, 1.0);
-        self.distance(a + ab * t)
+        self - (a + ab * t)
+    }
+
+    /// Distance from this point to the segment `a`–`b`.
+    #[must_use]
+    pub fn distance_to_segment(self, a: Vec2, b: Vec2) -> f64 {
+        self.offset_from_segment(a, b).length()
+    }
+
+    /// Exactly `self.distance_to_segment(a, b) <= r`, without the `hypot`
+    /// in almost every case.
+    ///
+    /// The offset is computed exactly as `distance_to_segment` computes
+    /// it. Its squared length `d²` is within a few ulps of the exact
+    /// square, and `hypot` is within one ulp of the exact length, so when
+    /// `r` is positive and `d²` and `r²` are normal floats more than a
+    /// relative 1e-9 apart (about 10⁷ times those errors), comparing the
+    /// squares gives the answer the `hypot` comparison would. Inside that
+    /// band, or for a zero, subnormal, infinite or NaN square, the
+    /// `hypot` itself decides.
+    #[must_use]
+    #[inline]
+    pub fn is_near_segment(self, a: Vec2, b: Vec2, r: f64) -> bool {
+        let d = self.offset_from_segment(a, b);
+        let d2 = d.dot(d);
+        let r2 = r * r;
+        if r > 0.0 && d2.is_normal() && r2.is_normal() {
+            if d2 < r2 * (1.0 - SEGMENT_GUARD_BAND) {
+                return true;
+            }
+            if d2 > r2 * (1.0 + SEGMENT_GUARD_BAND) {
+                return false;
+            }
+        }
+        d.length() <= r
     }
 }
+
+/// Relative band around `r²` inside which [`Vec2::is_near_segment`] falls
+/// back to the `hypot` distance.
+const SEGMENT_GUARD_BAND: f64 = 1e-9;
 
 impl Vec3 {
     /// The origin.

@@ -206,7 +206,7 @@ mod tests {
     #[test]
     fn rebuild_reuses_and_resets() {
         let mut grid = EntityGrid::new();
-        grid.rebuild(100.0, random_positions(9, 6, 100.0).into_iter());
+        grid.rebuild(100.0, random_positions(9, 6, 100.0));
         assert_eq!(grid.len(), 6);
         let positions = random_positions(10, 3, 250.0);
         grid.rebuild(250.0, positions.iter().copied());

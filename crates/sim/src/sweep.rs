@@ -30,6 +30,7 @@
 //! — can run on the same worker pool without a dependency cycle.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Timing and shape summary of one parallel sweep.
@@ -69,9 +70,16 @@ impl SweepStats {
 /// Number of workers a sweep will use: the available hardware
 /// parallelism, capped by the number of points (spawning more threads
 /// than points only adds join overhead).
+///
+/// The hardware parallelism is read once per process: on Linux,
+/// `available_parallelism` reads the cgroup CPU quota from the file
+/// system on every call, and fleets call this once per tick.
 #[must_use]
 pub fn worker_count(points: usize) -> usize {
-    let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    static HW: OnceLock<usize> = OnceLock::new();
+    let hw = *HW.get_or_init(|| {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    });
     hw.min(points).max(1)
 }
 

@@ -42,14 +42,33 @@ impl Default for StandConfig {
     }
 }
 
+/// Absolute widening of the segment-query cell cull, metres: far above
+/// the rounding error of stand coordinates (~1e-13 m at 1 km), far below
+/// a tree.
+const CULL_SLACK_M: f64 = 1e-6;
+
+/// One tree's record in the cell index: what the segment filter reads.
+#[derive(Debug, Clone, Copy, Default)]
+struct CellTree {
+    position: Vec2,
+    // `canopy_radius_m.max(trunk_radius_m)`.
+    reach_m: f64,
+    // Index into `TreeStand::trees`.
+    index: u32,
+}
+
 /// A collection of trees over a square area, with a coarse spatial index
 /// for segment queries.
 #[derive(Debug, Clone)]
 pub struct TreeStand {
     trees: Vec<Tree>,
     size_m: f64,
-    // Coarse grid index: cell -> tree indices.
-    grid: Vec<Vec<u32>>,
+    // Coarse grid index in compressed sparse rows: the records of cell
+    // `c` (row-major, `grid_cells` × `grid_cells`) are
+    // `cell_trees[cell_start[c]..cell_start[c + 1]]`, in ascending tree
+    // index.
+    cell_start: Vec<u32>,
+    cell_trees: Vec<CellTree>,
     grid_cells: usize,
     grid_cell_m: f64,
     // Largest per-tree reach (canopy or trunk radius) in the stand —
@@ -70,7 +89,8 @@ impl TreeStand {
         let mut stand = TreeStand {
             trees: Vec::new(),
             size_m,
-            grid: Vec::new(),
+            cell_start: Vec::new(),
+            cell_trees: Vec::new(),
             grid_cells: 1,
             grid_cell_m: 20.0,
             max_reach_m: 0.0,
@@ -130,7 +150,8 @@ impl TreeStand {
         let mut stand = TreeStand {
             trees,
             size_m,
-            grid: Vec::new(),
+            cell_start: Vec::new(),
+            cell_trees: Vec::new(),
             grid_cells: 1,
             grid_cell_m: 20.0,
             max_reach_m: 0.0,
@@ -147,55 +168,121 @@ impl TreeStand {
         self.rebuild_grid();
     }
 
-    /// Recomputes the coarse grid index from the current tree list,
-    /// reusing cell allocations where the grid shape allows.
+    /// Recomputes the cell index from the current tree list in place (a
+    /// counting sort by cell), reusing the index's allocations.
     fn rebuild_grid(&mut self) {
         let grid_cell_m = 20.0;
         let grid_cells = (self.size_m / grid_cell_m).ceil().max(1.0) as usize;
-        for cell in &mut self.grid {
-            cell.clear();
-        }
-        self.grid.resize_with(grid_cells * grid_cells, Vec::new);
         self.grid_cells = grid_cells;
         self.grid_cell_m = grid_cell_m;
-        let mut max_reach = 0.0f64;
-        for (i, tree) in self.trees.iter().enumerate() {
+        let cell_of = |tree: &Tree| {
             let gx = ((tree.position.x / grid_cell_m) as usize).min(grid_cells - 1);
             let gy = ((tree.position.y / grid_cell_m) as usize).min(grid_cells - 1);
-            self.grid[gy * grid_cells + gx].push(i as u32);
-            max_reach = max_reach.max(tree.canopy_radius_m.max(tree.trunk_radius_m));
+            gy * grid_cells + gx
+        };
+        // Count each cell's trees into the slot after it, then turn the
+        // counts into start offsets.
+        self.cell_start.clear();
+        self.cell_start.resize(grid_cells * grid_cells + 1, 0);
+        for tree in &self.trees {
+            self.cell_start[cell_of(tree) + 1] += 1;
         }
+        for c in 1..self.cell_start.len() {
+            self.cell_start[c] += self.cell_start[c - 1];
+        }
+        // Place the trees in ascending index, advancing each cell's start
+        // as a cursor; afterwards `cell_start[c]` holds the end of cell
+        // `c`, so shift the offsets back by one cell.
+        self.cell_trees.clear();
+        self.cell_trees
+            .resize(self.trees.len(), CellTree::default());
+        let mut max_reach = 0.0f64;
+        for (i, tree) in self.trees.iter().enumerate() {
+            let reach_m = tree.canopy_radius_m.max(tree.trunk_radius_m);
+            let cursor = &mut self.cell_start[cell_of(tree)];
+            self.cell_trees[*cursor as usize] = CellTree {
+                position: tree.position,
+                reach_m,
+                index: i as u32,
+            };
+            *cursor += 1;
+            max_reach = max_reach.max(reach_m);
+        }
+        self.cell_start.copy_within(..grid_cells * grid_cells, 1);
+        self.cell_start[0] = 0;
         self.max_reach_m = max_reach;
     }
 
-    /// Whether segment `a`–`b` intersects the axis-aligned rectangle
-    /// `[min, max]` (Liang–Barsky slab clipping).
-    fn segment_intersects_rect(a: Vec2, b: Vec2, min: Vec2, max: Vec2) -> bool {
-        let d = Vec2::new(b.x - a.x, b.y - a.y);
-        let mut t0 = 0.0f64;
-        let mut t1 = 1.0f64;
-        for (p, q_min, q_max) in [
-            (d.x, min.x - a.x, max.x - a.x),
-            (d.y, min.y - a.y, max.y - a.y),
-        ] {
-            if p.abs() < 1e-12 {
-                // Segment parallel to this slab: inside or fully out.
-                if q_min > 0.0 || q_max < 0.0 {
-                    return false;
+    /// The records of cell `c`.
+    #[inline]
+    fn cell(&self, c: usize) -> &[CellTree] {
+        &self.cell_trees[self.cell_start[c] as usize..self.cell_start[c + 1] as usize]
+    }
+
+    /// Grid bounds `(gx0, gx1, gy0, gy1)` of the cells within
+    /// `margin + grid_cell_m` of the segment's bounding box.
+    #[inline]
+    fn cell_range(&self, a: Vec2, b: Vec2, margin: f64) -> (usize, usize, usize, usize) {
+        let pad = margin + self.grid_cell_m;
+        let min_x = (a.x.min(b.x) - pad).max(0.0);
+        let max_x = (a.x.max(b.x) + pad).min(self.size_m);
+        let min_y = (a.y.min(b.y) - pad).max(0.0);
+        let max_y = (a.y.max(b.y) + pad).min(self.size_m);
+        let last = self.grid_cells - 1;
+        (
+            ((min_x / self.grid_cell_m) as usize).min(last),
+            ((max_x / self.grid_cell_m) as usize).min(last),
+            ((min_y / self.grid_cell_m) as usize).min(last),
+            ((max_y / self.grid_cell_m) as usize).min(last),
+        )
+    }
+
+    /// Visits, in row-major order, the non-empty cells of the segment's
+    /// `margin` rectangle that can hold a tree within `reach` of the
+    /// segment; return `false` from `visit` to stop.
+    ///
+    /// The cull: in each row of cells, only the cells whose x-extent
+    /// overlaps the segment's x-extent within that row — both inflated by
+    /// `reach` — can hold a point within `reach` of the segment (axis
+    /// inflation is a superset of the Euclidean one). Walking that span
+    /// alone removes the O(length²) cell scan on long diagonal queries
+    /// (the radio links). The span is widened by [`CULL_SLACK_M`] so
+    /// rounding can never drop a cell; the per-tree filter decides.
+    fn for_cells_near_segment<F>(&self, a: Vec2, b: Vec2, margin: f64, reach: f64, mut visit: F)
+    where
+        F: FnMut(&[CellTree]) -> bool,
+    {
+        let (gx0, gx1, gy0, gy1) = self.cell_range(a, b, margin);
+        let cell_m = self.grid_cell_m;
+        let reach = reach + CULL_SLACK_M;
+        let d = b - a;
+        for gy in gy0..=gy1 {
+            // The segment's parameter range inside this row's band.
+            let band_lo = gy as f64 * cell_m - reach;
+            let band_hi = (gy + 1) as f64 * cell_m + reach;
+            let (t0, t1) = if d.y.abs() < 1e-12 {
+                if a.y < band_lo || a.y > band_hi {
+                    continue;
                 }
+                (0.0, 1.0)
             } else {
-                let (mut ta, mut tb) = (q_min / p, q_max / p);
-                if ta > tb {
-                    std::mem::swap(&mut ta, &mut tb);
-                }
-                t0 = t0.max(ta);
-                t1 = t1.min(tb);
-                if t0 > t1 {
-                    return false;
+                let (ta, tb) = ((band_lo - a.y) / d.y, (band_hi - a.y) / d.y);
+                (ta.min(tb).max(0.0), ta.max(tb).min(1.0))
+            };
+            if t0 > t1 {
+                continue;
+            }
+            let (xa, xb) = (a.x + d.x * t0, a.x + d.x * t1);
+            let first = (((xa.min(xb) - reach) / cell_m).max(0.0) as usize).max(gx0);
+            let last = (((xa.max(xb) + reach) / cell_m).max(0.0) as usize).min(gx1);
+            let row = gy * self.grid_cells;
+            for gx in first..=last {
+                let cell = self.cell(row + gx);
+                if !cell.is_empty() && !visit(cell) {
+                    return;
                 }
             }
         }
-        true
     }
 
     /// All trees.
@@ -222,102 +309,67 @@ impl TreeStand {
         self.trees.len() as f64 / ((self.size_m * self.size_m) / 10_000.0)
     }
 
-    /// Visits every tree whose trunk or canopy might intersect the 2-D
-    /// segment `a`–`b` expanded by `margin` metres (via the coarse grid
-    /// index), without allocating. Trees are visited in the same order
+    /// Visits every tree whose trunk or canopy comes within `margin`
+    /// metres of the 2-D segment `a`–`b` (`distance_to_segment <= margin
+    /// + reach`, reach being the larger of canopy and trunk radius),
+    /// without allocating. Trees are visited cell by cell in row-major
+    /// order, ascending index within a cell — the order
     /// [`TreeStand::trees_near_segment`] returns them; return `false`
     /// from `visit` to stop early.
     ///
     /// This is the line-of-sight hot path: `line_of_sight` casts one
-    /// query per (sensor, human, tick) and previously paid a `Vec<&Tree>`
-    /// allocation each time.
+    /// query per (sensor, human, tick).
     pub fn for_trees_near_segment<'s, F>(&'s self, a: Vec2, b: Vec2, margin: f64, mut visit: F)
     where
         F: FnMut(&'s Tree) -> bool,
     {
-        self.for_trees_near_segment_dist(a, b, margin, |tree, _| visit(tree));
-    }
-
-    /// [`TreeStand::for_trees_near_segment`], but the visitor also
-    /// receives the tree's 2-D distance to the segment — the filter
-    /// already computes it, so callers that need it (foliage crossing
-    /// tests) avoid recomputing `distance_to_segment` per tree.
-    pub fn for_trees_near_segment_dist<'s, F>(&'s self, a: Vec2, b: Vec2, margin: f64, mut visit: F)
-    where
-        F: FnMut(&'s Tree, f64) -> bool,
-    {
-        let pad = margin + self.grid_cell_m;
-        let min_x = (a.x.min(b.x) - pad).max(0.0);
-        let max_x = (a.x.max(b.x) + pad).min(self.size_m);
-        let min_y = (a.y.min(b.y) - pad).max(0.0);
-        let max_y = (a.y.max(b.y) + pad).min(self.size_m);
-        let gx0 = ((min_x / self.grid_cell_m) as usize).min(self.grid_cells - 1);
-        let gx1 = ((max_x / self.grid_cell_m) as usize).min(self.grid_cells - 1);
-        let gy0 = ((min_y / self.grid_cell_m) as usize).min(self.grid_cells - 1);
-        let gy1 = ((max_y / self.grid_cell_m) as usize).min(self.grid_cells - 1);
-
-        // Cell-level cull inside the bounding rectangle: a cell whose
-        // rect, inflated by `margin + max_reach_m` (axis inflation is a
-        // superset of the Euclidean one, so this is conservative), does
-        // not intersect the segment cannot contain a tree passing the
-        // per-tree distance filter below — every tree in it sits at
-        // least that far from the segment. Skipping such cells removes
-        // the O(length²) cell scan on long diagonal queries (the radio
-        // links) while visiting the surviving trees in the exact same
-        // row-major order.
-        let reach = margin + self.max_reach_m;
-        for gy in gy0..=gy1 {
-            let cy0 = gy as f64 * self.grid_cell_m;
-            for gx in gx0..=gx1 {
-                let cell = &self.grid[gy * self.grid_cells + gx];
-                if cell.is_empty() {
-                    continue;
-                }
-                let cx0 = gx as f64 * self.grid_cell_m;
-                let cell_min = Vec2::new(cx0 - reach, cy0 - reach);
-                let cell_max = Vec2::new(
-                    cx0 + self.grid_cell_m + reach,
-                    cy0 + self.grid_cell_m + reach,
-                );
-                if !Self::segment_intersects_rect(a, b, cell_min, cell_max) {
-                    continue;
-                }
-                for &i in cell {
-                    let tree = &self.trees[i as usize];
-                    let dist = tree.position.distance_to_segment(a, b);
-                    if dist <= margin + tree.canopy_radius_m.max(tree.trunk_radius_m)
-                        && !visit(tree, dist)
-                    {
-                        return;
-                    }
+        self.for_cells_near_segment(a, b, margin, margin + self.max_reach_m, |cell| {
+            for t in cell {
+                if t.position.is_near_segment(a, b, margin + t.reach_m)
+                    && !visit(&self.trees[t.index as usize])
+                {
+                    return false;
                 }
             }
-        }
+            true
+        });
+    }
+
+    /// Visits every tree whose trunk base lies within `radius` metres of
+    /// the 2-D segment `a`–`b` (`distance_to_segment <= radius`), in the
+    /// order of [`TreeStand::for_trees_near_segment`]; return `false`
+    /// from `visit` to stop early. Canopies play no part, so the cell
+    /// cull uses `radius` alone — the radio foliage count's query.
+    pub fn for_trunks_near_segment<'s, F>(&'s self, a: Vec2, b: Vec2, radius: f64, mut visit: F)
+    where
+        F: FnMut(&'s Tree) -> bool,
+    {
+        self.for_cells_near_segment(a, b, radius, radius, |cell| {
+            for t in cell {
+                if t.position.is_near_segment(a, b, radius) && !visit(&self.trees[t.index as usize])
+                {
+                    return false;
+                }
+            }
+            true
+        });
     }
 
     /// FROZEN pre-optimization segment query: collects matching trees
     /// into a fresh `Vec` after scanning *every* grid cell in the
-    /// segment's bounding rectangle (no cell-level cull). Returns the
-    /// same trees in the same order as [`TreeStand::trees_near_segment`];
-    /// only the cost differs. Kept verbatim so the benchmark's "old"
-    /// arm reproduces the pre-optimization per-query cost — do not
+    /// segment's bounding rectangle (no cell-level cull) with one
+    /// `distance_to_segment` per tree. Returns the same trees in the same
+    /// order as [`TreeStand::trees_near_segment`]; only the cost differs.
+    /// Kept as the parity oracle and the benchmark's "old" arm — do not
     /// optimize.
     #[must_use]
     pub fn trees_near_segment_reference(&self, a: Vec2, b: Vec2, margin: f64) -> Vec<&Tree> {
-        let pad = margin + self.grid_cell_m;
-        let min_x = (a.x.min(b.x) - pad).max(0.0);
-        let max_x = (a.x.max(b.x) + pad).min(self.size_m);
-        let min_y = (a.y.min(b.y) - pad).max(0.0);
-        let max_y = (a.y.max(b.y) + pad).min(self.size_m);
-        let gx0 = ((min_x / self.grid_cell_m) as usize).min(self.grid_cells - 1);
-        let gx1 = ((max_x / self.grid_cell_m) as usize).min(self.grid_cells - 1);
-        let gy0 = ((min_y / self.grid_cell_m) as usize).min(self.grid_cells - 1);
-        let gy1 = ((max_y / self.grid_cell_m) as usize).min(self.grid_cells - 1);
+        let (gx0, gx1, gy0, gy1) = self.cell_range(a, b, margin);
         let mut out = Vec::new();
         for gy in gy0..=gy1 {
             for gx in gx0..=gx1 {
-                for &i in &self.grid[gy * self.grid_cells + gx] {
-                    let tree = &self.trees[i as usize];
+                for t in self.cell(gy * self.grid_cells + gx) {
+                    let tree = &self.trees[t.index as usize];
                     if tree.position.distance_to_segment(a, b)
                         <= margin + tree.canopy_radius_m.max(tree.trunk_radius_m)
                     {
@@ -341,18 +393,22 @@ impl TreeStand {
         out
     }
 
-    /// Counts the trees [`TreeStand::for_trees_near_segment`] visits
-    /// without allocating — the hot-path form of
-    /// `trees_near_segment(..).len()` (the worksite's per-tick
-    /// sensor-health feature count).
+    /// `min(n, cap)`, where `n` is the number of trees
+    /// [`TreeStand::for_trees_near_segment`] visits — the worksite's
+    /// per-tick sensor-health feature count, which reads at most `cap`.
+    /// Counts a whole cell at a time and stops once the count reaches
+    /// `cap`; pass `usize::MAX` for the full count.
     #[must_use]
-    pub fn count_trees_near_segment(&self, a: Vec2, b: Vec2, margin: f64) -> usize {
+    pub fn count_trees_near_segment(&self, a: Vec2, b: Vec2, margin: f64, cap: usize) -> usize {
         let mut count = 0;
-        self.for_trees_near_segment(a, b, margin, |_| {
-            count += 1;
-            true
+        self.for_cells_near_segment(a, b, margin, margin + self.max_reach_m, |cell| {
+            count += cell
+                .iter()
+                .filter(|t| t.position.is_near_segment(a, b, margin + t.reach_m))
+                .count();
+            count < cap
         });
-        count
+        count.min(cap)
     }
 }
 
@@ -446,7 +502,7 @@ mod tests {
             );
         }
         assert_eq!(
-            s.count_trees_near_segment(a, b, margin),
+            s.count_trees_near_segment(a, b, margin, usize::MAX),
             collected.len(),
             "count form disagrees with the collector"
         );

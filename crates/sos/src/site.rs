@@ -1384,14 +1384,16 @@ impl Worksite {
 
         // Sensor health: nearby trunks + detections are the feature
         // stream; blinding collapses it.
-        // Counting variant: same set as `trees_near_segment` without
-        // materializing the index vector.
-        let nearby_trees =
-            self.world
-                .stand()
-                .count_trees_near_segment(fw_pos, fw_pos + Vec2::new(0.1, 0.0), 25.0);
+        // The feature stream reads at most 60 trees, so the count stops
+        // there.
+        let nearby_trees = self.world.stand().count_trees_near_segment(
+            fw_pos,
+            fw_pos + Vec2::new(0.1, 0.0),
+            25.0,
+            60,
+        );
         let mut features = 0u32;
-        for _ in 0..nearby_trees.min(60) {
+        for _ in 0..nearby_trees {
             if self.rng.chance(0.85 * self.camera.health) {
                 features += 1;
             }
@@ -1799,7 +1801,7 @@ mod tests {
         for posture in [SecurityPosture::secure(), SecurityPosture::insecure()] {
             for seed in [3u64, 11] {
                 for jam in [false, true] {
-                    let config = small_config(posture.clone());
+                    let config = small_config(posture);
                     let mut fast = Worksite::new(&config, seed);
                     let mut reference = Worksite::new(&config, seed);
                     if jam {

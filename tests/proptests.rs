@@ -11,6 +11,7 @@ use silvasec::prelude::*;
 use silvasec::risk::feasibility::{AttackFeasibility, AttackPotential};
 use silvasec::risk::impact::ImpactLevel;
 use silvasec::risk::RiskLevel;
+use silvasec::sim::vegetation::{StandConfig, Tree, TreeStand};
 use silvasec_channel::replay::ReplayWindow;
 
 /// Edge-heavy length schedule for the data-plane parity tests: empty,
@@ -720,6 +721,52 @@ fn detection_from_bits(bits: u64) -> Detection {
     }
 }
 
+/// Checks every fast stand query against the frozen full-rectangle scan
+/// for one segment: the culled visitor returns the reference's trees in
+/// its order, the trunk query returns those of them whose base is within
+/// `margin`, in that order, and the capped count is `min(len, cap)`.
+fn stand_queries_match_reference(
+    stand: &TreeStand,
+    a: Vec2,
+    b: Vec2,
+    margin: f64,
+) -> Result<(), TestCaseError> {
+    let same = |got: &[&Tree], want: &[&Tree]| {
+        got.len() == want.len() && got.iter().zip(want).all(|(g, w)| std::ptr::eq(*g, *w))
+    };
+    let oracle = stand.trees_near_segment_reference(a, b, margin);
+    prop_assert!(
+        same(&stand.trees_near_segment(a, b, margin), &oracle),
+        "culled query diverged from the reference"
+    );
+    for cap in [0, 1, 60, usize::MAX] {
+        prop_assert_eq!(
+            stand.count_trees_near_segment(a, b, margin, cap),
+            oracle.len().min(cap)
+        );
+    }
+    let trunks_oracle: Vec<&Tree> = oracle
+        .iter()
+        .copied()
+        .filter(|t| t.position.distance_to_segment(a, b) <= margin)
+        .collect();
+    let mut trunks = Vec::new();
+    stand.for_trunks_near_segment(a, b, margin, |t| {
+        trunks.push(t);
+        true
+    });
+    prop_assert!(
+        same(&trunks, &trunks_oracle),
+        "trunk query diverged from the reference"
+    );
+    Ok(())
+}
+
+/// `x` moved by `k` ulps (through zero into the negatives).
+fn ulps(x: f64, k: i32) -> f64 {
+    (0..k.unsigned_abs()).fold(x, |v, _| if k > 0 { v.next_up() } else { v.next_down() })
+}
+
 proptest! {
     // Each case generates a world (stand + roster); keep the count
     // debug-CI friendly.
@@ -835,7 +882,40 @@ proptest! {
         for (c, o) in culled.iter().zip(&oracle) {
             prop_assert!(std::ptr::eq(*c, *o));
         }
-        prop_assert_eq!(stand.count_trees_near_segment(a, b, margin), oracle.len());
+        prop_assert_eq!(stand.count_trees_near_segment(a, b, margin, usize::MAX), oracle.len());
+    }
+
+    #[test]
+    fn stand_queries_match_reference_across_rebuilds(
+        seed in 0u64..500,
+        axi in 0u32..3200,
+        ayi in 0u32..3200,
+        bxi in 0u32..3200,
+        byi in 0u32..3200,
+        margin_i in 0u32..300,
+        disc_xi in 0u32..1500,
+        disc_yi in 0u32..1500,
+        disc_ri in 0u32..600,
+        size_i in 0usize..3,
+        density_i in 0usize..3,
+    ) {
+        let at = |xi: u32, yi: u32| Vec2::new(f64::from(xi) / 10.0, f64::from(yi) / 10.0);
+        let (a, b) = (at(axi, ayi), at(bxi, byi));
+        let margin = f64::from(margin_i) / 10.0;
+        let mut rng = SimRng::from_seed(seed);
+        let config = |trees_per_hectare| StandConfig {
+            trees_per_hectare,
+            ..StandConfig::default()
+        };
+        let mut stand = TreeStand::generate(&config(800.0), 150.0, &mut rng);
+        stand_queries_match_reference(&stand, a, b, margin)?;
+        // The index is rebuilt in place after a clearing...
+        stand.clear_disc(at(disc_xi, disc_yi), f64::from(disc_ri) / 10.0);
+        stand_queries_match_reference(&stand, a, b, margin)?;
+        // ...and after redrawing at another size and density.
+        let size = [60.0, 150.0, 310.0][size_i];
+        stand.regenerate(&config([0.0, 300.0, 1500.0][density_i]), size, &mut rng);
+        stand_queries_match_reference(&stand, a, b, margin)?;
     }
 
     #[test]
@@ -856,11 +936,101 @@ proptest! {
         let config = PropagationConfig::default();
         let from = Vec3::new(f64::from(axi) / 10.0, f64::from(ayi) / 10.0, f64::from(azi) / 10.0);
         let to = Vec3::new(f64::from(bxi) / 10.0, f64::from(byi) / 10.0, f64::from(bzi) / 10.0);
-        // The capped early-exit and distance reuse must not move the
+        // The trunk query and the capped early exit must not move the
         // loss by a single bit.
         prop_assert_eq!(
             foliage_loss_db(&config, world.stand(), from, to).to_bits(),
             foliage_loss_db_reference(&config, world.stand(), from, to).to_bits()
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn stand_queries_match_reference_on_a_lattice(
+        shape in 0usize..5,
+        col in 0u32..32,
+        row0 in 0u32..32,
+        row1 in 0u32..32,
+        margin_i in 0u32..24,
+        reach_i in 0u32..4,
+        bits in any::<u32>(),
+    ) {
+        // Trunks on a 2.5 m lattice that includes the 20 m cell
+        // boundaries, and margins on a 0.5 m grid. Shapes 0–3 run an
+        // axis-aligned segment at exactly `margin` from one lattice
+        // column or row, on either side, so trees sit at exactly the
+        // query distance and exactly on a cell's inflated edge; shape 4
+        // is any segment between 0.5 m grid points.
+        let trees: Vec<Tree> = (0..32u32)
+            .flat_map(|i| (0..32u32).map(move |j| (i, j)))
+            .map(|(i, j)| Tree {
+                position: Vec2::new(f64::from(i) * 2.5, f64::from(j) * 2.5),
+                height_m: 10.0,
+                trunk_radius_m: 0.25,
+                canopy_radius_m: [0.25, 0.5, 2.5, 5.0][((i * 7 + j + reach_i) % 4) as usize],
+            })
+            .collect();
+        let stand = TreeStand::from_trees(trees, 80.0);
+        let margin = f64::from(margin_i) / 2.0;
+        let line = f64::from(col) * 2.5;
+        let (y0, y1) = (f64::from(row0) * 2.5, f64::from(row1) * 2.5);
+        let grid = |v: u32| f64::from(v % 240) / 2.0 - 20.0;
+        let (a, b) = match shape {
+            0 => (Vec2::new(line - margin, y0), Vec2::new(line - margin, y1)),
+            1 => (Vec2::new(line + margin, y0), Vec2::new(line + margin, y1)),
+            2 => (Vec2::new(y0, line - margin), Vec2::new(y1, line - margin)),
+            3 => (Vec2::new(y0, line + margin), Vec2::new(y1, line + margin)),
+            _ => (
+                Vec2::new(grid(bits), grid(bits >> 8)),
+                Vec2::new(grid(bits >> 16), grid(bits >> 24)),
+            ),
+        };
+        stand_queries_match_reference(&stand, a, b, margin)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn guarded_segment_predicate_matches_hypot_distance(
+        shape in 0usize..3,
+        axi in 0u32..3000,
+        ayi in 0u32..3000,
+        dir_i in 0u32..3600,
+        len_i in 1u32..3000,
+        along_i in 0u32..1400,
+        side_i in 0u32..3600,
+        r_i in 0usize..5,
+        k in 0u32..9,
+    ) {
+        let a = Vec2::new(f64::from(axi) / 10.0, f64::from(ayi) / 10.0);
+        let angle = |i: u32| (f64::from(i) / 10.0).to_radians();
+        let len = [0.0, 0.1, f64::from(len_i) / 10.0][shape];
+        let b = a + Vec2::new(angle(dir_i).cos(), angle(dir_i).sin()) * len;
+        let r = [0.0, 1e-300, 0.05, 1.5, 30.0][r_i];
+        let k = k as i32 - 4;
+        // A point about `r` from the segment, off its middle or past an
+        // end.
+        let base = a.lerp(b, f64::from(along_i) / 1000.0 - 0.2);
+        let p = base + Vec2::new(angle(side_i).cos(), angle(side_i).sin()) * r;
+        let d = p.distance_to_segment(a, b);
+        // Radii within a few ulps of the nominal radius, and of the
+        // point's own distance, where the squared compare cannot decide.
+        for radius in [ulps(r, k), ulps(d, k)] {
+            prop_assert_eq!(
+                p.is_near_segment(a, b, radius),
+                d <= radius,
+                "p {:?} a {:?} b {:?} r {:e} d {:e}",
+                p,
+                a,
+                b,
+                radius,
+                d
+            );
+        }
     }
 }
