@@ -1,10 +1,11 @@
 //! Golden digests: byte-for-byte pins of canonical scenario outputs.
 //!
-//! Each pin is the sha256 of a scenario's simulated outputs, hashed the
-//! way the pathway benchmark (`benchmark/`) digests a round: every part
-//! is prefixed with its length as a little-endian `u64`. A pin moves
-//! only when a change alters the trace or the reports. Performance work
-//! must leave every pin where it is.
+//! Each scenario pin is the sha256 of the scenario's simulated outputs,
+//! hashed the way the pathway benchmark (`benchmark/`) digests a round:
+//! every part is prefixed with its length as a little-endian `u64`. The
+//! TARA pin is the enumeration report's own digest. A pin moves only
+//! when a change alters the trace or the reports. Performance work must
+//! leave every pin where it is.
 //!
 //! Re-pinning (the one procedure): when a change is *meant* to alter an
 //! output, run `cargo test --test golden`, check that the change
@@ -18,9 +19,11 @@ use silvasec::experiments::{
     campaign_for, figure1_trace, fleet_scale_config, EpisodeRunner, EpisodeSpec, FleetScenario,
 };
 use silvasec::fleet::{Fleet, RolloutReport};
+use silvasec::risk::catalog::worksite_model;
 use silvasec::sim::rng::hash3;
 use silvasec::sim::time::{SimDuration, SimTime};
 use silvasec::sos::SecurityPosture;
+use silvasec::tara::{ScenarioSpace, TaraCatalog};
 
 /// The benchmark's `fleet_scale` scenario at seed 11 on 16 384 sites
 /// (4 full, two 8 192-site shadow shards): fleet trace JSONL, then the
@@ -40,6 +43,12 @@ const FIGURE1_SECURE_SEED11: &str =
 const EPISODE_SWEEP_2W_SEED11: &str =
     "54f4455e287d6e5c05941801e3d0e1fc76aafff3954dd40f029573da18234397";
 
+/// The generative TARA's enumeration of the worksite catalog at seed 11,
+/// two variants, top 4 096: `EnumerationReport::digest` (dedup counters
+/// and the canonical ranking).
+const TARA_ENUMERATION_SEED11: &str =
+    "132a61d0f0d3af5bf551479542edb712052b9ccafe8bf99e2f16d9515f8b86a0";
+
 /// sha256 over `parts`, each length-prefixed, as hex.
 fn digest(parts: &[&[u8]]) -> String {
     let mut h = Sha256::new();
@@ -47,7 +56,11 @@ fn digest(parts: &[&[u8]]) -> String {
         h.update(&(p.len() as u64).to_le_bytes());
         h.update(p);
     }
-    h.finalize().iter().map(|b| format!("{b:02x}")).collect()
+    hex(&h.finalize())
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 #[test]
@@ -128,5 +141,16 @@ fn pooled_episode_sweep_matches_its_pin() {
         digest(&[text.as_bytes()]),
         EPISODE_SWEEP_2W_SEED11,
         "pooled episode sweep seed-11 outcomes moved (re-pin procedure: module doc)"
+    );
+}
+
+#[test]
+fn tara_enumeration_matches_its_pin() {
+    let catalog = TaraCatalog::from_model(&worksite_model());
+    let report = ScenarioSpace::new(&catalog, 11, 2, 4_096).enumerate();
+    assert_eq!(
+        hex(&report.digest()),
+        TARA_ENUMERATION_SEED11,
+        "TARA seed-11 enumeration moved (re-pin procedure: module doc)"
     );
 }
