@@ -1055,6 +1055,73 @@ pub fn run_fleet_ops_scenario(sites: usize, seed: u64) -> silvasec_fleet::Fleet 
     fleet
 }
 
+/// What [`run_pathway_scenario`] leaves behind.
+pub struct PathwayRun {
+    /// The fleet after the operator loop.
+    pub fleet: silvasec_fleet::Fleet,
+    /// The staged version-2 rollout requested after the free run.
+    pub v2: silvasec_fleet::RolloutReport,
+    /// One remediation rollout per operator pass that found commands
+    /// parked, in order.
+    pub remediations: Vec<silvasec_fleet::RolloutReport>,
+}
+
+/// Operator passes before [`run_pathway_scenario`] gives up on ops idle.
+const PATHWAY_OPERATOR_PASSES: usize = 20;
+
+/// Runs the paper's whole chain (attack → IDS alert → SIEM campaign →
+/// incident → remediation → closure, with live TARA) on a `sites`-site
+/// fleet of which `full_sites` are full-fidelity, as the benchmark's
+/// `pathway` round does: disclose update tampering, a fleet-wide deauth
+/// flood at 5–65 s with replay on the odd-numbered full sites, a 90 s
+/// free run, the staged version-2 rollout, then operator passes
+/// (approve every gate, run the parked remediations, advance 10 s)
+/// until ops is idle, at most 20 passes.
+#[must_use]
+pub fn run_pathway_scenario(sites: usize, full_sites: usize, seed: u64) -> PathwayRun {
+    let mut config = fleet_scale_config(sites, false);
+    config.shadow = Some(silvasec_fleet::ShadowConfig {
+        full_sites,
+        shard_sites: 8_192,
+        sequential: false,
+    });
+    config.ops = Some(ops_config());
+    config.tara = Some(tara_config());
+    let mut fleet = silvasec_fleet::Fleet::new(config, seed);
+    let flood = campaign_for(
+        AttackKind::DeauthFlood,
+        SimTime::from_secs(5),
+        SimDuration::from_secs(60),
+    );
+    fleet.disclose_vulnerability("update-tampering");
+    fleet.schedule_fleet_attack(flood.clone());
+    for pos in (1..full_sites).step_by(2) {
+        fleet.schedule_site_attack(
+            pos,
+            campaign_for(AttackKind::Replay, flood.start, flood.duration),
+        );
+    }
+    fleet.run(SimDuration::from_secs(90));
+    let v2 = fleet.run_rollout(2);
+
+    let mut remediations = Vec::new();
+    for _ in 0..PATHWAY_OPERATOR_PASSES {
+        if fleet.ops().is_none_or(silvasec_ops::OpsEngine::idle) {
+            break;
+        }
+        for run in fleet.ops_pending_reviews() {
+            fleet.ops_review(run, silvasec_ops::GateDecision::Approve);
+        }
+        remediations.extend(fleet.run_ops_remediations());
+        fleet.run(SimDuration::from_secs(10));
+    }
+    PathwayRun {
+        fleet,
+        v2,
+        remediations,
+    }
+}
+
 /// One synthetic E13 load point: drives a bare [`silvasec_ops::OpsEngine`]
 /// (no fleet attached) to idle under `incidents` incidents with a
 /// deterministic arrival schedule, scope/severity mix, scripted command

@@ -323,7 +323,9 @@ struct OpsRuntime {
     rollouts_halted: bool,
     /// `OtaRollout` commands awaiting a driver-run remediation rollout
     /// (a rollout is a synchronous multi-tick loop, so it cannot run
-    /// inside the tick that issued the command).
+    /// inside the tick that issued the command). One rollout per
+    /// [`Fleet::run_ops_remediations`] call serves every command parked
+    /// here, so a lease must cover one rollout, not the whole park.
     pending_ota: Vec<OpsCommand>,
     /// IDS alerts withheld because their site was quarantined.
     withheld_alerts: u64,
@@ -772,6 +774,12 @@ impl Fleet {
     /// the rollout. A fully completed rollout withdraws the
     /// firmware-tampering escalation from the continuous assessment
     /// (the fleet has patched; the field evidence is stale).
+    ///
+    /// While an ops containment `HaltRollout` stands, the rollout is
+    /// refused: nothing is published or distributed, no tick runs, and
+    /// the report reads `halted_at_wave == Some(0)` with zero
+    /// `bytes_on_air`. Only a remediation rollout
+    /// ([`Fleet::run_ops_remediations`]) supersedes the halt.
     pub fn run_rollout(&mut self, version: u32) -> RolloutReport {
         let mut report = RolloutReport {
             fleet_size: self.len(),
@@ -1179,45 +1187,41 @@ impl Fleet {
         self.ops.as_ref().map_or(0, |o| o.pending_ota.len())
     }
 
-    /// Runs every pending ops remediation as a staged rollout of the
-    /// next firmware version and reports each outcome back to the
-    /// engine (success feeds the run into verification).
+    /// Runs one staged rollout of the next firmware version for every
+    /// ops remediation parked so far, then reports its outcome to each
+    /// parked command in park order (success feeds the run into
+    /// verification). The rollout supersedes the containment freeze.
+    /// Commands parked while it ticks wait for the next call. With
+    /// nothing parked (or ops off) nothing is published and the result
+    /// is `None`.
     ///
-    /// A rollout spans many ticks of fleet time, so the remediating
-    /// run's queue lease must cover it: configure
-    /// [`silvasec_ops::QueueConfig::visibility_timeout_ms`] above the
-    /// expected rollout duration or the engine will treat the rollout
-    /// as abandoned and redeliver the run mid-remediation.
-    pub fn run_ops_remediations(&mut self) -> Vec<RolloutReport> {
-        let pending = match &mut self.ops {
-            Some(ops) => std::mem::take(&mut ops.pending_ota),
-            None => return Vec::new(),
-        };
-        let mut reports = Vec::new();
-        for cmd in pending {
-            // Remediation supersedes the containment freeze.
-            self.ops.as_mut().expect("ops on").rollouts_halted = false;
-            let version = self
-                .backend
-                .published
-                .iter()
-                .map(|b| b.manifest.version)
-                .max()
-                .unwrap_or(0)
-                + 1;
-            let report = self.run_rollout(version);
-            let now_ms = self.now.as_millis();
-            let ok = report.completed;
-            let more = self
-                .ops
-                .as_mut()
-                .expect("ops on")
-                .engine
-                .complete(cmd.id, ok, now_ms);
-            self.ops_run_commands(more, now_ms);
-            reports.push(report);
+    /// A rollout spans many ticks of fleet time, so every remediating
+    /// run's queue lease must cover one rollout (not the whole park):
+    /// configure [`silvasec_ops::QueueConfig::visibility_timeout_ms`]
+    /// above the expected rollout duration or the engine will treat the
+    /// rollout as abandoned and redeliver the run mid-remediation.
+    pub fn run_ops_remediations(&mut self) -> Option<RolloutReport> {
+        let pending = std::mem::take(&mut self.ops.as_mut()?.pending_ota);
+        if pending.is_empty() {
+            return None;
         }
-        reports
+        self.ops.as_mut().expect("ops on").rollouts_halted = false;
+        let version = self
+            .backend
+            .published
+            .iter()
+            .map(|b| b.manifest.version)
+            .max()
+            .unwrap_or(0)
+            + 1;
+        let report = self.run_rollout(version);
+        let now_ms = self.now.as_millis();
+        for cmd in pending {
+            let ops = self.ops.as_mut().expect("ops on");
+            let more = ops.engine.complete(cmd.id, report.completed, now_ms);
+            self.ops_run_commands(more, now_ms);
+        }
+        Some(report)
     }
 
     /// Sites currently quarantined by ops containment, ascending.

@@ -16,7 +16,8 @@
 use silvasec::attacks::AttackKind;
 use silvasec::crypto::sha256::Sha256;
 use silvasec::experiments::{
-    campaign_for, figure1_trace, fleet_scale_config, EpisodeRunner, EpisodeSpec, FleetScenario,
+    campaign_for, figure1_trace, fleet_scale_config, run_pathway_scenario, EpisodeRunner,
+    EpisodeSpec, FleetScenario,
 };
 use silvasec::fleet::{Fleet, RolloutReport};
 use silvasec::risk::catalog::worksite_model;
@@ -42,6 +43,12 @@ const FIGURE1_SECURE_SEED11: &str =
 /// one pooled worker, one `{:?}` line per `EpisodeOutcome`.
 const EPISODE_SWEEP_2W_SEED11: &str =
     "54f4455e287d6e5c05941801e3d0e1fc76aafff3954dd40f029573da18234397";
+
+/// The benchmark's `pathway` round at seed 11 (`run_pathway_scenario`:
+/// 128 sites, 8 full, ops and live TARA): fleet trace JSONL, run-store
+/// digest, `{:?}` of the store counters, then the version-2 and the
+/// remediation `RolloutReport`s as JSON lines.
+const PATHWAY_SEED11: &str = "9844edeb7115bf8ec3034e15ab0fae77209e993541196cb7fdf228680336f40d";
 
 /// The generative TARA's enumeration of the worksite catalog at seed 11,
 /// two variants, top 4 096: `EnumerationReport::digest` (dedup counters
@@ -141,6 +148,27 @@ fn pooled_episode_sweep_matches_its_pin() {
         digest(&[text.as_bytes()]),
         EPISODE_SWEEP_2W_SEED11,
         "pooled episode sweep seed-11 outcomes moved (re-pin procedure: module doc)"
+    );
+}
+
+#[test]
+fn pathway_scenario_matches_its_pin() {
+    let run = run_pathway_scenario(128, 8, 11);
+    let engine = run.fleet.ops().expect("pathway fleets run ops");
+    let counters = engine.store().counters();
+    let reports: String = std::iter::once(&run.v2)
+        .chain(&run.remediations)
+        .map(|r| serde_json::to_string(r).expect("report serializes") + "\n")
+        .collect();
+    let got = digest(&[
+        run.fleet.export_trace_jsonl().as_bytes(),
+        &engine.store().digest(),
+        format!("{counters:?}").as_bytes(),
+        reports.as_bytes(),
+    ]);
+    assert_eq!(
+        got, PATHWAY_SEED11,
+        "pathway seed-11 outputs moved (re-pin procedure: module doc)"
     );
 }
 

@@ -7,7 +7,7 @@
 //! whole audit trail replaying byte-identically from the fleet's
 //! security trace.
 
-use silvasec::experiments::run_fleet_ops_scenario;
+use silvasec::experiments::{run_fleet_ops_scenario, run_pathway_scenario};
 use silvasec::ops::{GateDecision, RunStore, Step, FLEET_SITE};
 use silvasec::sim::time::SimDuration;
 
@@ -44,13 +44,14 @@ fn campaign_is_contained_reviewed_remediated_and_verified_closed() {
         "approved runs queue OTA remediations"
     );
 
-    // Remediate: every parked rollout runs to completion (clearing the
+    // Remediate: one rollout serves every parked command (clearing the
     // containment halt first), and verification re-checks the SIEM.
-    let reports = fleet.run_ops_remediations();
-    assert!(!reports.is_empty());
+    let report = fleet
+        .run_ops_remediations()
+        .expect("parked remediations run a rollout");
     assert!(
-        reports.iter().all(|r| r.completed),
-        "remediation rollouts must complete: {reports:?}"
+        report.completed,
+        "remediation rollout must complete: {report:?}"
     );
     assert!(fleet.installed_version(0) >= 2, "sites took the fix");
 
@@ -66,16 +67,16 @@ fn campaign_is_contained_reviewed_remediated_and_verified_closed() {
         for run in fleet.ops_pending_reviews() {
             fleet.ops_review(run, GateDecision::Approve);
         }
-        if fleet.ops_pending_remediations() > 0 {
-            fleet.run_ops_remediations();
-        }
+        fleet.run_ops_remediations();
     }
 
-    // Every opened run settled; the campaign run took the full arc
-    // through containment, review, remediation and verification.
+    // Every opened run settled without a dead letter (which `settled`
+    // would count); the campaign run took the full arc through
+    // containment, review, remediation and verification.
     let engine = fleet.ops().expect("ops enabled");
     let counters = engine.store().counters();
     assert!(counters.closed > 0, "verified closes: {counters:?}");
+    assert_eq!(counters.dead_lettered, 0, "{counters:?}");
     assert_eq!(
         counters.settled(),
         counters.opened,
@@ -130,4 +131,51 @@ fn rejected_review_escalates_instead_of_remediating() {
         assert_eq!(record.gate, Some(("reject".to_string(), false)));
     }
     assert!(engine.store().counters().escalated >= 1);
+}
+
+/// The benchmark's pathway scenario (128 sites, 8 full) closes every
+/// incident it opens: the parked remediations share one rollout that
+/// finishes inside every lease, so nothing is redelivered or
+/// dead-lettered.
+#[test]
+fn pathway_closes_every_incident_it_opens() {
+    for seed in [11, 29] {
+        let run = run_pathway_scenario(128, 8, seed);
+
+        // Containment's rollout halt stands when version 2 is requested:
+        // the staged rollout is refused and publishes nothing, so the
+        // backend holds only the baseline and the remediation's bundle.
+        assert_eq!(run.v2.halted_at_wave, Some(0), "seed {seed}");
+        assert_eq!(run.v2.bytes_on_air, 0, "seed {seed}");
+        let published: Vec<u32> = run
+            .fleet
+            .backend()
+            .published()
+            .iter()
+            .map(|b| b.manifest.version)
+            .collect();
+        assert_eq!(published, [1, 2], "seed {seed}");
+
+        let engine = run.fleet.ops().expect("pathway fleets run ops");
+        assert!(engine.idle(), "seed {seed}: ops not idle");
+        let counters = engine.store().counters();
+        assert_eq!(counters.dead_lettered, 0, "seed {seed}: {counters:?}");
+        assert_eq!(engine.queue_counters().redelivered, 0, "seed {seed}");
+        assert_eq!(
+            counters.closed + counters.escalated,
+            counters.opened,
+            "seed {seed}: {counters:?}"
+        );
+        assert!(engine.queue_conserves(), "seed {seed}");
+
+        // The remediation supersedes the halt and ships version 2.
+        let [fix] = run.remediations.as_slice() else {
+            panic!(
+                "seed {seed}: one remediation rollout expected, got {}",
+                run.remediations.len()
+            );
+        };
+        assert!(fix.completed, "seed {seed}: {fix:?}");
+        assert_eq!(fix.target_version, 2, "seed {seed}");
+    }
 }
