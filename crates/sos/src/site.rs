@@ -1757,6 +1757,142 @@ mod tests {
         )
     }
 
+    /// sha256 of a [`fingerprint`], each part prefixed with its length as
+    /// a little-endian `u64` (the `tests/golden.rs` digest), as hex.
+    fn fingerprint_digest(site: &Worksite) -> String {
+        let (ticks, delivered, distance, danger, security, flight) = fingerprint(site);
+        let mut h = silvasec_crypto::sha256::Sha256::new();
+        for part in [
+            &ticks.to_le_bytes()[..],
+            &delivered.to_le_bytes(),
+            &distance.to_le_bytes(),
+            &danger.to_le_bytes(),
+            security.as_bytes(),
+            flight.as_bytes(),
+        ] {
+            h.update(&(part.len() as u64).to_le_bytes());
+            h.update(part);
+        }
+        h.finalize().iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Campaign of one pinned tick scenario.
+    #[derive(Debug, Clone, Copy)]
+    enum Pinned {
+        /// No campaign, 150 s.
+        Quiet,
+        /// [`jam_campaign`], 150 s.
+        Jam,
+        /// A 120 s replay from 30 s, 240 s.
+        Replay,
+    }
+    use Pinned::{Jam, Quiet, Replay};
+
+    /// Fingerprint pins of the small site, `(secure, seed, campaign,
+    /// pin)`: secure and insecure × seeds 3 and 11 × quiet and jamming,
+    /// then both postures under replay at seed 4. Jamming loses frames,
+    /// so their payload buffers come back through the reclaiming
+    /// transmit; replay is the one campaign that consumes captured
+    /// frames.
+    const TICK_PINS: [(bool, u64, Pinned, &str); 10] = [
+        (
+            true,
+            3,
+            Quiet,
+            "a935c51183333d05c9e01b0f16eb573e3d6835b9ae6b4af731eb6b5518497442",
+        ),
+        (
+            true,
+            3,
+            Jam,
+            "a45b24843c970681faf8be67bfdb1a1dfad9603d55729d45fe99f099159776d6",
+        ),
+        (
+            true,
+            11,
+            Quiet,
+            "3a213b7aac2cdef28e520b9507a8db88ab2f0e6fbb226815044bd5554ff48208",
+        ),
+        (
+            true,
+            11,
+            Jam,
+            "755748696452f8074642e497801aaffe73abb37d992722271202bf4941bda9b8",
+        ),
+        (
+            false,
+            3,
+            Quiet,
+            "6418c0ec2f45d35aa3dd3880594f6c4a91ca11c3cbdd72ae7d414b1e03445222",
+        ),
+        (
+            false,
+            3,
+            Jam,
+            "39474699533ab9ec1c686ec0171eacf20aac2c42070dfe1232ad84017ee417c4",
+        ),
+        (
+            false,
+            11,
+            Quiet,
+            "494b449a10994138aa3599b0776e1aab734ec97bc0d6f769efc4bd3f8442ddbe",
+        ),
+        (
+            false,
+            11,
+            Jam,
+            "12e08b427223d41b0fd06809e70ba06228896962b225bf339060193f088c41b4",
+        ),
+        (
+            true,
+            4,
+            Replay,
+            "c5e609a45646f6341894b2610491414fdc084469f2b17bd9fb6f0204d1c4d51d",
+        ),
+        (
+            false,
+            4,
+            Replay,
+            "8070724771df8956270ed64a2e9c086a758ee780bf724fa76b2e630d9c4d71e7",
+        ),
+    ];
+
+    #[test]
+    fn tick_outputs_match_their_pins() {
+        let mut moved = Vec::new();
+        for (secure, seed, campaign, pin) in TICK_PINS {
+            let posture = if secure {
+                SecurityPosture::secure()
+            } else {
+                SecurityPosture::insecure()
+            };
+            let mut site = Worksite::new(&small_config(posture), seed);
+            let secs = match campaign {
+                Quiet => 150,
+                Jam => {
+                    site.attack_engine_mut().add_campaign(jam_campaign());
+                    150
+                }
+                Replay => {
+                    site.attack_engine_mut().add_campaign(AttackCampaign {
+                        kind: AttackKind::Replay,
+                        target: AttackTarget::Network,
+                        start: SimTime::from_secs(30),
+                        duration: SimDuration::from_secs(120),
+                        intensity: 1.0,
+                    });
+                    240
+                }
+            };
+            site.run(SimDuration::from_secs(secs));
+            let got = fingerprint_digest(&site);
+            if got != pin {
+                moved.push(format!("secure={secure} seed={seed} {campaign:?}: {got}"));
+            }
+        }
+        assert!(moved.is_empty(), "tick pins moved:\n{}", moved.join("\n"));
+    }
+
     #[test]
     fn template_build_matches_naive_build() {
         let config = small_config(SecurityPosture::secure());

@@ -13,17 +13,18 @@
 //! message into the constant, and say in the commit message which pin
 //! moved and why.
 
-use silvasec::attacks::AttackKind;
-use silvasec::crypto::sha256::Sha256;
+use silvasec::attacks::{AttackCampaign, AttackKind, AttackTarget};
+use silvasec::crypto::sha256::{self, Sha256};
 use silvasec::experiments::{
-    campaign_for, figure1_trace, fleet_scale_config, run_pathway_scenario, EpisodeRunner,
-    EpisodeSpec, FleetScenario,
+    campaign_for, figure1_trace, fleet_scale_config, run_fleet_rollout, run_pathway_scenario,
+    standard_config, EpisodeRunner, EpisodeSpec, FleetScenario,
 };
 use silvasec::fleet::{Fleet, RolloutReport};
 use silvasec::risk::catalog::worksite_model;
+use silvasec::sim::geom::Vec2;
 use silvasec::sim::rng::hash3;
 use silvasec::sim::time::{SimDuration, SimTime};
-use silvasec::sos::SecurityPosture;
+use silvasec::sos::{SecurityPosture, Worksite};
 use silvasec::tara::{ScenarioSpace, TaraCatalog};
 
 /// The benchmark's `fleet_scale` scenario at seed 11 on 16 384 sites
@@ -55,6 +56,35 @@ const PATHWAY_SEED11: &str = "9844edeb7115bf8ec3034e15ab0fae77209e993541196cb7fd
 /// and the canonical ranking).
 const TARA_ENUMERATION_SEED11: &str =
     "132a61d0f0d3af5bf551479542edb712052b9ccafe8bf99e2f16d9515f8b86a0";
+
+/// The standard worksite (`standard_config`) at seed 7 for 150 sim-s
+/// (300 ticks) in four posture/campaign cells: ticks, messages
+/// delivered, distance bits and danger-zone ticks (each a little-endian
+/// `u64`), then the security and the flight JSONL.
+const STANDARD_SITE_SEED7: [(&str, &str); 4] = [
+    (
+        "secure/quiet",
+        "7ce5e46c3e9d3e806a78f04fa1f5d26fc243ede7def73f0aa58acead6b805325",
+    ),
+    (
+        "secure/jamming",
+        "996e00c6fb63d863776335495c1e281a4b2ff97d62b364f495539116ff7dd32b",
+    ),
+    (
+        "insecure/quiet",
+        "bb85e4e0ef8168612b6557bf23ee0235dff3775cc4ceb4857919aad0cd0f885f",
+    ),
+    (
+        "insecure/replay",
+        "21d21cd662d49effe6671ce9b1a75b8b70f9272be9fb47dd829b68c3caec0f56",
+    ),
+];
+
+/// The E10 fleet at 64 sites and seed 11 with a clean version-2
+/// rollout (`run_fleet_rollout`): the plain sha256 of its trace JSONL,
+/// no length prefix. The two-fidelity fleet refactor was held to this
+/// value.
+const FLEET_64_SEED11: &str = "44c52268bb2ce420363da9753b9d8c4c7514d2303770eaf19de7affc1557e450";
 
 /// sha256 over `parts`, each length-prefixed, as hex.
 fn digest(parts: &[&[u8]]) -> String {
@@ -180,5 +210,62 @@ fn tara_enumeration_matches_its_pin() {
         hex(&report.digest()),
         TARA_ENUMERATION_SEED11,
         "TARA seed-11 enumeration moved (re-pin procedure: module doc)"
+    );
+}
+
+#[test]
+fn standard_site_ticks_match_their_pins() {
+    let jamming = AttackCampaign {
+        kind: AttackKind::RfJamming,
+        target: AttackTarget::Area {
+            center: Vec2::new(150.0, 150.0),
+            radius_m: 300.0,
+        },
+        start: SimTime::from_secs(30),
+        duration: SimDuration::from_secs(60),
+        intensity: 1.0,
+    };
+    let replay = AttackCampaign {
+        kind: AttackKind::Replay,
+        target: AttackTarget::Network,
+        start: SimTime::from_secs(30),
+        duration: SimDuration::from_secs(60),
+        intensity: 1.0,
+    };
+    let cells = [
+        (SecurityPosture::secure(), None),
+        (SecurityPosture::secure(), Some(jamming)),
+        (SecurityPosture::insecure(), None),
+        (SecurityPosture::insecure(), Some(replay)),
+    ];
+    for ((posture, campaign), (label, pin)) in cells.into_iter().zip(STANDARD_SITE_SEED7) {
+        let mut site = Worksite::new(&standard_config(posture), 7);
+        if let Some(c) = campaign {
+            site.attack_engine_mut().add_campaign(c);
+        }
+        site.run(SimDuration::from_secs(150));
+        let m = site.metrics();
+        let got = digest(&[
+            &m.ticks.to_le_bytes(),
+            &m.messages_delivered.to_le_bytes(),
+            &m.distance_m.to_bits().to_le_bytes(),
+            &m.danger_zone_ticks.to_le_bytes(),
+            site.export_security_jsonl().as_bytes(),
+            site.export_flight_jsonl().as_bytes(),
+        ]);
+        assert_eq!(
+            got, pin,
+            "standard site {label} seed-7 outputs moved (re-pin procedure: module doc)"
+        );
+    }
+}
+
+#[test]
+fn fleet_64_rollout_trace_matches_its_pin() {
+    let (_, trace) = run_fleet_rollout(64, 11, FleetScenario::Clean);
+    assert_eq!(
+        hex(&sha256::digest(trace.as_bytes())),
+        FLEET_64_SEED11,
+        "64-site seed-11 fleet trace moved (re-pin procedure: module doc)"
     );
 }
