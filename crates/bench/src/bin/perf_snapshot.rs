@@ -13,7 +13,8 @@
 //! Run keys come from the environment, never from a wall clock inside
 //! the simulation:
 //!
-//! * `SILVASEC_GIT_SHA` — revision identifier (default `unknown`);
+//! * `SILVASEC_GIT_SHA` — revision identifier (falls back to
+//!   `git rev-parse HEAD`, then `unknown`);
 //! * `SILVASEC_RUN_TS` — timestamp string (default `unspecified`);
 //! * `SILVASEC_PERF_OUT` — output path (default
 //!   `BENCH_perf_snapshot.json` at the workspace root).
@@ -24,46 +25,16 @@ use serde::Serialize;
 use silvasec::crypto::schnorr::{self, BatchItem, SigningKey};
 use silvasec::experiments::{
     occlusion_point, occlusion_sweep, run_episode_pooled, run_fleet_scale_point, run_ops_load,
-    run_worksite, standard_config, EpisodeRunner, EpisodeSpec, FleetScenario, OcclusionRow,
+    run_worksite, EpisodeRunner, EpisodeSpec, FleetScenario, OcclusionRow,
 };
 use silvasec::prelude::*;
 use silvasec::sweep::{par_sweep_with_stats, worker_count};
 use silvasec_bench::{
-    append_trajectory_run, measure_recorder_overhead, median, run_keys, session_pair,
-    trajectory_out_path, RecorderOverhead,
+    append_trajectory_run, measure_recorder_overhead, run_keys, session_pair, trajectory_out_path,
+    RecorderOverhead,
 };
 use silvasec_sim::time::SimDuration;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-/// System allocator wrapped with an allocation counter, so the episode
-/// headline can report steady-state reset allocations by observation
-/// (same hook as `data_plane_bench` and `exp14_episodes`).
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers entirely to `System`; the counter is a relaxed atomic
-// with no effect on allocation behaviour.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// Reference sweep: 8 densities × 4 seeds at 15 m relief.
 const DENSITIES: [f64; 8] = [0.0, 100.0, 300.0, 500.0, 700.0, 900.0, 1200.0, 1500.0];
@@ -73,7 +44,8 @@ const POINT_SECS: u64 = 200;
 
 #[derive(Debug, Serialize)]
 struct RunEntry {
-    /// Revision identifier (`SILVASEC_GIT_SHA`, `unknown` if unset).
+    /// Revision identifier (`SILVASEC_GIT_SHA`, else `git rev-parse
+    /// HEAD`, else `unknown`).
     git_sha: String,
     /// Run timestamp (`SILVASEC_RUN_TS`, `unspecified` if unset).
     run_ts: String,
@@ -104,10 +76,6 @@ struct RunEntry {
     worksite_sim_rate: f64,
     /// Flight-recorder overhead (instrumented vs disabled episode).
     telemetry: RecorderOverhead,
-    /// Steady-state tick hot-path headline (optimized vs frozen
-    /// reference tick — see `exp15_tick` / `BENCH_tick.json` for the
-    /// full suite with the zero-alloc assertion and speedup floor).
-    tick: TickHeadline,
     /// Crypto hot-path headline numbers (fast paths only — see
     /// `crypto_bench` for the full suite with frozen naive baselines,
     /// cross-check digests, and acceptance floors).
@@ -129,80 +97,8 @@ struct RunEntry {
     /// `exp11_tara` / `BENCH_tara.json` for the full 10² → 10⁶ sweep
     /// with the determinism, dedup and oracle proofs).
     tara: TaraHeadline,
-    /// Pooled episode-engine headline (one mid-size batch — see
-    /// `exp14_episodes` / `BENCH_episodes.json` for the full 10 → 10k
-    /// sweep with the oracle, parallel and zero-alloc proofs).
+    /// Pooled episode-engine headline (one mid-size batch).
     episodes: EpisodeHeadline,
-}
-
-/// Steady-state tick hot path: the optimized [`Worksite::tick`] vs the
-/// frozen pre-optimization [`Worksite::tick_reference`] on the standard
-/// secure episode, timed as interleaved median-of-rounds, plus the
-/// observed heap allocations per warm steady-state tick.
-#[derive(Debug, Serialize)]
-struct TickHeadline {
-    /// Simulated seconds per timing round.
-    sim_secs: u64,
-    /// Interleaved rounds per arm (medians reported).
-    rounds: u32,
-    /// Median wall-clock of the frozen reference tick loop, seconds.
-    reference_wall_s: f64,
-    /// Median wall-clock of the optimized tick loop, seconds.
-    optimized_wall_s: f64,
-    /// reference / optimized.
-    speedup: f64,
-    /// Simulated seconds per wall-clock second, optimized loop.
-    worksite_sim_rate: f64,
-    /// Heap allocations per tick over a warm steady-state window
-    /// (0 on the quiet secure episode; asserted hard by `exp15_tick`).
-    steady_tick_allocs: u64,
-}
-
-fn tick_headline() -> TickHeadline {
-    const SIM_SECS: u64 = 120;
-    const ROUNDS: usize = 3;
-    let config = standard_config(SecurityPosture::secure());
-    let time = |reference: bool| {
-        let mut site = Worksite::new(&config, 7);
-        let t0 = Instant::now();
-        if reference {
-            site.run_reference(SimDuration::from_secs(SIM_SECS));
-        } else {
-            site.run(SimDuration::from_secs(SIM_SECS));
-        }
-        t0.elapsed().as_secs_f64()
-    };
-    let _ = (time(true), time(false)); // untimed warm-up pair
-    let mut reference_times = Vec::with_capacity(ROUNDS);
-    let mut optimized_times = Vec::with_capacity(ROUNDS);
-    for _ in 0..ROUNDS {
-        reference_times.push(time(true));
-        optimized_times.push(time(false));
-    }
-    let reference_wall_s = median(&reference_times);
-    let optimized_wall_s = median(&optimized_times);
-
-    // Zero-alloc witness: run the site long enough for every ring,
-    // table and scratch buffer to reach steady state, then count heap
-    // allocations across a window of quiet ticks.
-    let mut site = Worksite::new(&config, 7);
-    site.run(SimDuration::from_secs(SIM_SECS));
-    const WINDOW: u64 = 256;
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..WINDOW {
-        site.tick();
-    }
-    let steady_tick_allocs = (ALLOCATIONS.load(Ordering::Relaxed) - before) / WINDOW;
-
-    TickHeadline {
-        sim_secs: SIM_SECS,
-        rounds: ROUNDS as u32,
-        reference_wall_s,
-        optimized_wall_s,
-        speedup: reference_wall_s / optimized_wall_s.max(1e-9),
-        worksite_sim_rate: SIM_SECS as f64 / optimized_wall_s.max(1e-9),
-        steady_tick_allocs,
-    }
 }
 
 /// Pooled episode-engine throughput at one mid-size batch.
@@ -214,9 +110,6 @@ struct EpisodeHeadline {
     episodes_per_s: f64,
     /// Mean `reset_for_episode` wall time, microseconds per episode.
     setup_us_per_episode: f64,
-    /// Heap allocations per episode in the steady-state reset window
-    /// (reset + campaign arming, after warmup — must be 0).
-    steady_reset_allocs_per_episode: u64,
 }
 
 fn episode_headline() -> EpisodeHeadline {
@@ -244,33 +137,24 @@ fn episode_headline() -> EpisodeHeadline {
     assert_eq!(outcomes.len(), EPISODES);
 
     // Steady-state reset window: warm one episode per attack class,
-    // then count allocations and time across the reset + arm calls.
+    // then time the reset + arm calls.
     let mut slot: Option<Worksite> = None;
     for spec in specs.iter().take(ATTACKS.len()) {
         let _ = run_episode_pooled(&mut slot, spec);
     }
     let site = slot.as_mut().expect("warmup populated the pool slot");
     const RESETS: usize = 64;
-    let mut allocs = 0u64;
     let t0 = Instant::now();
     for spec in specs.iter().cycle().take(RESETS) {
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
         site.reset_for_episode(&spec.config, spec.seed);
         spec.arm(site);
-        allocs += ALLOCATIONS.load(Ordering::Relaxed) - before;
     }
     let setup_us = t0.elapsed().as_secs_f64() / RESETS as f64 * 1e6;
-    let steady = allocs / RESETS as u64;
-    assert_eq!(
-        steady, 0,
-        "steady-state episode reset must not allocate ({steady} allocs/episode)"
-    );
 
     EpisodeHeadline {
         episodes: EPISODES,
         episodes_per_s: EPISODES as f64 / wall_s.max(1e-9),
         setup_us_per_episode: setup_us,
-        steady_reset_allocs_per_episode: steady,
     }
 }
 
@@ -528,9 +412,6 @@ fn main() {
     // median-of-rounds so frequency ramps cannot make it negative).
     let telemetry = measure_recorder_overhead(3, episode_secs, 3);
 
-    // Steady-state tick hot-path headline.
-    let tick = tick_headline();
-
     // Crypto hot-path headline throughput.
     let crypto = crypto_headline();
 
@@ -568,7 +449,6 @@ fn main() {
         worksite_episode_wall_s,
         worksite_sim_rate: episode_secs as f64 / worksite_episode_wall_s.max(1e-9),
         telemetry,
-        tick,
         crypto,
         session,
         fleet_scale,

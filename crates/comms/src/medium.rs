@@ -91,10 +91,6 @@ pub struct Medium {
     channel_busy_ms: f64,
     rng: SimRng,
     recorder: Recorder,
-    /// When set, deliveries run through the frozen pre-optimization
-    /// propagation path (identical values and RNG draws, pre-PR cost) —
-    /// used by the benchmark's reference arm.
-    reference_physics: bool,
 }
 
 /// Per-transmission delivery accumulators shared between the unicast
@@ -127,17 +123,7 @@ impl Medium {
             channel_busy_ms: 0.0,
             rng,
             recorder: Recorder::disabled(),
-            reference_physics: false,
         }
-    }
-
-    /// Selects the frozen pre-optimization propagation path for
-    /// subsequent deliveries. Observable behaviour (values, RNG stream)
-    /// is identical either way — only the per-delivery cost differs —
-    /// so benchmark reference arms can reproduce pre-optimization
-    /// timing without forking the medium.
-    pub fn set_reference_physics(&mut self, on: bool) {
-        self.reference_physics = on;
     }
 
     /// Attaches a telemetry recorder; the medium then emits
@@ -438,27 +424,15 @@ impl Medium {
         let now_ms = now.as_millis();
         let src_pos = self.nodes[true_src.0 as usize].position;
         let dst_pos = self.nodes[dst.0 as usize].position;
-        let rssi = if self.reference_physics {
-            propagation::received_power_dbm_reference(
-                &self.config.propagation,
-                self.config.tx_power_dbm,
-                stand,
-                weather,
-                src_pos,
-                dst_pos,
-                &mut self.rng,
-            )
-        } else {
-            propagation::received_power_dbm(
-                &self.config.propagation,
-                self.config.tx_power_dbm,
-                stand,
-                weather,
-                src_pos,
-                dst_pos,
-                &mut self.rng,
-            )
-        };
+        let rssi = propagation::received_power_dbm(
+            &self.config.propagation,
+            self.config.tx_power_dbm,
+            stand,
+            weather,
+            src_pos,
+            dst_pos,
+            &mut self.rng,
+        );
         let interference = self.interference_at(dst_pos);
         let sinr = propagation::sinr_db(&self.config.propagation, rssi, interference);
         let per = propagation::packet_error_rate(&self.config.propagation, sinr);

@@ -81,30 +81,6 @@ pub fn foliage_loss_db(config: &PropagationConfig, stand: &TreeStand, from: Vec3
     (crossing_count as f64 * config.per_tree_db).min(config.max_foliage_db)
 }
 
-/// FROZEN pre-optimization foliage loss: same value as
-/// [`foliage_loss_db`], computed the way the pre-optimization code did —
-/// collecting the candidate trees into a per-call `Vec` via the
-/// full-rectangle grid scan. Used only by the benchmark's reference arm
-/// (see [`crate::Medium::set_reference_physics`]) so that arm pays the
-/// pre-optimization per-delivery cost. Do not optimize.
-#[must_use]
-pub fn foliage_loss_db_reference(
-    config: &PropagationConfig,
-    stand: &TreeStand,
-    from: Vec3,
-    to: Vec3,
-) -> f64 {
-    let a2 = from.xy();
-    let b2 = to.xy();
-    let link_z = from.z.min(to.z);
-    let crossing_count = stand
-        .trees_near_segment_reference(a2, b2, 1.5)
-        .iter()
-        .filter(|tree| tree.position.distance_to_segment(a2, b2) <= 1.5 && tree.height_m >= link_z)
-        .count();
-    (crossing_count as f64 * config.per_tree_db).min(config.max_foliage_db)
-}
-
 /// Received power for a transmission, dBm (with stochastic shadowing).
 #[must_use]
 pub fn received_power_dbm(
@@ -120,29 +96,6 @@ pub fn received_power_dbm(
     tx_power_dbm
         - path_loss_db(config, from, to)
         - foliage_loss_db(config, stand, from, to)
-        - weather.radio_attenuation_db()
-        - shadowing
-}
-
-/// FROZEN pre-optimization received power: identical value and RNG
-/// draws to [`received_power_dbm`], but through
-/// [`foliage_loss_db_reference`] so the benchmark's reference arm pays
-/// the pre-optimization foliage cost. Do not optimize.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn received_power_dbm_reference(
-    config: &PropagationConfig,
-    tx_power_dbm: f64,
-    stand: &TreeStand,
-    weather: Weather,
-    from: Vec3,
-    to: Vec3,
-    rng: &mut SimRng,
-) -> f64 {
-    let shadowing = rng.normal(0.0, config.shadowing_std_db);
-    tx_power_dbm
-        - path_loss_db(config, from, to)
-        - foliage_loss_db_reference(config, stand, from, to)
         - weather.radio_attenuation_db()
         - shadowing
 }

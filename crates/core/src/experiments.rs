@@ -1402,8 +1402,7 @@ fn episode_outcome(site: &Worksite, seed: u64) -> EpisodeOutcome {
 /// run it, read the outcome.
 ///
 /// This is the **frozen oracle** of the episode-throughput overhaul:
-/// the pooled path must reproduce its outcomes bit-for-bit, and the
-/// `exp14_episodes` bench measures its speedup against it. Do not
+/// the pooled path must reproduce its outcomes bit-for-bit. Do not
 /// optimize this function.
 #[must_use]
 pub fn run_episode_naive(spec: &EpisodeSpec) -> EpisodeOutcome {
@@ -1604,18 +1603,20 @@ mod tests {
         assert_eq!(fleet2.export_trace_jsonl(), fleet.export_trace_jsonl());
     }
 
+    /// The attack cells the episode batches rotate through.
+    const EPISODE_ATTACKS: [Option<AttackKind>; 4] = [
+        None,
+        Some(AttackKind::RfJamming),
+        Some(AttackKind::DeauthFlood),
+        Some(AttackKind::Replay),
+    ];
+
     fn episode_batch() -> Vec<EpisodeSpec> {
-        let attacks = [
-            None,
-            Some(AttackKind::RfJamming),
-            Some(AttackKind::DeauthFlood),
-            Some(AttackKind::Replay),
-        ];
         (0..8u64)
             .map(|i| {
                 EpisodeSpec::standard(
                     SecurityPosture::secure(),
-                    attacks[i as usize % attacks.len()],
+                    EPISODE_ATTACKS[i as usize % EPISODE_ATTACKS.len()],
                     11 + i % 3,
                     SimDuration::from_secs(150),
                 )
@@ -1625,7 +1626,20 @@ mod tests {
 
     #[test]
     fn pooled_episodes_match_the_naive_oracle() {
-        let specs = episode_batch();
+        // The standard batch, then two rounds of compact secure 2 s
+        // episodes at seed 11 over the four attack cells: the pooled
+        // site crosses from the standard to the compact world, then
+        // resets from a warm PKI template, the setup-dominated regime
+        // of short probing sweeps.
+        let mut specs = episode_batch();
+        specs.extend(EPISODE_ATTACKS.iter().cycle().take(8).map(|&attack| {
+            EpisodeSpec::compact(
+                SecurityPosture::secure(),
+                attack,
+                11,
+                SimDuration::from_secs(2),
+            )
+        }));
         let naive: Vec<EpisodeOutcome> = specs.iter().map(run_episode_naive).collect();
         let pooled = EpisodeRunner::with_workers(1).run(&specs);
         assert_eq!(naive, pooled, "pooled runner diverged from naive oracle");

@@ -17,7 +17,7 @@
 //! full linear scan — so detection output, RNG draw order and telemetry
 //! traces are bit-identical to the unculled path. This is asserted by
 //! proptest (`grid_candidates_match_linear_scan`) and by the worksite's
-//! frozen tick oracle.
+//! tick digest pins.
 
 use crate::geom::Vec2;
 

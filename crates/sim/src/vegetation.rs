@@ -360,8 +360,8 @@ impl TreeStand {
     /// segment's bounding rectangle (no cell-level cull) with one
     /// `distance_to_segment` per tree. Returns the same trees in the same
     /// order as [`TreeStand::trees_near_segment`]; only the cost differs.
-    /// Kept as the parity oracle and the benchmark's "old" arm — do not
-    /// optimize.
+    /// Kept as the parity oracle the culled queries are property-tested
+    /// against — do not optimize.
     #[must_use]
     pub fn trees_near_segment_reference(&self, a: Vec2, b: Vec2, margin: f64) -> Vec<&Tree> {
         let (gx0, gx1, gy0, gy1) = self.cell_range(a, b, margin);

@@ -703,26 +703,10 @@ impl Worksite {
 
     /// Runs the simulation for `duration`.
     pub fn run(&mut self, duration: SimDuration) {
-        self.medium.set_reference_physics(false);
         let end = self.world.now() + duration;
         while self.world.now() < end {
             self.tick();
         }
-    }
-
-    /// Runs the simulation for `duration` through the frozen
-    /// pre-optimization tick body ([`Worksite::tick_reference`]) — the
-    /// parity oracle and the bench's "old" timing arm. Also selects the
-    /// frozen pre-optimization radio propagation path (identical values
-    /// and RNG draws, pre-optimization cost) so the arm's timing
-    /// reflects the pre-optimization worksite end to end.
-    pub fn run_reference(&mut self, duration: SimDuration) {
-        self.medium.set_reference_physics(true);
-        let end = self.world.now() + duration;
-        while self.world.now() < end {
-            self.tick_reference();
-        }
-        self.medium.set_reference_physics(false);
     }
 
     /// Executes one simulation tick.
@@ -733,10 +717,10 @@ impl Worksite {
     /// writer into a reused buffer, comms payloads come from the
     /// recovered-buffer pool, and safety supervision range-tests only
     /// grid-culled candidates. With warm buffers a quiet steady-state
-    /// tick performs **zero heap allocations** (asserted by the
-    /// `exp15_tick` bench under a counting allocator). Observable
-    /// behaviour — metrics, telemetry bytes, RNG stream — is
-    /// bit-identical to [`Worksite::tick_reference`] (tested).
+    /// tick performs **zero heap allocations** (asserted under a
+    /// counting allocator by `tests/alloc_free.rs`). Its observable
+    /// output — metrics and the security and flight traces — is pinned
+    /// by digest in this module's tests and in `tests/golden.rs`.
     pub fn tick(&mut self) {
         let tick = self.config.tick;
         self.world.step(tick);
@@ -812,63 +796,7 @@ impl Worksite {
         self.finish_tick();
     }
 
-    /// Executes one simulation tick through the frozen pre-optimization
-    /// path: allocating linear-scan perception, `fuse_detections` over
-    /// cloned inputs, per-tick serde serialization, fresh inbox vectors
-    /// and a full-roster safety scan.
-    ///
-    /// FROZEN parity oracle and the bench's "old" timing arm — do not
-    /// optimize this body. [`Worksite::tick`] must stay observably
-    /// bit-identical to it.
-    pub fn tick_reference(&mut self) {
-        let tick = self.config.tick;
-        self.world.step(tick);
-        let now = self.world.now();
-        self.recorder.advance(now);
-        self.recorder.inc(self.tick_counter, 1);
-        self.auth_failures_tick = 0;
-
-        let effects = self
-            .attack_engine
-            .step(now, &mut self.medium, &mut self.gnss_field);
-        self.apply_attack_effects(effects);
-
-        self.apply_gnss_spoof_drift(now, tick);
-
-        let fw_pos = self.forwarder.position();
-        let heading = self.forwarder.vehicle.heading;
-        let cam = self
-            .camera
-            .detect(&self.world, fw_pos, heading, &mut self.rng);
-        let lidar = self
-            .lidar
-            .detect(&self.world, fw_pos, heading, &mut self.rng);
-        self.recorder.record(Event::SensorReading {
-            sensor: Label::new("forwarder-01/camera"),
-            detections: cam.len() as u32,
-        });
-        self.recorder.record(Event::SensorReading {
-            sensor: Label::new("forwarder-01/lidar"),
-            detections: lidar.len() as u32,
-        });
-
-        self.drone_feed_reference(now, fw_pos);
-
-        let fused = fuse_detections(&[cam, lidar, self.last_drone_feed.clone()]);
-
-        let limit = self.supervisor.update(now, fw_pos, &fused);
-        let limit = self.resolve_security_limit(now, limit);
-
-        let fw_pos = self.step_machines(now, tick, limit);
-
-        self.telemetry_uplink_reference(now, fw_pos);
-        self.observe_ids(now, fw_pos);
-        self.account_safety_reference(now, fw_pos, limit);
-        self.finish_tick();
-    }
-
-    /// Applies attack side effects to the sensors. Shared verbatim by
-    /// both tick bodies.
+    /// Applies attack side effects to the sensors.
     fn apply_attack_effects(&mut self, effects: Vec<SideEffect>) {
         for effect in effects {
             match effect {
@@ -908,8 +836,7 @@ impl Worksite {
     }
 
     /// Applies the security-response overrides (degraded mode, safe
-    /// stop) on top of the supervisor's limit. Shared by both tick
-    /// bodies.
+    /// stop) on top of the supervisor's limit.
     fn resolve_security_limit(&mut self, now: SimTime, mut limit: SpeedLimit) -> SpeedLimit {
         if let Some(until) = self.degraded_until {
             if now < until {
@@ -932,7 +859,7 @@ impl Worksite {
     }
 
     /// Steps the machines and the radio node positions; returns the
-    /// forwarder's post-step position. Shared by both tick bodies.
+    /// forwarder's post-step position.
     fn step_machines(&mut self, now: SimTime, tick: SimDuration, limit: SpeedLimit) -> Vec2 {
         let before_loads = self.forwarder.loads_delivered();
         self.forwarder.step(&self.world, limit, tick);
@@ -953,7 +880,7 @@ impl Worksite {
         fw_pos
     }
 
-    /// Per-tick metric roll-up. Shared by both tick bodies.
+    /// Per-tick metric roll-up.
     fn finish_tick(&mut self) {
         self.metrics.stop_events = self.supervisor.stop_events();
         self.metrics.distance_m = self.forwarder.distance_travelled();
@@ -999,8 +926,7 @@ impl Worksite {
     /// payloads (recovered both from drained frames and from lost
     /// frames via [`Medium::transmit_env_reclaiming`]), and an
     /// attacker-capture gated on whether any replay campaign actually
-    /// consumes captures. Byte-identical on the wire to
-    /// [`Worksite::drone_feed_reference`].
+    /// consumes captures.
     fn drone_feed(&mut self, now: SimTime, fw_pos: Vec2) {
         self.last_drone_feed.clear();
         let Some(drone) = &mut self.drone else {
@@ -1108,94 +1034,9 @@ impl Worksite {
         self.rx_scratch = rxs;
     }
 
-    /// FROZEN pre-optimization drone feed (parity oracle / bench "old"
-    /// arm): per-tick serde allocation, cloned stand, fresh inbox
-    /// vectors, unconditional capture sampling. Do not optimize.
-    fn drone_feed_reference(&mut self, now: SimTime, fw_pos: Vec2) {
-        self.last_drone_feed.clear();
-        let Some(drone) = &mut self.drone else {
-            return;
-        };
-        let Some(node_drone) = self.node_drone else {
-            return;
-        };
-        drone.step(&self.world, fw_pos, self.config.tick);
-        let detections = drone.detect(&self.world, &mut self.rng);
-        self.recorder.record_at(
-            now,
-            Event::SensorReading {
-                sensor: Label::new("drone-01/camera"),
-                detections: detections.len() as u32,
-            },
-        );
-
-        let payload = serde_json::to_vec(&detections).expect("detections serialize");
-        let payload = if let Some(links) = &mut self.links {
-            match links.drone.as_mut().map(|s| s.seal(&payload)) {
-                Some(Ok(sealed)) => sealed,
-                _ => return,
-            }
-        } else {
-            payload
-        };
-
-        self.seq += 1;
-        let frame = Frame::data(node_drone, self.node_fw, payload).with_seq(self.seq);
-        self.metrics.drone_feed_sent += 1;
-        // The attacker passively sniffs a fraction of the traffic for
-        // later replay (it is in radio range of the whole stand).
-        if self.seq.is_multiple_of(5) {
-            self.attack_engine.capture(frame.clone());
-        }
-        let env_stand = self.world.stand().clone();
-        let weather = self.world.weather();
-        let _ = self
-            .medium
-            .transmit_env(&env_stand, weather, node_drone, frame, now);
-
-        // Forwarder drains its inbox and decodes the feed.
-        for rx in self.medium.drain_inbox(self.node_fw) {
-            // `fresh` = a first-time, genuinely-sourced feed frame.
-            // Secure links enforce this cryptographically (replays fail
-            // to open); the plaintext path only *measures* it via the
-            // ground-truth sequence log.
-            let (body, fresh): (&[u8], bool) = if let Some(links) = &mut self.links {
-                let Some(session) = links.fw_drone.as_mut() else {
-                    continue;
-                };
-                match session.open_into(&rx.frame.payload, &mut self.open_scratch) {
-                    Ok(()) => (&self.open_scratch, true),
-                    Err(_) => {
-                        self.auth_failures_tick += 1;
-                        self.metrics.auth_failures += 1;
-                        continue;
-                    }
-                }
-            } else {
-                let fresh =
-                    rx.frame.claimed_src == node_drone && self.seen_at_fw.insert(rx.frame.seq);
-                if !fresh {
-                    self.metrics.forged_accepted += 1;
-                }
-                (&rx.frame.payload, fresh)
-            };
-            if let Ok(detections) = serde_json::from_slice::<Vec<Detection>>(body) {
-                // Stale replayed feeds still overwrite the forwarder's
-                // picture (the attack's harm) but only fresh frames count
-                // towards availability.
-                self.last_drone_feed = detections;
-                if fresh {
-                    self.metrics.drone_feed_delivered += 1;
-                }
-            }
-        }
-    }
-
     /// Zero-alloc telemetry uplink: the report is formatted into a
     /// reused `String`, sealed into a pooled payload buffer, and lost
     /// or drained frames hand their buffers back to the pool.
-    /// Byte-identical on the wire to
-    /// [`Worksite::telemetry_uplink_reference`].
     fn telemetry_uplink(&mut self, now: SimTime, fw_pos: Vec2) {
         use std::fmt::Write as _;
         self.report_buf.clear();
@@ -1262,59 +1103,6 @@ impl Worksite {
             Self::pool_push(&mut self.payload_pool, frame.payload);
         }
         self.rx_scratch = rxs;
-    }
-
-    /// FROZEN pre-optimization telemetry uplink (parity oracle / bench
-    /// "old" arm). Do not optimize.
-    fn telemetry_uplink_reference(&mut self, now: SimTime, fw_pos: Vec2) {
-        let report = format!(
-            "pos={:.1},{:.1};loads={}",
-            fw_pos.x,
-            fw_pos.y,
-            self.forwarder.loads_delivered()
-        );
-        let payload = if let Some(links) = &mut self.links {
-            match links.fw.seal(report.as_bytes()) {
-                Ok(sealed) => sealed,
-                Err(_) => return,
-            }
-        } else {
-            report.into_bytes()
-        };
-        self.seq += 1;
-        let frame = Frame::data(self.node_fw, self.node_bs, payload).with_seq(self.seq);
-        self.metrics.messages_sent += 1;
-        if self.seq.is_multiple_of(5) {
-            self.attack_engine.capture(frame.clone());
-        }
-        let env_stand = self.world.stand().clone();
-        let weather = self.world.weather();
-        let _ = self
-            .medium
-            .transmit_env(&env_stand, weather, self.node_fw, frame, now);
-
-        for rx in self.medium.drain_inbox(self.node_bs) {
-            if let Some(links) = &mut self.links {
-                match links
-                    .bs_fw
-                    .open_into(&rx.frame.payload, &mut self.open_scratch)
-                {
-                    Ok(()) => self.metrics.messages_delivered += 1,
-                    Err(_) => {
-                        self.auth_failures_tick += 1;
-                        self.metrics.auth_failures += 1;
-                    }
-                }
-            } else if rx.frame.claimed_src != self.node_fw || !self.seen_at_bs.insert(rx.frame.seq)
-            {
-                // Forged source or replayed sequence — accepted by the
-                // plaintext receiver (the harm), but not counted as a
-                // legitimate delivery.
-                self.metrics.forged_accepted += 1;
-            } else {
-                self.metrics.messages_delivered += 1;
-            }
-        }
     }
 
     fn observe_ids(&mut self, now: SimTime, fw_pos: Vec2) {
@@ -1436,14 +1224,13 @@ impl Worksite {
     /// superset of the full roster restricted to that radius) are
     /// range-tested.
     ///
-    /// Equivalence with the linear scan
-    /// ([`Worksite::account_safety_reference`]): the culled candidate
+    /// Equivalence with a scan of the full roster: the culled candidate
     /// set is a subset of all humans, so its min distance is ≥ the true
     /// min; and whenever the true min is ≤ `DANGER_RADIUS_M` the argmin
     /// human is inside the query radius and therefore in the candidate
     /// set, so the two minima coincide exactly on every tick where the
     /// danger branch is taken. The branch predicate (and the recorded
-    /// `distance_m`) is thus identical in both variants.
+    /// `distance_m`) is thus the one the full scan would give.
     fn account_safety(&mut self, now: SimTime, fw_pos: Vec2, limit: SpeedLimit) {
         self.world.human_grid().fill_candidates(
             fw_pos,
@@ -1454,20 +1241,6 @@ impl Worksite {
         for &i in &self.candidates_scratch {
             nearest = nearest.min(self.world.humans()[i as usize].position.distance(fw_pos));
         }
-        self.account_danger(now, nearest, limit);
-    }
-
-    /// FROZEN pre-optimization full-roster safety scan (parity oracle /
-    /// bench "old" arm). Do not optimize.
-    fn account_safety_reference(&mut self, now: SimTime, fw_pos: Vec2, limit: SpeedLimit) {
-        let mut nearest = f64::INFINITY;
-        for human in self.world.humans() {
-            nearest = nearest.min(human.position.distance(fw_pos));
-        }
-        self.account_danger(now, nearest, limit);
-    }
-
-    fn account_danger(&mut self, now: SimTime, nearest: f64, limit: SpeedLimit) {
         if nearest <= DANGER_RADIUS_M {
             self.metrics.danger_zone_ticks += 1;
             let moving = limit != SpeedLimit::Stop
@@ -1704,16 +1477,9 @@ mod tests {
 
     #[test]
     fn replay_rejected_when_secure_accepted_when_not() {
-        let campaign = AttackCampaign {
-            kind: AttackKind::Replay,
-            target: AttackTarget::Network,
-            start: SimTime::from_secs(30),
-            duration: SimDuration::from_secs(120),
-            intensity: 1.0,
-        };
         let run = |posture: SecurityPosture| {
             let mut site = Worksite::new(&small_config(posture), 4);
-            site.attack_engine_mut().add_campaign(campaign.clone());
+            site.attack_engine_mut().add_campaign(replay_campaign());
             site.run(SimDuration::from_secs(240));
             (site.metrics().forged_accepted, site.metrics().auth_failures)
         };
@@ -1728,6 +1494,16 @@ mod tests {
             secure_auth_failures > 0,
             "replays should surface as auth failures"
         );
+    }
+
+    fn replay_campaign() -> AttackCampaign {
+        AttackCampaign {
+            kind: AttackKind::Replay,
+            target: AttackTarget::Network,
+            start: SimTime::from_secs(30),
+            duration: SimDuration::from_secs(120),
+            intensity: 1.0,
+        }
     }
 
     fn jam_campaign() -> AttackCampaign {
@@ -1783,7 +1559,7 @@ mod tests {
         Quiet,
         /// [`jam_campaign`], 150 s.
         Jam,
-        /// A 120 s replay from 30 s, 240 s.
+        /// [`replay_campaign`], 240 s.
         Replay,
     }
     use Pinned::{Jam, Quiet, Replay};
@@ -1793,7 +1569,9 @@ mod tests {
     /// then both postures under replay at seed 4. Jamming loses frames,
     /// so their payload buffers come back through the reclaiming
     /// transmit; replay is the one campaign that consumes captured
-    /// frames.
+    /// frames. The pins were recorded while the pre-optimization tick
+    /// body was still kept beside this one and matched it on all ten
+    /// runs, so they are that body's outputs too.
     const TICK_PINS: [(bool, u64, Pinned, &str); 10] = [
         (
             true,
@@ -1874,13 +1652,7 @@ mod tests {
                     150
                 }
                 Replay => {
-                    site.attack_engine_mut().add_campaign(AttackCampaign {
-                        kind: AttackKind::Replay,
-                        target: AttackTarget::Network,
-                        start: SimTime::from_secs(30),
-                        duration: SimDuration::from_secs(120),
-                        intensity: 1.0,
-                    });
+                    site.attack_engine_mut().add_campaign(replay_campaign());
                     240
                 }
             };
@@ -1925,58 +1697,6 @@ mod tests {
                 fingerprint(&reused),
                 "reset diverged from fresh at seed {seed}"
             );
-        }
-    }
-
-    /// The optimized tick must be observably bit-identical to the
-    /// frozen reference tick across postures, seeds, and a jamming
-    /// campaign (which exercises frame loss, hence payload
-    /// reclamation).
-    #[test]
-    fn tick_matches_reference_oracle() {
-        for posture in [SecurityPosture::secure(), SecurityPosture::insecure()] {
-            for seed in [3u64, 11] {
-                for jam in [false, true] {
-                    let config = small_config(posture);
-                    let mut fast = Worksite::new(&config, seed);
-                    let mut reference = Worksite::new(&config, seed);
-                    if jam {
-                        fast.attack_engine_mut().add_campaign(jam_campaign());
-                        reference.attack_engine_mut().add_campaign(jam_campaign());
-                    }
-                    fast.run(SimDuration::from_secs(150));
-                    reference.run_reference(SimDuration::from_secs(150));
-                    assert_eq!(
-                        fingerprint(&fast),
-                        fingerprint(&reference),
-                        "tick diverged from reference (seed {seed}, jam {jam})"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Replay campaigns consume captured frames, so the capture gate in
-    /// the optimized path must still feed them; this pins parity on the
-    /// one scenario where captures are observable.
-    #[test]
-    fn tick_matches_reference_under_replay() {
-        for posture in [SecurityPosture::secure(), SecurityPosture::insecure()] {
-            let config = small_config(posture);
-            let replay = AttackCampaign {
-                kind: AttackKind::Replay,
-                target: AttackTarget::Network,
-                start: SimTime::from_secs(30),
-                duration: SimDuration::from_secs(120),
-                intensity: 1.0,
-            };
-            let mut fast = Worksite::new(&config, 4);
-            let mut reference = Worksite::new(&config, 4);
-            fast.attack_engine_mut().add_campaign(replay.clone());
-            reference.attack_engine_mut().add_campaign(replay);
-            fast.run(SimDuration::from_secs(240));
-            reference.run_reference(SimDuration::from_secs(240));
-            assert_eq!(fingerprint(&fast), fingerprint(&reference));
         }
     }
 

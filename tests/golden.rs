@@ -3,9 +3,10 @@
 //! Each scenario pin is the sha256 of the scenario's simulated outputs,
 //! hashed the way the pathway benchmark (`benchmark/`) digests a round:
 //! every part is prefixed with its length as a little-endian `u64`. The
-//! TARA pin is the enumeration report's own digest. A pin moves only
-//! when a change alters the trace or the reports. Performance work must
-//! leave every pin where it is.
+//! TARA pin is the enumeration report's own digest, and the 64-site
+//! fleet pin the plain sha256 of its trace. A pin moves only when a
+//! change alters the trace or the reports. Performance work must leave
+//! every pin where it is.
 //!
 //! Re-pinning (the one procedure): when a change is *meant* to alter an
 //! output, run `cargo test --test golden`, check that the change
@@ -82,8 +83,7 @@ const STANDARD_SITE_SEED7: [(&str, &str); 4] = [
 
 /// The E10 fleet at 64 sites and seed 11 with a clean version-2
 /// rollout (`run_fleet_rollout`): the plain sha256 of its trace JSONL,
-/// no length prefix. The two-fidelity fleet refactor was held to this
-/// value.
+/// no length prefix, the same value `exp12_fleet_scale` checks.
 const FLEET_64_SEED11: &str = "44c52268bb2ce420363da9753b9d8c4c7514d2303770eaf19de7affc1557e450";
 
 /// sha256 over `parts`, each length-prefixed, as hex.

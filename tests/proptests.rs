@@ -608,8 +608,9 @@ fn episode_test_config(secure: bool) -> WorksiteConfig {
     })
 }
 
-/// The attack rotation used by the episode properties (allocation-free
-/// campaign targets only, matching the exp14 sweep).
+/// The attack rotation used by the episode properties (campaign targets
+/// without label strings, the rotation `tests/alloc_free.rs` resets
+/// through).
 const EPISODE_ATTACKS: [Option<AttackKind>; 4] = [
     None,
     Some(AttackKind::RfJamming),
@@ -760,6 +761,27 @@ fn stand_queries_match_reference(
         "trunk query diverged from the reference"
     );
     Ok(())
+}
+
+/// The pre-optimization foliage loss, kept as the oracle of
+/// `comms::propagation::foliage_loss_db`: it collects the trees of the
+/// frozen full-rectangle scan into a `Vec` and filters them by trunk
+/// distance and height, with no early exit at the cap.
+fn foliage_loss_db_reference(
+    config: &silvasec::comms::propagation::PropagationConfig,
+    stand: &TreeStand,
+    from: silvasec::sim::geom::Vec3,
+    to: silvasec::sim::geom::Vec3,
+) -> f64 {
+    let a2 = from.xy();
+    let b2 = to.xy();
+    let link_z = from.z.min(to.z);
+    let crossing_count = stand
+        .trees_near_segment_reference(a2, b2, 1.5)
+        .iter()
+        .filter(|tree| tree.position.distance_to_segment(a2, b2) <= 1.5 && tree.height_m >= link_z)
+        .count();
+    (crossing_count as f64 * config.per_tree_db).min(config.max_foliage_db)
 }
 
 /// `x` moved by `k` ulps (through zero into the negatives).
@@ -928,9 +950,7 @@ proptest! {
         byi in 0u32..1500,
         bzi in 10u32..600,
     ) {
-        use silvasec::comms::propagation::{
-            foliage_loss_db, foliage_loss_db_reference, PropagationConfig,
-        };
+        use silvasec::comms::propagation::{foliage_loss_db, PropagationConfig};
         use silvasec::sim::geom::Vec3;
         let world = hotpath_world(seed);
         let config = PropagationConfig::default();
