@@ -1,6 +1,7 @@
 //! **E6** — secure-channel overhead on safety traffic, in wall-clock and
-//! in on-air bytes (the criterion benches measure the primitives; this
-//! binary reports the end-to-end numbers a safety engineer asks about).
+//! in on-air bytes: the end-to-end numbers a safety engineer asks about.
+//! The pathway benchmark's `site_soak` workload times the same channel
+//! inside the worksite tick (`sos.tick_us.*`).
 //!
 //! Run with: `cargo run --release -p silvasec-bench --bin exp6_overhead`
 

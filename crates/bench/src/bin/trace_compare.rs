@@ -1,108 +1,26 @@
-//! **Trace comparison** — diff two flight-recorder JSONL traces and
-//! report the first divergence.
+//! **Trace comparison** — diff two flight-recorder JSONL trace files
+//! event by event and report the first divergence.
 //!
-//! Modes:
-//!
-//! * `trace_compare <left.jsonl> <right.jsonl>` — compare two exported
-//!   trace files event by event, streaming line by line so fleet-sized
-//!   traces never have to fit in memory;
-//! * `trace_compare --figure1 <seed-a> <seed-b> [sim-secs]` — run the
-//!   shortened Figure 1 campaign twice under the secure posture and
-//!   compare the resulting security traces directly, no files needed
-//!   (default 240 simulated seconds);
-//! * `trace_compare --fleet <seed-a> <seed-b> [sites]` — run the E10
-//!   fleet OTA rollout twice and compare the fleet security traces
-//!   (default 4 sites);
-//! * `trace_compare --fleet-scale <seed-a> <seed-b> [sites]` — run the
-//!   E12 two-fidelity fleet rollout with parallel shadow shards for the
-//!   left trace and sequentially for the right (default 4096 sites):
-//!   with equal seeds this is the shard-merge determinism witness, with
-//!   different seeds a divergence probe;
-//! * `trace_compare --ops <seed-a> <seed-b> [incidents]` — run the E13
-//!   synthetic incident-response load twice (default 500 incidents) and
-//!   compare the `Ops*` security traces. Before comparing, the left
-//!   run's store is rebuilt from nothing but its own recorded trace and
-//!   diffed against the live store (`RunStore::first_divergence`) — a
-//!   live-vs-replay divergence fails the run even when the seeds
-//!   differ, making this the self-driving replay witness for CI;
-//! * `trace_compare --episodes <seed-a> <seed-b> [sim-secs]` — run one
-//!   standard jamming episode per seed (default 240 simulated seconds),
-//!   the left on a **pooled** worksite (dirtied by a preceding episode
-//!   on an unrelated seed, then `reset_for_episode` onto the probed
-//!   one), the right on a **fresh** build, and compare the security
-//!   traces: with equal seeds this is the reset-equals-fresh
-//!   byte-identity witness for CI, with different seeds a divergence
-//!   probe;
-//! * `trace_compare --tara <seed-a> <seed-b> [sites]` — run the E11
-//!   live-hypothesis fleet scenario twice (default 4 sites) and compare
-//!   the security traces. Before comparing, the left run's TARA
-//!   hypothesis set is rebuilt from nothing but the recorded
-//!   `TaraHypothesis` events (`HypothesisSet::replay_from_jsonl`) and
-//!   diffed against the live set — a live-vs-replay divergence fails
-//!   the run even when the seeds differ.
-//!
-//! `--max-events N` (any mode) stops after the first `N` events: a
-//! bounded spot-check that keeps CI diffs of fleet-scale traces cheap.
-//!
-//! `--dump <path>` (self-driving modes) additionally writes the left
-//! trace to a file, so a "before" snapshot can be captured, the code
-//! changed, and the "after" trace compared byte for byte with the
-//! file-diff mode — the same pre/post workflow `fleet_trace_dump`
-//! supports for the fleet trace, here for the Figure 1 worksite trace.
+//! `trace_compare [--max-events N] <left.jsonl> <right.jsonl>` streams
+//! both files line by line, so fleet-sized traces never have to fit in
+//! memory. `--max-events N` stops after the first `N` events: a bounded
+//! spot-check that keeps diffs of fleet-scale traces cheap.
 //!
 //! Identical traces exit 0 and print `identical`; diverging traces exit
 //! 1 and print the event index, the field path, and both values at the
 //! first mismatch. Same seed must always compare identical — that is
-//! the recorder's determinism contract.
+//! the recorder's determinism contract. `fleet_trace_dump` writes the
+//! trace files, so a "before" snapshot can be captured, the code
+//! changed, and the "after" trace compared byte for byte.
 //!
-//! Run with: `cargo run --release -p silvasec-bench --bin trace_compare -- --figure1 11 12`
+//! Run with:
+//! `cargo run --release -p silvasec-bench --bin trace_compare -- before.jsonl after.jsonl`
 
-use silvasec::experiments::{
-    figure1_trace, run_fleet_rollout, run_fleet_scale_point, run_ops_load, run_tara_hypotheses,
-    tara_ranking, FleetScenario,
-};
-use silvasec::ops::RunStore;
-use silvasec::prelude::*;
-use silvasec::tara::HypothesisSet;
 use silvasec::telemetry::first_divergence_jsonl;
-use silvasec_sim::time::SimDuration;
 use std::io::BufRead;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: trace_compare [--max-events N] <left.jsonl> <right.jsonl>\n       trace_compare [--max-events N] --figure1 <seed-a> <seed-b> [sim-secs]\n       trace_compare [--max-events N] --fleet <seed-a> <seed-b> [sites]\n       trace_compare [--max-events N] --fleet-scale <seed-a> <seed-b> [sites]\n       trace_compare [--max-events N] --ops <seed-a> <seed-b> [incidents]\n       trace_compare [--max-events N] --tara <seed-a> <seed-b> [sites]\n       trace_compare [--max-events N] --episodes <seed-a> <seed-b> [sim-secs]";
-
-fn compare(left_name: &str, left: &str, right_name: &str, right: &str) -> ExitCode {
-    match first_divergence_jsonl(left, right) {
-        Ok(None) => {
-            let events = left.lines().count();
-            println!("identical: {left_name} and {right_name} agree on all {events} events");
-            ExitCode::SUCCESS
-        }
-        Ok(Some(div)) => {
-            println!("traces diverge at event {}:", div.index);
-            println!("  field: {}", div.field);
-            println!("  {left_name}: {}", div.left);
-            println!("  {right_name}: {}", div.right);
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("error: malformed trace: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Keeps only the first `max_events` lines of an in-memory trace.
-fn truncated(trace: &str, max_events: Option<usize>) -> String {
-    match max_events {
-        None => trace.to_string(),
-        Some(n) => trace
-            .lines()
-            .take(n)
-            .map(|l| format!("{l}\n"))
-            .collect::<String>(),
-    }
-}
+const USAGE: &str = "usage: trace_compare [--max-events N] <left.jsonl> <right.jsonl>";
 
 /// Streams two trace files line by line — memory is bounded by one
 /// event per side regardless of file size — and reports the first
@@ -170,278 +88,14 @@ fn main() -> ExitCode {
         args.drain(pos..=pos + 1);
     }
 
-    // `--dump <path>` writes the left trace of a self-driving mode to a
-    // file for later pre/post file-diff comparison.
-    let mut dump_path: Option<String> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--dump") {
-        let Some(path) = args.get(pos + 1).cloned() else {
-            eprintln!("{USAGE}");
-            return ExitCode::FAILURE;
-        };
-        dump_path = Some(path);
-        args.drain(pos..=pos + 1);
-    }
-    let dump = |trace: &str| {
-        if let Some(path) = &dump_path {
-            if let Err(e) = std::fs::write(path, trace) {
-                eprintln!("error: cannot write {path}: {e}");
-            } else {
-                eprintln!("dumped left trace to {path}");
-            }
-        }
+    let [left_path, right_path] = args.as_slice() else {
+        eprintln!("{USAGE}");
+        return ExitCode::FAILURE;
     };
-
-    let parse_seeds = |args: &[String]| -> Option<(u64, u64)> {
-        match (
-            args.get(1).map(|s| s.parse::<u64>()),
-            args.get(2).map(|s| s.parse::<u64>()),
-        ) {
-            (Some(Ok(a)), Some(Ok(b))) => Some((a, b)),
-            _ => None,
-        }
-    };
-
-    match args.first().map(String::as_str) {
-        Some("--figure1") => {
-            let Some((seed_a, seed_b)) = parse_seeds(&args) else {
-                eprintln!("{USAGE}");
-                return ExitCode::FAILURE;
-            };
-            let secs = match args.get(3).map(|s| s.parse::<u64>()) {
-                Some(Ok(s)) => s,
-                None => 240,
-                Some(Err(_)) => {
-                    eprintln!("{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let total = SimDuration::from_secs(secs);
-            let left = truncated(
-                &figure1_trace(SecurityPosture::secure(), seed_a, total),
-                max_events,
-            );
-            let right = truncated(
-                &figure1_trace(SecurityPosture::secure(), seed_b, total),
-                max_events,
-            );
-            dump(&left);
-            compare(
-                &format!("seed {seed_a}"),
-                &left,
-                &format!("seed {seed_b}"),
-                &right,
-            )
-        }
-        Some("--fleet") => {
-            let Some((seed_a, seed_b)) = parse_seeds(&args) else {
-                eprintln!("{USAGE}");
-                return ExitCode::FAILURE;
-            };
-            let sites = match args.get(3).map(|s| s.parse::<usize>()) {
-                Some(Ok(s)) => s,
-                None => 4,
-                Some(Err(_)) => {
-                    eprintln!("{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let (_, left) = run_fleet_rollout(sites, seed_a, FleetScenario::Clean);
-            let (_, right) = run_fleet_rollout(sites, seed_b, FleetScenario::Clean);
-            let left = truncated(&left, max_events);
-            let right = truncated(&right, max_events);
-            dump(&left);
-            compare(
-                &format!("fleet seed {seed_a}"),
-                &left,
-                &format!("fleet seed {seed_b}"),
-                &right,
-            )
-        }
-        Some("--fleet-scale") => {
-            let Some((seed_a, seed_b)) = parse_seeds(&args) else {
-                eprintln!("{USAGE}");
-                return ExitCode::FAILURE;
-            };
-            let sites = match args.get(3).map(|s| s.parse::<usize>()) {
-                Some(Ok(s)) => s,
-                None => 4_096,
-                Some(Err(_)) => {
-                    eprintln!("{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            // Left runs the shadow shards on the parallel sweep pool,
-            // right runs them sequentially: equal seeds assert the
-            // order-preserving merge, different seeds probe divergence.
-            let (_, left_fleet) = run_fleet_scale_point(sites, seed_a, FleetScenario::Clean, false);
-            let (_, right_fleet) = run_fleet_scale_point(sites, seed_b, FleetScenario::Clean, true);
-            let left = truncated(&left_fleet.export_trace_jsonl(), max_events);
-            let right = truncated(&right_fleet.export_trace_jsonl(), max_events);
-            dump(&left);
-            compare(
-                &format!("parallel shards seed {seed_a}"),
-                &left,
-                &format!("sequential shards seed {seed_b}"),
-                &right,
-            )
-        }
-        Some("--ops") => {
-            let Some((seed_a, seed_b)) = parse_seeds(&args) else {
-                eprintln!("{USAGE}");
-                return ExitCode::FAILURE;
-            };
-            let incidents = match args.get(3).map(|s| s.parse::<usize>()) {
-                Some(Ok(n)) => n,
-                None => 500,
-                Some(Err(_)) => {
-                    eprintln!("{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let (left_engine, left) = run_ops_load(incidents, seed_a);
-            let (_, right) = run_ops_load(incidents, seed_b);
-            // Replay witness on the full (untruncated) left trace: the
-            // store rebuilt from nothing but the recorded events must be
-            // identical to the live one, whatever the seeds.
-            let replayed = match RunStore::replay_from_jsonl(&left) {
-                Ok(store) => store,
-                Err(e) => {
-                    eprintln!("error: left ops trace does not replay: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if let Some((line, live, replay)) = left_engine.store().first_divergence(&replayed) {
-                println!("live and replayed run stores diverge at canonical line {line}:");
-                println!("  live:   {live}");
-                println!("  replay: {replay}");
-                return ExitCode::FAILURE;
-            }
-            println!(
-                "replay: store rebuilt from the recorded trace is identical to the live store \
-                 ({} runs)",
-                left_engine.store().len()
-            );
-            let left = truncated(&left, max_events);
-            let right = truncated(&right, max_events);
-            dump(&left);
-            compare(
-                &format!("ops seed {seed_a}"),
-                &left,
-                &format!("ops seed {seed_b}"),
-                &right,
-            )
-        }
-        Some("--episodes") => {
-            let Some((seed_a, seed_b)) = parse_seeds(&args) else {
-                eprintln!("{USAGE}");
-                return ExitCode::FAILURE;
-            };
-            let secs = match args.get(3).map(|s| s.parse::<u64>()) {
-                Some(Ok(s)) => s,
-                None => 240,
-                Some(Err(_)) => {
-                    eprintln!("{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            use silvasec::experiments::EpisodeSpec;
-            let spec_for = |seed: u64| {
-                EpisodeSpec::standard(
-                    SecurityPosture::secure(),
-                    Some(AttackKind::RfJamming),
-                    seed,
-                    SimDuration::from_secs(secs),
-                )
-            };
-
-            // Left: the pooled reset path. Dirty the worksite with a
-            // full episode on an unrelated seed first, so the reset has
-            // real state to erase.
-            let left_spec = spec_for(seed_a);
-            let dirty_spec = spec_for(seed_a.wrapping_add(0x9e37));
-            let mut pooled = Worksite::new(&dirty_spec.config, dirty_spec.seed);
-            dirty_spec.arm(&mut pooled);
-            pooled.run(dirty_spec.duration);
-            pooled.reset_for_episode(&left_spec.config, left_spec.seed);
-            left_spec.arm(&mut pooled);
-            pooled.run(left_spec.duration);
-
-            // Right: the same spec on a fresh build.
-            let right_spec = spec_for(seed_b);
-            let mut fresh = Worksite::new(&right_spec.config, right_spec.seed);
-            right_spec.arm(&mut fresh);
-            fresh.run(right_spec.duration);
-
-            let left = truncated(&pooled.export_security_jsonl(), max_events);
-            let right = truncated(&fresh.export_security_jsonl(), max_events);
-            dump(&left);
-            compare(
-                &format!("pooled-reset seed {seed_a}"),
-                &left,
-                &format!("fresh-build seed {seed_b}"),
-                &right,
-            )
-        }
-        Some("--tara") => {
-            let Some((seed_a, seed_b)) = parse_seeds(&args) else {
-                eprintln!("{USAGE}");
-                return ExitCode::FAILURE;
-            };
-            let sites = match args.get(3).map(|s| s.parse::<usize>()) {
-                Some(Ok(s)) => s,
-                None => 4,
-                Some(Err(_)) => {
-                    eprintln!("{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let left_fleet = run_tara_hypotheses(sites, seed_a);
-            let right_fleet = run_tara_hypotheses(sites, seed_b);
-            let left = left_fleet.export_trace_jsonl();
-            // Replay witness on the full (untruncated) left trace: the
-            // hypothesis set rebuilt from nothing but the recorded
-            // `TaraHypothesis` events must be identical to the live one,
-            // whatever the seeds.
-            let live = left_fleet.tara().expect("tara knob is on in E11");
-            let replayed = match HypothesisSet::replay_from_jsonl(tara_ranking(seed_a), &left) {
-                Ok(set) => set,
-                Err(e) => {
-                    eprintln!("error: left tara trace does not replay: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if let Some(div) = replayed.first_divergence(live) {
-                println!("live and replayed hypothesis sets diverge:");
-                println!("  {div}");
-                return ExitCode::FAILURE;
-            }
-            let (open, confirmed, retired) = live.counts();
-            println!(
-                "replay: hypothesis set rebuilt from the recorded trace is identical to the \
-                 live set ({open} open, {confirmed} confirmed, {retired} retired)"
-            );
-            let left = truncated(&left, max_events);
-            let right = truncated(&right_fleet.export_trace_jsonl(), max_events);
-            dump(&left);
-            compare(
-                &format!("tara seed {seed_a}"),
-                &left,
-                &format!("tara seed {seed_b}"),
-                &right,
-            )
-        }
-        Some(left_path) if args.len() == 2 => {
-            let right_path = &args[1];
-            match compare_files(left_path, right_path, max_events) {
-                Ok(code) => code,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        _ => {
-            eprintln!("{USAGE}");
+    match compare_files(left_path, right_path, max_events) {
+        Ok(code) => code,
+        Err(e) => {
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }

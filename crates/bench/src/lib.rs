@@ -1,120 +1,22 @@
 //! Shared helpers for the benchmark harness.
 //!
-//! The table/figure regeneration binaries live in `src/bin/`; the
-//! Criterion micro/mesobenchmarks in `benches/`. Each binary prints the
-//! rows of one table or the series of one figure from `EXPERIMENTS.md`.
+//! The table/figure regeneration binaries live in `src/bin/`. Each
+//! binary prints the rows of one table or the series of one figure from
+//! `EXPERIMENTS.md`. Performance is measured by the pathway benchmark
+//! under `benchmark/`; the contracts behind its numbers are workspace
+//! tests (`cargo test`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use serde::{Serialize, Value};
 use silvasec::experiments::standard_config;
 use silvasec::prelude::*;
 use silvasec_channel::{HandshakePolicy, Identity, Initiator, Responder, Session};
 use silvasec_crypto::schnorr::SigningKey;
-use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-/// Run-identity keys for a `BENCH_*.json` trajectory entry, read from
-/// the environment so no wall clock ever leaks into the simulation:
-/// `SILVASEC_GIT_SHA` (falling back to `git rev-parse HEAD`, then
-/// `unknown`) and `SILVASEC_RUN_TS` (default `unspecified`).
-#[must_use]
-pub fn run_keys() -> (String, String) {
-    let sha = std::env::var("SILVASEC_GIT_SHA")
-        .ok()
-        .or_else(git_head_sha)
-        .unwrap_or_else(|| "unknown".into());
-    (
-        sha,
-        std::env::var("SILVASEC_RUN_TS").unwrap_or_else(|_| "unspecified".into()),
-    )
-}
-
-/// Best-effort `git rev-parse HEAD` of the workspace checkout; `None`
-/// when git is unavailable or the output is not a commit hash.
-fn git_head_sha() -> Option<String> {
-    let out = std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .current_dir(Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."))
-        .output()
-        .ok()?;
-    if !out.status.success() {
-        return None;
-    }
-    let sha = String::from_utf8(out.stdout).ok()?.trim().to_string();
-    (sha.len() == 40 && sha.bytes().all(|b| b.is_ascii_hexdigit())).then_some(sha)
-}
-
-/// Resolves the trajectory output path for one bench binary: the
-/// binary's env override when set, else `default_file` at the
-/// workspace root.
-#[must_use]
-pub fn trajectory_out_path(env_override: &str, default_file: &str) -> PathBuf {
-    std::env::var(env_override).map_or_else(
-        |_| {
-            Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join(default_file)
-        },
-        PathBuf::from,
-    )
-}
-
-/// Loads the `runs` array of an existing trajectory file. Missing files
-/// start a fresh trajectory; unparseable ones are reported and start
-/// fresh too. When `legacy_schema` is given, a file holding a single
-/// object of that pre-trajectory schema is migrated in place as the
-/// first run.
-#[must_use]
-pub fn existing_trajectory_runs(path: &Path, legacy_schema: Option<&str>) -> Vec<Value> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let Ok(value) = serde_json::parse(&text) else {
-        eprintln!(
-            "warning: {} is not valid JSON; starting a fresh trajectory",
-            path.display()
-        );
-        return Vec::new();
-    };
-    if let Some(runs) = value.get_field("runs").as_array() {
-        return runs.to_vec();
-    }
-    if let (Some(legacy), Value::String(schema)) = (legacy_schema, value.get_field("schema")) {
-        if schema == legacy {
-            return vec![value];
-        }
-    }
-    Vec::new()
-}
-
-/// Appends one run entry to the trajectory file at `path` under the
-/// given trajectory `schema`, migrating a `legacy_schema` single-object
-/// file if present, and returns the resulting run count. Every
-/// `BENCH_*.json` writer goes through here so the trajectory format
-/// stays uniform across binaries.
-pub fn append_trajectory_run<T: Serialize>(
-    path: &Path,
-    schema: &str,
-    legacy_schema: Option<&str>,
-    entry: &T,
-) -> usize {
-    let mut runs = existing_trajectory_runs(path, legacy_schema);
-    runs.push(entry.serialize());
-    let run_count = runs.len();
-    let trajectory = Value::Object(vec![
-        ("schema".to_string(), Value::String(schema.to_string())),
-        ("runs".to_string(), Value::Array(runs)),
-    ]);
-    let text = serde_json::to_string_pretty(&trajectory).expect("trajectory serializes");
-    std::fs::write(path, text).expect("write trajectory file");
-    eprintln!("appended run ({run_count} total) to {}", path.display());
-    run_count
-}
-
-/// Builds a two-party PKI and an established session pair, for channel
-/// benchmarks and binaries.
+/// Builds a two-party PKI and an established session pair, for the
+/// channel-overhead binary (`exp6_overhead`).
 #[must_use]
 pub fn session_pair(seed: u8) -> (Session, Session) {
     let mut root = CertificateAuthority::new_root("root", &[seed; 32], Validity::new(0, 1_000_000));
@@ -180,7 +82,7 @@ pub fn median(samples: &[f64]) -> f64 {
 /// with interleaved enabled/disabled rounds (median of each arm), so a
 /// frequency ramp or background load during the measurement biases
 /// both arms equally instead of making the overhead look negative.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RecorderOverhead {
     /// Simulated episode length, seconds.
     pub sim_secs: u64,

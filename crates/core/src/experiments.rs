@@ -3,7 +3,7 @@
 //! Each public function here is one experiment from `EXPERIMENTS.md`; the
 //! binaries in `silvasec-bench` call these and print the rows. Keeping
 //! the logic in the library makes the experiments unit-testable and
-//! reusable from the Criterion benches.
+//! reusable from the pathway benchmark under `benchmark/`.
 
 use serde::{Deserialize, Serialize};
 use silvasec_assurance::case::AssuranceCase;
@@ -1249,8 +1249,8 @@ pub fn tara_config() -> silvasec_fleet::TaraConfig {
 }
 
 /// The exact ranking a fleet commissioned with `seed` under
-/// [`tara_config`] carries — what `trace_compare --tara` replays the
-/// hypothesis trace against.
+/// [`tara_config`] carries — what the hypothesis trace replays against
+/// (`HypothesisSet::replay_from_jsonl`).
 #[must_use]
 pub fn tara_ranking(seed: u64) -> Vec<silvasec_tara::ScoredScenario> {
     let tc = tara_config();
@@ -1506,6 +1506,48 @@ mod tests {
     }
 
     #[test]
+    fn occlusion_sweep_matches_the_sequential_nested_map() {
+        // Per density, the parallel sweep must equal to the bit the mean
+        // of `occlusion_point` over the seeds, summed in seed order.
+        // Three seeds, because two sum to the same bits in either order.
+        let densities = [0.0, 600.0, 1500.0];
+        let seeds = [5u64, 17, 29];
+        let (relief_m, duration) = (15.0, SimDuration::from_secs(60));
+        let rows = occlusion_sweep(&densities, relief_m, &seeds, duration);
+        assert_eq!(rows.len(), densities.len());
+        for (row, &density) in rows.iter().zip(&densities) {
+            let points: Vec<OcclusionRow> = seeds
+                .iter()
+                .map(|&s| occlusion_point(density, relief_m, s, duration))
+                .collect();
+            let mean = |field: fn(&OcclusionRow) -> f64| {
+                points.iter().map(field).sum::<f64>() / points.len() as f64
+            };
+            let expected = [
+                density,
+                relief_m,
+                mean(|r| r.forwarder_coverage),
+                mean(|r| r.combined_coverage),
+                mean(|r| r.forwarder_ttd_s),
+                mean(|r| r.combined_ttd_s),
+            ];
+            let got = [
+                row.density,
+                row.relief_m,
+                row.forwarder_coverage,
+                row.combined_coverage,
+                row.forwarder_ttd_s,
+                row.combined_ttd_s,
+            ];
+            assert_eq!(
+                got.map(f64::to_bits),
+                expected.map(f64::to_bits),
+                "density {density}: {got:?} vs {expected:?}"
+            );
+        }
+    }
+
+    #[test]
     fn pipeline_counts_consistent() {
         let p = methodology_pipeline();
         assert_eq!(p.risks, p.threats);
@@ -1565,6 +1607,15 @@ mod tests {
             counters.settled() + counters.duplicates_folded,
             100,
             "every incident accounted for: {counters:?}"
+        );
+        // At idle nothing is ready or in flight: every opened run was
+        // queued once and settled once.
+        let queue = engine.queue_counters();
+        assert_eq!(counters.opened, queue.enqueued, "{queue:?}");
+        assert_eq!(
+            queue.enqueued,
+            queue.acked + queue.dead_lettered,
+            "{queue:?}"
         );
         assert!(engine.queue_conserves());
         let replayed = silvasec_ops::RunStore::replay_from_jsonl(&trace).unwrap();

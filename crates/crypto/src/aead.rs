@@ -106,8 +106,8 @@ impl ChaCha20Poly1305 {
     /// chunk is cache-hot. Reserves exactly [`overhead`] extra bytes, so
     /// a caller that reuses a warm buffer never reallocates.
     ///
-    /// Bit-identical to the frozen [`seal_naive`] oracle (proptested and
-    /// cross-checked by `data_plane_bench`).
+    /// Bit-identical to the frozen [`seal_naive`] oracle (the
+    /// `aead_in_place_matches_two_pass` proptest).
     ///
     /// [`overhead`]: ChaCha20Poly1305::overhead
     /// [`seal_naive`]: ChaCha20Poly1305::seal_naive
@@ -243,8 +243,9 @@ impl ChaCha20Poly1305 {
 
     /// Frozen naive reference oracle for [`seal`]: the original
     /// two-pass, allocating implementation on top of the frozen
-    /// per-block keystream. Deliberately unoptimized — `data_plane_bench`
-    /// cross-checks and floors the fast path against it.
+    /// per-block keystream. Deliberately unoptimized — the
+    /// `aead_in_place_matches_two_pass` proptest checks the one-pass
+    /// path against it.
     ///
     /// [`seal`]: ChaCha20Poly1305::seal
     #[must_use]

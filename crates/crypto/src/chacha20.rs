@@ -14,8 +14,8 @@
 //! * the **naive reference oracle** ([`ChaCha20::apply_keystream_naive`])
 //!   is the original one-block-at-a-time code, kept frozen and
 //!   unoptimized so the fast path always has an independent
-//!   implementation to be cross-checked against (RFC vectors, proptests,
-//!   and the `data_plane_bench` cross-check digest all compare the two).
+//!   implementation to be cross-checked against (the RFC vectors and the
+//!   `keystream_wide_path_matches_naive` proptest compare the two).
 //!
 //! Both paths are bit-identical by contract; the fast path must never be
 //! "validated" against itself.
@@ -303,8 +303,8 @@ impl ChaCha20 {
 
     /// Fast path: XORs the keystream into `data` in place, generating
     /// [`WIDE_BLOCKS`] blocks per core call from a precomputed key/nonce
-    /// state. Bit-identical to [`apply_keystream_naive`] — the proptests
-    /// and the `data_plane_bench` cross-check digest hold it to that.
+    /// state. Bit-identical to [`apply_keystream_naive`] — the
+    /// `keystream_wide_path_matches_naive` proptest holds it to that.
     ///
     /// # Panics
     ///

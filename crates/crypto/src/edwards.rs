@@ -10,7 +10,7 @@
 //!
 //! Three paths replace the original MSB-first double-and-add (which is
 //! kept, frozen, as [`EdwardsPoint::scalar_mul_naive`] — the reference
-//! oracle for the proptests and the baseline for `crypto_bench`):
+//! oracle for the proptests):
 //!
 //! * **Fixed-base, constant-time** ([`EdwardsPoint::mul_basepoint`]):
 //!   a lazily-built shared table of windowed multiples of B (8 cached
@@ -646,9 +646,9 @@ impl EdwardsPoint {
     }
 
     /// Frozen seed implementation of point addition, kept verbatim as
-    /// the reference oracle for the proptests and the baseline for
-    /// `crypto_bench`. (The seed computed Z₁·Z₂ twice; that redundancy
-    /// is preserved deliberately — this function must not be optimized.)
+    /// the reference oracle for the proptests. (The seed computed Z₁·Z₂
+    /// twice; that redundancy is preserved deliberately — this function
+    /// must not be optimized.)
     #[must_use]
     pub fn add_naive(&self, rhs: &Self) -> Self {
         let a = self.y.sub(&self.x).mul(&rhs.y.sub(&rhs.x));
@@ -697,7 +697,7 @@ impl EdwardsPoint {
 
     /// Frozen seed scalar multiplication: MSB-first double-and-add over
     /// [`Scalar::bits_msb_first`]. Reference oracle for the windowed
-    /// paths and the naive baseline `crypto_bench` measures against.
+    /// paths (`scalar_mul_fast_paths_encode_identical_to_naive`).
     #[must_use]
     pub fn scalar_mul_naive(&self, scalar: &Scalar) -> Self {
         let mut acc = EdwardsPoint::identity();

@@ -32,8 +32,8 @@
 //! ([`silvasec_sim::sweep::par_sweep_mut`]) and their outputs merged in
 //! shard order, so a sharded run's security trace is byte-identical to
 //! the same fleet stepped shard-by-shard sequentially — the property
-//! `trace_compare --fleet-scale` and the `exp12_fleet_scale` bench
-//! assert.
+//! `sharded_traces_match_sequential_reference_byte_for_byte`
+//! (`tests/fleet_scale.rs`) asserts.
 //!
 //! Bundle verification is amortized across a shard: the
 //! site-independent verdict ([`UpdateBundle::verify_shared`], which

@@ -5,11 +5,11 @@
 //! and remediation are expressed as [`OpsCommand`]s returned from
 //! [`OpsEngine::tick`] (and from [`OpsEngine::complete`], which may
 //! unblock the next step of a workflow). The host — the fleet layer,
-//! or a synthetic harness in `exp13_ops` — executes each command
-//! against real subsystems and reports the outcome via
-//! [`OpsEngine::complete`]. This keeps the dependency arrow pointing
-//! `fleet → ops` and makes the engine testable against a scripted
-//! executor.
+//! or a synthetic harness such as `experiments::run_ops_load` —
+//! executes each command against real subsystems and reports the
+//! outcome via [`OpsEngine::complete`]. This keeps the dependency
+//! arrow pointing `fleet → ops` and makes the engine testable against a
+//! scripted executor.
 //!
 //! # Pump loop
 //!

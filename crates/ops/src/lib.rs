@@ -35,8 +35,11 @@
 //! Given the same seed, configuration and incident arrivals, two runs
 //! produce byte-identical run stores ([`run_store::RunStore::digest`])
 //! and byte-identical `Ops*` telemetry JSONL; and a store replayed from
-//! that JSONL is digest-identical to the live one. `exp13_ops` and
-//! `trace_compare --ops` assert all three in CI.
+//! that JSONL is digest-identical to the live one. The tests
+//! `ops_load_settles_conserves_and_replays` (a 100-incident synthetic
+//! load) and `same_seed_history_is_byte_identical_and_replays` (ops
+//! proptests) assert all three, and the pathway benchmark re-checks the
+//! replay every round.
 
 pub mod engine;
 pub mod gate;

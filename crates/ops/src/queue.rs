@@ -24,9 +24,10 @@
 //! # Conservation invariant
 //!
 //! At every instant `enqueued == acked + dead_lettered + ready +
-//! in_flight` — no message is ever lost or duplicated. The proptests in
-//! this module drive random operation sequences against the invariant;
-//! `exp13_ops` proves it at the 10k-incident scale.
+//! in_flight` — no message is ever lost or duplicated. The ops
+//! proptests drive random operation sequences against the invariant;
+//! `ops_load_settles_conserves_and_replays` checks it at idle after a
+//! synthetic incident load, where nothing is ready or in flight.
 
 use silvasec_sim::rng::hash3;
 use std::collections::{BTreeMap, BTreeSet};

@@ -12,7 +12,8 @@
 //! Every mutation of the store is mirrored 1:1 by an `Ops*` telemetry
 //! event the engine records, and [`RunStore::replay_from_jsonl`]
 //! rebuilds a store from nothing but those events. The contract —
-//! asserted by `exp13_ops` and `trace_compare --ops` on every CI run —
+//! asserted by `ops_load_settles_conserves_and_replays`, the ops
+//! proptests and every round of the pathway benchmark —
 //! is `replay(trace(live)).digest() == live.digest()`: the digest
 //! covers every run's metadata and every step transition, so a live
 //! store and its replay cannot silently disagree about anything the
@@ -73,7 +74,8 @@ pub struct RunRecord {
 
 /// Monotonic run accounting. `opened == closed + escalated + rejected +
 /// dead_lettered` once every run has settled — the "no incident lost,
-/// none handled twice" ledger `exp13_ops` asserts at 10k incidents.
+/// none handled twice" ledger `ops_load_settles_conserves_and_replays`
+/// and `pathway_closes_every_incident_it_opens` assert.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreCounters {
     /// Runs opened.

@@ -36,12 +36,14 @@
 //! tuple, scoring is pure arithmetic, and the top-k order is total
 //! (risk descending, then the canonical tuple ascending). Duplicate
 //! cells — the same canonical scenario reached through different
-//! Table I rows — fold into one. `exp11_tara` asserts parallel ==
-//! sequential and same-seed byte-identity on every sweep point, and
-//! cross-checks grounded baseline cells against the hand-built
-//! `exp3_tara` scores. Hypothesis confirm/retire is idempotent under
-//! duplicate SIEM evidence; `trace_compare --tara` replays the
-//! transition trace and exits non-zero on the first divergence.
+//! Table I rows — fold into one. The engine's unit tests and the crate's
+//! proptests assert parallel == sequential, same-seed byte-identity and
+//! the dedup accounting, and cross-check grounded baseline cells against
+//! the hand-built assessment `exp3_tara` prints. Hypothesis
+//! confirm/retire is idempotent under duplicate SIEM evidence, and the
+//! hypothesis set replays from the transition trace alone
+//! (`tara_hypotheses_confirm_retire_and_replay_from_the_trace`, and
+//! every round of the pathway benchmark).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

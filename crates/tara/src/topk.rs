@@ -5,7 +5,9 @@
 //! final contents depend only on the set of scenarios pushed, never on
 //! the order they arrive in. That makes a sequential enumeration, a
 //! shuffled one and a merge of per-shard rankings all byte-identical,
-//! which is exactly what `exp11_tara` asserts.
+//! which is exactly what `topk_is_enumeration_order_independent` and
+//! `parallel_enumeration_matches_sequential` (the crate's proptests)
+//! assert.
 
 use crate::engine::CellScore;
 

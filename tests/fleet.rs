@@ -1,8 +1,8 @@
 //! Fleet OTA rollout and fleet security operations, end to end.
 //!
 //! Small fleets (2–4 sites) keep these affordable in debug mode; the
-//! 64-site scaling assertions live in the release-mode `exp10_fleet`
-//! bench binary.
+//! 64-site fleet is pinned by `fleet_64_rollout_trace_matches_its_pin`
+//! in `tests/golden.rs`.
 
 use serde::Serialize;
 use silvasec::experiments::{fleet_config, run_fleet_rollout, FleetScenario};

@@ -2,10 +2,10 @@
 //! tamper parity through the per-shard batched verify, and shard
 //! determinism.
 //!
-//! Small populations keep these affordable in debug mode; the
-//! million-site assertions (throughput, peak bytes/site ceiling, the
-//! pinned legacy trace hash) live in the release-mode
-//! `exp12_fleet_scale` bench binary.
+//! Small populations keep these affordable in debug mode. The 16k-site
+//! scenario and the 64-site shadowless trace are pinned in
+//! `tests/golden.rs`; throughput and peak memory at 524 288 sites are
+//! the pathway benchmark's `fleet_scale` workload.
 
 use proptest::prelude::*;
 use silvasec::experiments::{

@@ -83,7 +83,7 @@ const STANDARD_SITE_SEED7: [(&str, &str); 4] = [
 
 /// The E10 fleet at 64 sites and seed 11 with a clean version-2
 /// rollout (`run_fleet_rollout`): the plain sha256 of its trace JSONL,
-/// no length prefix, the same value `exp12_fleet_scale` checks.
+/// no length prefix.
 const FLEET_64_SEED11: &str = "44c52268bb2ce420363da9753b9d8c4c7514d2303770eaf19de7affc1557e450";
 
 /// sha256 over `parts`, each length-prefixed, as hex.

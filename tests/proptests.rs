@@ -69,8 +69,8 @@ proptest! {
                                       extra in 0usize..1600,
                                       flip_byte in any::<usize>(), flip_bit in 0u8..8) {
         // One-pass seal/open over a caller buffer must be byte-identical
-        // to (and interoperable with) the allocating two-pass API, and
-        // must reject exactly the same forgeries.
+        // to (and interoperable with) the allocating API and the frozen
+        // two-pass oracle, and must reject exactly the same forgeries.
         let aead = ChaCha20Poly1305::new(&key);
         for len in [KEYSTREAM_EDGE_LENS[len_i], extra] {
             let pt: Vec<u8> = (0..len).map(|i| (i % 249) as u8).collect();
@@ -78,6 +78,7 @@ proptest! {
             aead.seal_in_place(&nonce, &aad, &mut buf);
             let sealed = aead.seal(&nonce, &aad, &pt);
             prop_assert_eq!(&buf, &sealed, "seal len {}", len);
+            prop_assert_eq!(&aead.seal_naive(&nonce, &aad, &pt), &sealed, "seal_naive len {}", len);
 
             // Cross-open: in-place opens the two-pass record and
             // vice versa.
@@ -85,14 +86,16 @@ proptest! {
             aead.open_in_place(&nonce, &aad, &mut opened).unwrap();
             prop_assert_eq!(&opened, &pt, "open len {}", len);
             prop_assert_eq!(&aead.open(&nonce, &aad, &buf).unwrap(), &pt);
+            prop_assert_eq!(&aead.open_naive(&nonce, &aad, &buf).unwrap(), &pt);
 
-            // Tamper-rejection parity: both paths reject the same flip,
+            // Tamper-rejection parity: every path rejects the same flip,
             // and the in-place path clears the buffer.
             let mut forged = sealed.clone();
             let idx = flip_byte % forged.len();
             forged[idx] ^= 1 << flip_bit;
             let mut forged_in_place = forged.clone();
             prop_assert!(aead.open(&nonce, &aad, &forged).is_err());
+            prop_assert!(aead.open_naive(&nonce, &aad, &forged).is_err());
             prop_assert!(aead.open_in_place(&nonce, &aad, &mut forged_in_place).is_err());
             prop_assert!(forged_in_place.is_empty());
         }
