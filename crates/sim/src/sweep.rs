@@ -31,41 +31,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-use std::time::Instant;
-
-/// Timing and shape summary of one parallel sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepStats {
-    /// Number of worker threads used.
-    pub workers: usize,
-    /// Number of sweep points evaluated.
-    pub points: usize,
-    /// Wall-clock time for the whole sweep, in seconds.
-    pub wall_s: f64,
-    /// Per-point wall-clock times, in input order, in seconds.
-    pub point_wall_s: Vec<f64>,
-}
-
-impl SweepStats {
-    /// Aggregate throughput in points (episodes) per second of
-    /// wall-clock time. Zero-duration sweeps report zero rather than
-    /// infinity.
-    #[must_use]
-    pub fn points_per_s(&self) -> f64 {
-        if self.wall_s > 0.0 {
-            self.points as f64 / self.wall_s
-        } else {
-            0.0
-        }
-    }
-
-    /// Total CPU time spent inside point evaluations, in seconds. On a
-    /// multi-core host this exceeds `wall_s` when the sweep scales.
-    #[must_use]
-    pub fn busy_s(&self) -> f64 {
-        self.point_wall_s.iter().sum()
-    }
-}
 
 /// Number of workers a sweep will use: the available hardware
 /// parallelism, capped by the number of points (spawning more threads
@@ -102,84 +67,7 @@ where
     R: Send,
     F: Fn(&P) -> R + Sync,
 {
-    par_sweep_with_stats(points, f).0
-}
-
-/// [`par_sweep`] variant that also reports [`SweepStats`].
-///
-/// # Panics
-///
-/// Propagates panics from `f`.
-pub fn par_sweep_with_stats<P, R, F>(points: &[P], f: F) -> (Vec<R>, SweepStats)
-where
-    P: Sync,
-    R: Send,
-    F: Fn(&P) -> R + Sync,
-{
-    let started = Instant::now();
-    let workers = worker_count(points.len());
-
-    let mut slots: Vec<Option<(R, f64)>> = Vec::with_capacity(points.len());
-    slots.resize_with(points.len(), || None);
-
-    if workers <= 1 {
-        for (slot, point) in slots.iter_mut().zip(points) {
-            let t0 = Instant::now();
-            let r = f(point);
-            *slot = Some((r, t0.elapsed().as_secs_f64()));
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let f = &f;
-        let next = &next;
-        // Each worker claims indices off the shared counter and returns
-        // its locally collected (index, result, seconds) triples through
-        // its join handle; the scatter below restores input order.
-        let gathered: Vec<Vec<(usize, R, f64)>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(move |_| {
-                        let mut local = Vec::new();
-                        loop {
-                            let idx = next.fetch_add(1, Ordering::Relaxed);
-                            if idx >= points.len() {
-                                break;
-                            }
-                            let t0 = Instant::now();
-                            let r = f(&points[idx]);
-                            local.push((idx, r, t0.elapsed().as_secs_f64()));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sweep worker panicked"))
-                .collect()
-        })
-        .expect("sweep scope panicked");
-
-        for (idx, r, secs) in gathered.into_iter().flatten() {
-            slots[idx] = Some((r, secs));
-        }
-    }
-
-    let mut results = Vec::with_capacity(points.len());
-    let mut point_wall_s = Vec::with_capacity(points.len());
-    for slot in slots {
-        let (r, secs) = slot.expect("every sweep index is claimed exactly once");
-        results.push(r);
-        point_wall_s.push(secs);
-    }
-
-    let stats = SweepStats {
-        workers,
-        points: points.len(),
-        wall_s: started.elapsed().as_secs_f64(),
-        point_wall_s,
-    };
-    (results, stats)
+    par_sweep_scoped_workers(points, worker_count(points.len()), || (), |(), p, _| f(p))
 }
 
 /// Maps `f` over mutable `items` on a scoped worker pool, returning the
@@ -246,8 +134,11 @@ where
     out
 }
 
-/// Maps `f` over `points` with one lazily-created **per-worker scratch
-/// value**, returning results in input order.
+/// Maps `f` over `points` on `workers` workers (capped by the number of
+/// points), each with one lazily-created **per-worker scratch value**,
+/// returning results in input order. `workers <= 1` runs sequentially
+/// with a single scratch — the reference the property tests compare
+/// against.
 ///
 /// The scratch sibling of [`par_sweep`], built for *reusable episode
 /// state*: an episode sweep wants each worker to own one long-lived
@@ -263,23 +154,6 @@ where
 /// its output from the point (e.g. via `Worksite::reset_for_episode`),
 /// never from scratch state a previous point left behind. That
 /// point-independence is what the episode property tests enforce.
-///
-/// # Panics
-///
-/// Propagates panics from `init` and `f`.
-pub fn par_sweep_scoped<P, S, R, I, F>(points: &[P], init: I, f: F) -> Vec<R>
-where
-    P: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &P, usize) -> R + Sync,
-{
-    par_sweep_scoped_workers(points, worker_count(points.len()), init, f)
-}
-
-/// [`par_sweep_scoped`] with an explicit worker count (still capped by
-/// the number of points). `workers <= 1` runs sequentially with a
-/// single scratch — the reference the property tests compare against.
 ///
 /// # Panics
 ///
@@ -361,36 +235,12 @@ mod tests {
     #[test]
     fn empty_sweep() {
         let points: Vec<u64> = Vec::new();
-        let (out, stats) = par_sweep_with_stats(&points, |&p| p);
-        assert!(out.is_empty());
-        assert_eq!(stats.points, 0);
-        assert_eq!(stats.workers, 1);
-        assert!(stats.point_wall_s.is_empty());
+        assert!(par_sweep(&points, |&p| p).is_empty());
     }
 
     #[test]
     fn single_point_sweep() {
-        let (out, stats) = par_sweep_with_stats(&[41u32], |&p| p + 1);
-        assert_eq!(out, vec![42]);
-        assert_eq!(stats.workers, 1);
-        assert_eq!(stats.point_wall_s.len(), 1);
-    }
-
-    #[test]
-    fn stats_are_consistent() {
-        let points: Vec<u64> = (0..64).collect();
-        let (out, stats) = par_sweep_with_stats(&points, |&p| {
-            // A little real work so timings are non-trivial.
-            (0..1000).fold(p, |acc, i| acc.wrapping_mul(31).wrapping_add(i))
-        });
-        assert_eq!(out.len(), 64);
-        assert_eq!(stats.points, 64);
-        assert_eq!(stats.point_wall_s.len(), 64);
-        assert!(stats.workers >= 1);
-        assert!(stats.wall_s >= 0.0);
-        assert!(stats.point_wall_s.iter().all(|&s| s >= 0.0));
-        assert!(stats.points_per_s() > 0.0);
-        assert!(stats.busy_s() >= 0.0);
+        assert_eq!(par_sweep(&[41u32], |&p| p + 1), vec![42]);
     }
 
     #[test]
@@ -478,7 +328,6 @@ mod tests {
             let out = par_sweep_scoped_workers(&points, workers, Vec::new, eval);
             assert_eq!(out, reference, "diverged at {workers} workers");
         }
-        assert_eq!(par_sweep_scoped(&points, Vec::new, eval), reference);
     }
 
     #[test]
@@ -494,7 +343,7 @@ mod tests {
     #[test]
     fn scoped_sweep_empty_and_single() {
         let empty: Vec<u32> = Vec::new();
-        assert!(par_sweep_scoped(&empty, || 0u32, |_, &p, _| p).is_empty());
+        assert!(par_sweep_scoped_workers(&empty, 4, || 0u32, |_, &p, _| p).is_empty());
         let out = par_sweep_scoped_workers(&[9u32], 8, || 1u32, |s, &p, i| p + *s + i as u32);
         assert_eq!(out, vec![10]);
     }

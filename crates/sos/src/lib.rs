@@ -18,6 +18,8 @@
 //! * [`config`] — the worksite scenario configuration (security toggles
 //!   are the experiment knobs).
 //! * [`pki_setup`] — worksite PKI commissioning (CA, identities, boot).
+//! * [`pki_template`] — the seed-keyed commissioned PKI every secure
+//!   site keys its links from, built once per `(seed, drone profile)`.
 //! * [`metrics`] — mission, safety and security metrics.
 //! * [`site`] — the [`site::Worksite`] orchestrator.
 //!

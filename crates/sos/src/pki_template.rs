@@ -12,11 +12,14 @@
 //! [`Session::reinit`], telemetry via replay) in microseconds instead of
 //! re-running the asymmetric crypto.
 //!
-//! Determinism contract: [`SitePkiTemplate::build`] consumes the RNG
-//! stream `SimRng::from_seed(seed).fork("pki")` with *exactly* the draw
-//! sequence of the naive in-line commissioning path in
-//! [`crate::site::Worksite::new`], so every key, nonce and signature is
-//! byte-identical to what a fresh worksite would have produced.
+//! Determinism contract: [`SitePkiTemplate::build`] is the only
+//! commissioning path. [`crate::site::Worksite::new`] and
+//! [`crate::site::Worksite::reset_for_episode`] both key their secure
+//! links from it, and it consumes the RNG stream
+//! `SimRng::from_seed(seed).fork("pki")` in a fixed draw sequence, so
+//! every key, nonce and signature is a function of the seed alone. The
+//! tick pins in `crate::site` and the golden digests in
+//! `tests/golden.rs` hold its output.
 //!
 //! [`Session::reinit`]: silvasec_channel::Session::reinit
 
@@ -72,8 +75,8 @@ impl SitePkiTemplate {
         let root_rng = SimRng::from_seed(seed);
         let mut pki_rng = root_rng.fork("pki");
 
-        // Capture the handshake telemetry exactly as the in-line path
-        // records it, so replaying yields byte-identical traces.
+        // Capture the handshake telemetry once, so every replay into an
+        // episode's recorder yields byte-identical traces.
         let recorder = Recorder::new();
         let capture = recorder.subscribe("pki-capture", 64);
 

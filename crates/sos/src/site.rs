@@ -1,17 +1,15 @@
 //! The worksite orchestrator.
 
-use crate::config::WorksiteConfig;
+use crate::config::{TelemetryConfig, WorksiteConfig};
 use crate::metrics::{SafetyIncident, WorksiteMetrics};
-use crate::pki_setup::{MachineCredentials, WorksitePki};
-use crate::pki_template::SitePkiTemplate;
+use crate::pki_template::{LinkTemplate, SitePkiTemplate};
 use silvasec_attacks::{AttackEngine, SideEffect};
-use silvasec_channel::{HandshakePolicy, Initiator, Responder, Session};
+use silvasec_channel::Session;
 use silvasec_comms::{Frame, Medium, MediumConfig, NodeId, ReceivedFrame};
 use silvasec_ids::prelude::*;
 use silvasec_machines::harvester::Harvester;
 use silvasec_machines::prelude::*;
 use silvasec_machines::sensors::{detections_from_json, detections_to_json, Detection};
-use silvasec_pki::{ComponentRole, Validity};
 use silvasec_sim::geom::Vec2;
 use silvasec_sim::rng::SimRng;
 use silvasec_sim::time::{SimDuration, SimTime};
@@ -50,6 +48,47 @@ struct SecureLinks {
     fw_drone: Option<Session>,
 }
 
+impl SecureLinks {
+    /// Every secure link's sessions, keyed from `t` in fresh
+    /// allocations.
+    fn from_template(t: &SitePkiTemplate) -> Self {
+        let (fw, bs_fw) = link_sessions(&t.fw_bs);
+        let (drone, fw_drone) = t.drone_fw.as_ref().map(link_sessions).unzip();
+        SecureLinks {
+            fw,
+            bs_fw,
+            drone,
+            fw_drone,
+        }
+    }
+
+    fn set_recorder(&mut self, recorder: &Recorder) {
+        let drone_sessions = self.drone.iter_mut().chain(&mut self.fw_drone);
+        for session in [&mut self.fw, &mut self.bs_fw]
+            .into_iter()
+            .chain(drone_sessions)
+        {
+            session.set_recorder(recorder.clone());
+        }
+    }
+}
+
+/// The initiator- and responder-side sessions of one link, keyed from
+/// its template.
+fn link_sessions(l: &LinkTemplate) -> (Session, Session) {
+    (
+        Session::new(l.initiator_keys.clone(), l.initiator_peer.clone()),
+        Session::new(l.responder_keys.clone(), l.responder_peer.clone()),
+    )
+}
+
+/// Re-keys one link's sessions from its template inside their existing
+/// allocations.
+fn rekey_link(initiator: &mut Session, responder: &mut Session, l: &LinkTemplate) {
+    initiator.reinit(&l.initiator_keys, &l.initiator_peer);
+    responder.reinit(&l.responder_keys, &l.responder_peer);
+}
+
 /// The composed worksite simulation.
 pub struct Worksite {
     config: WorksiteConfig,
@@ -71,11 +110,9 @@ pub struct Worksite {
     node_drone: Option<NodeId>,
 
     links: Option<SecureLinks>,
-    #[allow(dead_code)]
-    credentials: Option<(MachineCredentials, MachineCredentials)>,
-    /// Cached amortized provisioning, reused by
-    /// [`Worksite::reset_for_episode`] while `(seed, drone profile)`
-    /// match; shareable across a worksite pool.
+    /// The amortized provisioning the secure links were keyed from,
+    /// kept for [`Worksite::reset_for_episode`] to reuse while
+    /// `(seed, drone profile)` match.
     pki_template: Option<Rc<SitePkiTemplate>>,
 
     ids: Option<WorksiteIds>,
@@ -136,6 +173,14 @@ pub struct Worksite {
 impl Worksite {
     /// Builds and commissions a worksite from configuration and seed.
     ///
+    /// A build generates the world, creates the long-lived containers
+    /// (radio medium, flight recorder, attack engine, scratch buffers)
+    /// and then runs the same assembly [`Worksite::reset_for_episode`]
+    /// runs after it regenerates its world in place, so a build and a
+    /// reset share one construction path. A secure site is commissioned
+    /// by [`SitePkiTemplate::build`] and keeps that template, so its
+    /// first reset at the same `(seed, drone profile)` reuses it.
+    ///
     /// # Panics
     ///
     /// Panics if secure commissioning fails (it cannot, for untampered
@@ -143,52 +188,153 @@ impl Worksite {
     /// bug, not a runtime condition.
     #[must_use]
     pub fn new(config: &WorksiteConfig, seed: u64) -> Self {
-        Self::build(config, seed, None)
-    }
-
-    /// Builds a worksite from a pre-commissioned [`SitePkiTemplate`],
-    /// skipping the per-episode CA, firmware-signing, verified-boot and
-    /// handshake work. Observable behaviour is identical to
-    /// [`Worksite::new`] for the same `(config, seed)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `template` was commissioned for a different
-    /// `(seed, drone profile)`.
-    #[must_use]
-    pub fn with_template(
-        config: &WorksiteConfig,
-        seed: u64,
-        template: Rc<SitePkiTemplate>,
-    ) -> Self {
-        assert!(
-            template.matches(seed, config.drone_enabled),
-            "PKI template was commissioned for a different (seed, drone profile)"
-        );
-        Self::build(config, seed, Some(template))
-    }
-
-    fn build(config: &WorksiteConfig, seed: u64, template: Option<Rc<SitePkiTemplate>>) -> Self {
         let root_rng = SimRng::from_seed(seed);
         let world = World::generate(&config.world, root_rng.fork("world"));
-        let rng = root_rng.fork("site");
+        let (recorder, flight_sub, security_sub, tick_counter) =
+            Self::telemetry_recorder(&config.telemetry);
+        // Pool buffers start at worst-case record size so a
+        // later-than-ever-seen largest drone feed never reallocs
+        // mid-window. The pool is sized here only: replayed frames hand
+        // their exact-size payloads to it, so re-reserving pooled
+        // buffers on a reset would allocate.
+        let pooled_bytes = Self::scratch_caps(&world).1 + 64;
+        // Every per-episode part below is a placeholder that `assemble`
+        // replaces; the reused containers start empty.
+        let mut site = Worksite {
+            config: config.clone(),
+            world,
+            medium: Medium::new(MediumConfig::default(), root_rng.clone()),
+            gnss_field: GnssField::new(),
+            attack_engine: AttackEngine::new(),
+            forwarder: Forwarder::new(config.world.landing_area, config.forwarder),
+            camera: PeopleSensor::new(SensorKind::Camera, 0.0),
+            lidar: PeopleSensor::new(SensorKind::Lidar, 0.0),
+            gnss_rx: GnssReceiver::default(),
+            supervisor: SafetySupervisor::new(config.safety),
+            drone: None,
+            harvester: Harvester::new(config.world.work_area, SimDuration::ZERO),
+            node_fw: NodeId(0),
+            node_bs: NodeId(0),
+            node_drone: None,
+            links: None,
+            pki_template: None,
+            ids: None,
+            correlator: AlertCorrelator::default(),
+            response: ResponsePolicy::default(),
+            security_stop_until: None,
+            degraded_until: None,
+            prev_deauth_rx: 0,
+            prev_bs_assoc_rx: 0,
+            prev_link_attempted: 0,
+            prev_link_delivered: 0,
+            auth_failures_tick: 0,
+            last_drone_feed: Vec::new(),
+            open_scratch: Vec::new(),
+            danger_in_progress: false,
+            seq: 0,
+            rng: root_rng,
+            metrics: WorksiteMetrics::default(),
+            recorder,
+            flight_sub,
+            security_sub,
+            tick_counter,
+            // Pre-sized so the plaintext-posture replay log never
+            // rehashes inside a measured steady-state window.
+            seen_at_fw: std::collections::HashSet::with_capacity(8192),
+            seen_at_bs: std::collections::HashSet::with_capacity(8192),
+            cam_scratch: Vec::new(),
+            lidar_scratch: Vec::new(),
+            drone_scratch: Vec::new(),
+            fused_scratch: Vec::new(),
+            feed_parse_scratch: Vec::new(),
+            candidates_scratch: Vec::new(),
+            rx_scratch: Vec::with_capacity(8),
+            payload_pool: (0..PAYLOAD_POOL_CAP)
+                .map(|_| Vec::with_capacity(pooled_bytes))
+                .collect(),
+            feed_buf: Vec::new(),
+            report_buf: String::with_capacity(64),
+        };
+        site.assemble(config, seed);
+        site
+    }
 
-        // The flight recorder is threaded through every instrumented
-        // component exactly like `SimRng`: cloned handles, one shared
-        // core, no globals. Recording never draws randomness or touches
-        // control flow, so traces ride along without perturbing the run.
-        let recorder = if config.telemetry.enabled {
+    /// A flight recorder shaped by `telemetry`, with the flight and
+    /// security subscribers and the tick counter every site exports.
+    ///
+    /// The recorder is threaded through every instrumented component
+    /// exactly like `SimRng`: cloned handles, one shared core, no
+    /// globals. Recording never draws randomness or touches control
+    /// flow, so traces ride along without perturbing the run.
+    fn telemetry_recorder(
+        telemetry: &TelemetryConfig,
+    ) -> (Recorder, SubscriberId, SubscriberId, CounterId) {
+        let recorder = if telemetry.enabled {
             Recorder::new()
         } else {
             Recorder::disabled()
         };
-        let flight_sub = recorder.subscribe("flight", config.telemetry.flight_capacity);
-        let security_sub = recorder.subscribe_filtered(
+        let flight = recorder.subscribe("flight", telemetry.flight_capacity);
+        let security = recorder.subscribe_filtered(
             "security",
-            config.telemetry.security_capacity,
+            telemetry.security_capacity,
             EventFilter::security(),
         );
-        let tick_counter = recorder.counter("worksite_ticks");
+        let ticks = recorder.counter("worksite_ticks");
+        (recorder, flight, security, ticks)
+    }
+
+    /// Worst-case scratch sizes for `world`'s roster, as `(detections,
+    /// feed bytes)`. Detections are people detections, so every
+    /// per-detection buffer is bounded by the roster; a serialized
+    /// detection is well under 192 JSON bytes even at full f64
+    /// round-trip precision.
+    fn scratch_caps(world: &World) -> (usize, usize) {
+        let humans = world.humans().len().max(1);
+        (humans, 16 + 192 * humans)
+    }
+
+    /// Resets this worksite in place to the state [`Worksite::new`]
+    /// would produce for `(config, seed)`: it regenerates the world in
+    /// place and then runs the assembly a build runs, reusing every
+    /// long-lived allocation: terrain grids, tree stands, telemetry
+    /// rings, radio inboxes, session key schedules and scratch buffers.
+    /// Secure provisioning comes from the site's [`SitePkiTemplate`],
+    /// rebuilt only when `(seed, drone profile)` changes.
+    ///
+    /// Observable behaviour — metrics, security/flight telemetry
+    /// exports — is byte-identical to a fresh build for the same
+    /// `(config, seed)` (property-tested). In steady state (unchanged
+    /// telemetry shape, warm template, a roster no larger than one the
+    /// site has held) the reset performs no heap allocation.
+    pub fn reset_for_episode(&mut self, config: &WorksiteConfig, seed: u64) {
+        self.world
+            .regenerate(&config.world, &SimRng::from_seed(seed).fork("world"));
+        self.assemble(config, seed);
+    }
+
+    /// Assembles everything but the world for `(config, seed)` into
+    /// this site's long-lived containers: telemetry, radio nodes, the
+    /// attacker, secure links, machines, IDS, per-episode state and
+    /// scratch. The one construction path behind [`Worksite::new`] and
+    /// [`Worksite::reset_for_episode`]; the world must already be
+    /// (re)generated from `seed`.
+    fn assemble(&mut self, config: &WorksiteConfig, seed: u64) {
+        let root_rng = SimRng::from_seed(seed);
+        self.rng = root_rng.fork("site");
+
+        // Telemetry: reuse the recorder core when the subscriber shape
+        // is unchanged, otherwise build one for the new shape.
+        if config.telemetry == self.config.telemetry {
+            self.recorder.reset();
+        } else {
+            (
+                self.recorder,
+                self.flight_sub,
+                self.security_sub,
+                self.tick_counter,
+            ) = Self::telemetry_recorder(&config.telemetry);
+        }
 
         // Worksite radios: elevated antennas and a modest power budget
         // sized so the clean network works across the stand — attacks are
@@ -204,412 +350,71 @@ impl Worksite {
             propagation,
             ..MediumConfig::default()
         };
-        let mut medium = Medium::new(medium_config, root_rng.fork("medium"));
-        medium.set_recorder(recorder.clone());
-
-        let landing = config.world.landing_area;
-        let work = config.world.work_area;
-
-        let bs_pos = landing.with_z(world.ground_at(landing) + 6.0);
-        let node_bs = medium.add_node(bs_pos);
-        let fw_start = landing;
-        let node_fw = medium.add_node(fw_start.with_z(world.ground_at(fw_start) + 3.0));
-        let node_drone = config
-            .drone_enabled
-            .then(|| medium.add_node(fw_start.with_z(world.ground_at(fw_start) + 50.0)));
-
-        medium.associate(node_bs);
-        medium.associate(node_fw);
-        if let Some(n) = node_drone {
-            medium.associate(n);
-        }
-        // The attacker's rogue radio sits at the stand edge.
-        let attacker_pos = Vec2::new(config.world.terrain.size_m * 0.5, 5.0);
-        let node_attacker =
-            medium.add_node(attacker_pos.with_z(world.ground_at(attacker_pos) + 2.0));
-        let mut attack_engine = AttackEngine::new();
-        attack_engine.set_attacker_node(node_attacker);
-        attack_engine.set_recorder(recorder.clone());
-
-        // Secure commissioning: either replayed from an amortized
-        // template, or run in-line — the frozen naive path that the
-        // template must reproduce byte-for-byte.
-        let (links, credentials) = if config.security.secure_channel {
-            if let Some(t) = template.as_deref() {
-                t.replay_commissioning_telemetry(&recorder);
-                let mut links = Self::links_from_template(t, config.drone_enabled);
-                Self::attach_link_recorders(&mut links, &recorder);
-                (Some(links), None)
-            } else {
-                let mut pki_rng = root_rng.fork("pki");
-                let mut pki = WorksitePki::commission(&mut pki_rng, u64::MAX / 2);
-                let horizon = Validity::new(0, u64::MAX / 2);
-                let fw_creds = pki.commission_machine(
-                    "forwarder-01",
-                    ComponentRole::Forwarder,
-                    1,
-                    &mut pki_rng,
-                    horizon,
-                );
-                let bs_creds = pki.commission_machine(
-                    "base-01",
-                    ComponentRole::BaseStation,
-                    1,
-                    &mut pki_rng,
-                    horizon,
-                );
-                assert!(fw_creds.boot_report.success && bs_creds.boot_report.success);
-                let policy =
-                    HandshakePolicy::new(pki.store.clone(), 0).with_recorder(recorder.clone());
-
-                let (init, hello) = Initiator::start(
-                    fw_creds.identity.clone(),
-                    pki_rng.next_seed(),
-                    pki_rng.next_seed(),
-                );
-                let (resp, reply) = Responder::respond(
-                    bs_creds.identity.clone(),
-                    &policy,
-                    &hello,
-                    pki_rng.next_seed(),
-                    pki_rng.next_seed(),
-                )
-                .expect("commissioning handshake");
-                let (mut fw_session, finished) =
-                    init.finish(&policy, &reply).expect("handshake finish");
-                let mut bs_session = resp.complete(&finished).expect("handshake complete");
-                fw_session.set_recorder(recorder.clone());
-                bs_session.set_recorder(recorder.clone());
-
-                let (drone_session, fw_drone_session) = if config.drone_enabled {
-                    let drone_creds = pki.commission_machine(
-                        "drone-01",
-                        ComponentRole::Drone,
-                        1,
-                        &mut pki_rng,
-                        horizon,
-                    );
-                    assert!(drone_creds.boot_report.success);
-                    let (init, hello) = Initiator::start(
-                        drone_creds.identity.clone(),
-                        pki_rng.next_seed(),
-                        pki_rng.next_seed(),
-                    );
-                    let (resp, reply) = Responder::respond(
-                        fw_creds.identity.clone(),
-                        &policy,
-                        &hello,
-                        pki_rng.next_seed(),
-                        pki_rng.next_seed(),
-                    )
-                    .expect("drone handshake");
-                    let (mut ds, finished) = init.finish(&policy, &reply).expect("drone finish");
-                    let mut fs = resp.complete(&finished).expect("drone complete");
-                    ds.set_recorder(recorder.clone());
-                    fs.set_recorder(recorder.clone());
-                    (Some(ds), Some(fs))
-                } else {
-                    (None, None)
-                };
-
-                (
-                    Some(SecureLinks {
-                        fw: fw_session,
-                        bs_fw: bs_session,
-                        drone: drone_session,
-                        fw_drone: fw_drone_session,
-                    }),
-                    Some((fw_creds, bs_creds)),
-                )
-            }
-        } else {
-            (None, None)
-        };
-
-        let drone = config
-            .drone_enabled
-            .then(|| Drone::new(fw_start, config.drone, &world));
-
-        // Scratch capacities sized to their worst case up front, so no
-        // "largest feed yet" high-water growth ever allocates inside a
-        // measured steady-state window. Detections are people
-        // detections, so every per-detection buffer is bounded by the
-        // worksite roster; a serialized detection is well under 192
-        // JSON bytes even at full f64 round-trip precision.
-        let human_cap = world.humans().len().max(1);
-        let feed_bytes_cap = 16 + 192 * human_cap;
-
-        Worksite {
-            forwarder: Forwarder::new(fw_start, config.forwarder),
-            camera: PeopleSensor::new(SensorKind::Camera, 2.8),
-            lidar: PeopleSensor::new(SensorKind::Lidar, 3.2),
-            gnss_rx: GnssReceiver::default(),
-            supervisor: SafetySupervisor::new(config.safety),
-            drone,
-            harvester: Harvester::new(work, SimDuration::from_secs(300)),
-            node_fw,
-            node_bs,
-            node_drone,
-            links,
-            credentials,
-            pki_template: template,
-            ids: config.security.ids.then(|| {
-                let mut ids = WorksiteIds::new(config.ids.clone());
-                ids.set_recorder(recorder.clone());
-                ids
-            }),
-            correlator: AlertCorrelator::new(SimDuration::from_secs(60)),
-            response: ResponsePolicy::default(),
-            security_stop_until: None,
-            degraded_until: None,
-            prev_deauth_rx: 0,
-            prev_bs_assoc_rx: 0,
-            prev_link_attempted: 0,
-            prev_link_delivered: 0,
-            auth_failures_tick: 0,
-            last_drone_feed: Vec::with_capacity(human_cap),
-            open_scratch: Vec::with_capacity(feed_bytes_cap + 64),
-            danger_in_progress: false,
-            seq: 0,
-            rng,
-            metrics: WorksiteMetrics::default(),
-            recorder,
-            flight_sub,
-            security_sub,
-            tick_counter,
-            // Pre-sized so the plaintext-posture replay log never
-            // rehashes inside a measured steady-state window.
-            seen_at_fw: std::collections::HashSet::with_capacity(8192),
-            seen_at_bs: std::collections::HashSet::with_capacity(8192),
-            cam_scratch: Vec::with_capacity(human_cap),
-            lidar_scratch: Vec::with_capacity(human_cap),
-            drone_scratch: Vec::with_capacity(human_cap),
-            fused_scratch: Vec::with_capacity(3 * human_cap),
-            feed_parse_scratch: Vec::with_capacity(human_cap),
-            candidates_scratch: Vec::with_capacity(human_cap),
-            rx_scratch: Vec::with_capacity(8),
-            // Pool buffers start at worst-case record size so a
-            // later-than-ever-seen largest drone feed never reallocs
-            // mid-window.
-            payload_pool: (0..PAYLOAD_POOL_CAP)
-                .map(|_| Vec::with_capacity(feed_bytes_cap + 64))
-                .collect(),
-            feed_buf: Vec::with_capacity(feed_bytes_cap),
-            report_buf: String::with_capacity(64),
-            world,
-            medium,
-            gnss_field: GnssField::new(),
-            attack_engine,
-            config: config.clone(),
-        }
-    }
-
-    /// Builds both sessions of every secure link from frozen template
-    /// keys, exactly as the in-line handshakes would have.
-    fn links_from_template(t: &SitePkiTemplate, drone_enabled: bool) -> SecureLinks {
-        let fw = Session::new(
-            t.fw_bs.initiator_keys.clone(),
-            t.fw_bs.initiator_peer.clone(),
-        );
-        let bs_fw = Session::new(
-            t.fw_bs.responder_keys.clone(),
-            t.fw_bs.responder_peer.clone(),
-        );
-        let (drone, fw_drone) = if drone_enabled {
-            let l = t.drone_fw.as_ref().expect("template has a drone link");
-            (
-                Some(Session::new(
-                    l.initiator_keys.clone(),
-                    l.initiator_peer.clone(),
-                )),
-                Some(Session::new(
-                    l.responder_keys.clone(),
-                    l.responder_peer.clone(),
-                )),
-            )
-        } else {
-            (None, None)
-        };
-        SecureLinks {
-            fw,
-            bs_fw,
-            drone,
-            fw_drone,
-        }
-    }
-
-    fn attach_link_recorders(links: &mut SecureLinks, recorder: &Recorder) {
-        links.fw.set_recorder(recorder.clone());
-        links.bs_fw.set_recorder(recorder.clone());
-        if let Some(s) = &mut links.drone {
-            s.set_recorder(recorder.clone());
-        }
-        if let Some(s) = &mut links.fw_drone {
-            s.set_recorder(recorder.clone());
-        }
-    }
-
-    /// The cached PKI template, for sharing across a worksite pool.
-    #[must_use]
-    pub fn pki_template(&self) -> Option<&Rc<SitePkiTemplate>> {
-        self.pki_template.as_ref()
-    }
-
-    /// Installs a shared PKI template; the next matching
-    /// [`Worksite::reset_for_episode`] provisions from it instead of
-    /// re-commissioning.
-    pub fn set_pki_template(&mut self, template: Rc<SitePkiTemplate>) {
-        self.pki_template = Some(template);
-    }
-
-    /// Resets this worksite in place to the state [`Worksite::new`]
-    /// would produce for `(config, seed)`, reusing every long-lived
-    /// allocation: terrain grids, tree stands, telemetry rings, radio
-    /// inboxes, session key schedules and scratch buffers. Secure
-    /// provisioning comes from the cached [`SitePkiTemplate`], rebuilt
-    /// only when `(seed, drone profile)` changes.
-    ///
-    /// Observable behaviour — metrics, security/flight telemetry
-    /// exports — is byte-identical to a fresh build for the same
-    /// `(config, seed)` (property-tested). In steady state (unchanged
-    /// telemetry shape, warm template) the reset performs no heap
-    /// allocation.
-    pub fn reset_for_episode(&mut self, config: &WorksiteConfig, seed: u64) {
-        let root_rng = SimRng::from_seed(seed);
-        self.world
-            .regenerate(&config.world, &root_rng.fork("world"));
-        self.rng = root_rng.fork("site");
-
-        // Telemetry: reuse the recorder core when the subscriber shape
-        // is unchanged, otherwise rebuild exactly as a fresh build would.
-        if config.telemetry == self.config.telemetry {
-            self.recorder.reset();
-        } else {
-            let recorder = if config.telemetry.enabled {
-                Recorder::new()
-            } else {
-                Recorder::disabled()
-            };
-            self.flight_sub = recorder.subscribe("flight", config.telemetry.flight_capacity);
-            self.security_sub = recorder.subscribe_filtered(
-                "security",
-                config.telemetry.security_capacity,
-                EventFilter::security(),
-            );
-            self.recorder = recorder;
-        }
-        self.tick_counter = self.recorder.counter("worksite_ticks");
-
-        let propagation = silvasec_comms::propagation::PropagationConfig {
-            exponent: 2.6,
-            per_tree_db: 0.3,
-            ..silvasec_comms::propagation::PropagationConfig::default()
-        };
-        let medium_config = MediumConfig {
-            mfp_enabled: config.security.mfp,
-            tx_power_dbm: 27.0,
-            propagation,
-            ..MediumConfig::default()
-        };
         self.medium.reset(medium_config, root_rng.fork("medium"));
         self.medium.set_recorder(self.recorder.clone());
 
         let landing = config.world.landing_area;
-        let work = config.world.work_area;
-        let bs_pos = landing.with_z(self.world.ground_at(landing) + 6.0);
-        self.node_bs = self.medium.add_node(bs_pos);
-        let fw_start = landing;
-        self.node_fw = self
-            .medium
-            .add_node(fw_start.with_z(self.world.ground_at(fw_start) + 3.0));
-        self.node_drone = if config.drone_enabled {
-            Some(
-                self.medium
-                    .add_node(fw_start.with_z(self.world.ground_at(fw_start) + 50.0)),
-            )
-        } else {
-            None
-        };
+        let above_ground = |p: Vec2, height_m: f64| p.with_z(self.world.ground_at(p) + height_m);
+        self.node_bs = self.medium.add_node(above_ground(landing, 6.0));
+        self.node_fw = self.medium.add_node(above_ground(landing, 3.0));
+        self.node_drone = config
+            .drone_enabled
+            .then(|| self.medium.add_node(above_ground(landing, 50.0)));
         self.medium.associate(self.node_bs);
         self.medium.associate(self.node_fw);
         if let Some(n) = self.node_drone {
             self.medium.associate(n);
         }
+        // The attacker's rogue radio sits at the stand edge.
         let attacker_pos = Vec2::new(config.world.terrain.size_m * 0.5, 5.0);
-        let node_attacker = self
-            .medium
-            .add_node(attacker_pos.with_z(self.world.ground_at(attacker_pos) + 2.0));
+        let node_attacker = self.medium.add_node(above_ground(attacker_pos, 2.0));
         self.attack_engine.reset();
         self.attack_engine.set_attacker_node(node_attacker);
         self.attack_engine.set_recorder(self.recorder.clone());
 
+        // Secure commissioning: the site's template, commissioned once
+        // per `(seed, drone profile)`, replays its handshake telemetry
+        // and keys every session.
         if config.security.secure_channel {
             let template = match self.pki_template.take() {
                 Some(t) if t.matches(seed, config.drone_enabled) => t,
                 _ => Rc::new(SitePkiTemplate::build(seed, config.drone_enabled)),
             };
             template.replay_commissioning_telemetry(&self.recorder);
-            let shape_matches = self
-                .links
-                .as_ref()
-                .is_some_and(|l| l.drone.is_some() == config.drone_enabled);
-            if shape_matches {
-                // Fast path: rebuild the sessions inside their existing
+            let links = match &mut self.links {
+                // Same shape: re-key the sessions inside their existing
                 // allocations.
-                let links = self.links.as_mut().expect("shape checked");
-                links.fw.reinit(
-                    &template.fw_bs.initiator_keys,
-                    &template.fw_bs.initiator_peer,
-                );
-                links.bs_fw.reinit(
-                    &template.fw_bs.responder_keys,
-                    &template.fw_bs.responder_peer,
-                );
-                if config.drone_enabled {
-                    let l = template
-                        .drone_fw
-                        .as_ref()
-                        .expect("template has a drone link");
+                Some(links) if links.drone.is_some() == config.drone_enabled => {
+                    rekey_link(&mut links.fw, &mut links.bs_fw, &template.fw_bs);
+                    if let (Some(drone), Some(fw), Some(l)) =
+                        (&mut links.drone, &mut links.fw_drone, &template.drone_fw)
+                    {
+                        rekey_link(drone, fw, l);
+                    }
                     links
-                        .drone
-                        .as_mut()
-                        .expect("shape checked")
-                        .reinit(&l.initiator_keys, &l.initiator_peer);
-                    links
-                        .fw_drone
-                        .as_mut()
-                        .expect("shape checked")
-                        .reinit(&l.responder_keys, &l.responder_peer);
                 }
-            } else {
-                self.links = Some(Self::links_from_template(&template, config.drone_enabled));
-            }
-            let links = self.links.as_mut().expect("secure links installed");
-            Self::attach_link_recorders(links, &self.recorder);
+                slot => slot.insert(SecureLinks::from_template(&template)),
+            };
+            links.set_recorder(&self.recorder);
             self.pki_template = Some(template);
         } else {
             self.links = None;
         }
-        self.credentials = None;
 
-        self.forwarder = Forwarder::new(fw_start, config.forwarder);
+        self.forwarder = Forwarder::new(landing, config.forwarder);
         self.camera = PeopleSensor::new(SensorKind::Camera, 2.8);
         self.lidar = PeopleSensor::new(SensorKind::Lidar, 3.2);
         self.gnss_rx = GnssReceiver::default();
         self.supervisor = SafetySupervisor::new(config.safety);
-        self.drone = if config.drone_enabled {
-            Some(Drone::new(fw_start, config.drone, &self.world))
-        } else {
-            None
-        };
-        self.harvester = Harvester::new(work, SimDuration::from_secs(300));
-        self.ids = if config.security.ids {
+        self.drone = config
+            .drone_enabled
+            .then(|| Drone::new(landing, config.drone, &self.world));
+        self.harvester = Harvester::new(config.world.work_area, SimDuration::from_secs(300));
+        self.ids = config.security.ids.then(|| {
             let mut ids = WorksiteIds::new(config.ids.clone());
             ids.set_recorder(self.recorder.clone());
-            Some(ids)
-        } else {
-            None
-        };
+            ids
+        });
         self.correlator = AlertCorrelator::new(SimDuration::from_secs(60));
         self.response = ResponsePolicy::default();
         self.security_stop_until = None;
@@ -619,26 +424,49 @@ impl Worksite {
         self.prev_link_attempted = 0;
         self.prev_link_delivered = 0;
         self.auth_failures_tick = 0;
-        self.last_drone_feed.clear();
-        self.open_scratch.clear();
         self.danger_in_progress = false;
         self.seq = 0;
         self.metrics = WorksiteMetrics::default();
         self.seen_at_fw.clear();
         self.seen_at_bs.clear();
-        self.cam_scratch.clear();
-        self.lidar_scratch.clear();
-        self.drone_scratch.clear();
-        self.fused_scratch.clear();
-        self.feed_parse_scratch.clear();
-        self.candidates_scratch.clear();
-        self.rx_scratch.clear();
-        self.feed_buf.clear();
-        self.report_buf.clear();
-        // `payload_pool` is deliberately retained: pooled buffers carry
-        // no episode state (always cleared before reuse).
         self.gnss_field = GnssField::new();
+
+        // Scratch capacities sized to the roster's worst case up front,
+        // so no "largest feed yet" high-water growth ever allocates
+        // inside a measured steady-state window. Reserving into a warm
+        // buffer allocates nothing. `rx_scratch` is only cleared: its
+        // capacity ping-pongs with the medium's inbox. `payload_pool` is
+        // retained: pooled buffers carry no episode state (always
+        // cleared before reuse).
+        let (humans, feed_bytes) = Self::scratch_caps(&self.world);
+        for buf in [
+            &mut self.last_drone_feed,
+            &mut self.cam_scratch,
+            &mut self.lidar_scratch,
+            &mut self.drone_scratch,
+            &mut self.feed_parse_scratch,
+        ] {
+            buf.clear();
+            buf.reserve(humans);
+        }
+        self.fused_scratch.clear();
+        self.fused_scratch.reserve(3 * humans);
+        self.candidates_scratch.clear();
+        self.candidates_scratch.reserve(humans);
+        self.open_scratch.clear();
+        self.open_scratch.reserve(feed_bytes + 64);
+        self.feed_buf.clear();
+        self.feed_buf.reserve(feed_bytes);
+        self.rx_scratch.clear();
+        self.report_buf.clear();
         self.config.clone_from(config);
+    }
+
+    /// The PKI template of the site's latest secure build or reset;
+    /// `None` until the site has been secure.
+    #[must_use]
+    pub fn pki_template(&self) -> Option<&Rc<SitePkiTemplate>> {
+        self.pki_template.as_ref()
     }
 
     /// The attack engine, for scheduling campaigns.
@@ -1682,16 +1510,22 @@ mod tests {
     }
 
     #[test]
-    fn template_build_matches_naive_build() {
-        let config = small_config(SecurityPosture::secure());
-        let template = Rc::new(SitePkiTemplate::build(11, config.drone_enabled));
-        let mut naive = Worksite::new(&config, 11);
-        let mut fast = Worksite::with_template(&config, 11, template);
-        naive.attack_engine_mut().add_campaign(jam_campaign());
-        fast.attack_engine_mut().add_campaign(jam_campaign());
-        naive.run(SimDuration::from_secs(120));
-        fast.run(SimDuration::from_secs(120));
-        assert_eq!(fingerprint(&naive), fingerprint(&fast));
+    fn a_built_secure_site_keeps_its_pki_template() {
+        let secure = small_config(SecurityPosture::secure());
+        let mut site = Worksite::new(&secure, 5);
+        let built = Rc::clone(
+            site.pki_template()
+                .expect("a secure build carries its template"),
+        );
+        site.run(SimDuration::from_secs(30));
+        site.reset_for_episode(&secure, 5);
+        let reset = site.pki_template().expect("a secure reset carries one");
+        assert!(
+            Rc::ptr_eq(&built, reset),
+            "the first same-seed reset re-commissioned"
+        );
+        let insecure = Worksite::new(&small_config(SecurityPosture::insecure()), 5);
+        assert!(insecure.pki_template().is_none());
     }
 
     #[test]
@@ -1722,10 +1556,28 @@ mod tests {
         let insecure = small_config(SecurityPosture::insecure());
         let mut quiet = small_config(SecurityPosture::secure());
         quiet.telemetry.enabled = false;
+        let mut droneless = small_config(SecurityPosture::secure());
+        droneless.drone_enabled = false;
+        let mut droneless_insecure = small_config(SecurityPosture::insecure());
+        droneless_insecure.drone_enabled = false;
+        let mut crowded = small_config(SecurityPosture::secure());
+        crowded.world.human_count = 6;
 
         let mut reused = Worksite::new(&secure, 6);
         reused.run(SimDuration::from_secs(60));
-        for (config, seed) in [(&insecure, 8u64), (&secure, 8), (&quiet, 6), (&secure, 6)] {
+        // The drone profile changes once at an unchanged seed (the
+        // template misses on the profile alone) and once back at a new
+        // seed; both times the secure links change shape.
+        for (config, seed) in [
+            (&insecure, 8u64),
+            (&secure, 8),
+            (&droneless, 8),
+            (&droneless_insecure, 8),
+            (&droneless, 3),
+            (&crowded, 5),
+            (&quiet, 6),
+            (&secure, 6),
+        ] {
             reused.reset_for_episode(config, seed);
             reused.run(SimDuration::from_secs(90));
             let mut fresh = Worksite::new(config, seed);

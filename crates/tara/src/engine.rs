@@ -21,7 +21,6 @@ use silvasec_risk::feasibility::{AttackFeasibility, AttackPotential};
 use silvasec_risk::impact::{ImpactLevel, ImpactRating};
 use silvasec_risk::tara::{RiskLevel, Tara, Treatment};
 use silvasec_sim::rng::hash3;
-use silvasec_sim::sweep::par_sweep;
 use std::collections::HashSet;
 
 /// Canonical SplitMix64 hash of one scenario's axis tuple. Two cells
@@ -410,18 +409,6 @@ impl<'a> ScenarioSpace<'a> {
         self.report_from(partials)
     }
 
-    /// Parallel enumeration over the variant axis via `par_sweep` —
-    /// bit-identical to [`ScenarioSpace::enumerate`]: variants never
-    /// share canonical scenarios (the variant index is part of the
-    /// identity), dedup is variant-local, and the per-variant rankings
-    /// merge through the order-independent [`TopK`].
-    #[must_use]
-    pub fn enumerate_parallel(&self) -> EnumerationReport {
-        let points: Vec<u32> = (0..self.variants).collect();
-        let partials = par_sweep(&points, |&v| self.enumerate_variant(v));
-        self.report_from(partials)
-    }
-
     /// The grounded baseline cells — native entry point, clear ODD,
     /// variant 0 — one per grounded class. These are the cells the
     /// hand-built `exp3_tara` assessment must agree with, paired with
@@ -465,16 +452,6 @@ mod tests {
             report.distinct + report.duplicates_folded
         );
         assert!(report.duplicates_folded > 0, "Table I rows must overlap");
-    }
-
-    #[test]
-    fn parallel_is_bit_identical_to_sequential() {
-        let catalog = TaraCatalog::from_model(&worksite_model());
-        let s = space(&catalog, 8);
-        let seq = s.enumerate();
-        let par = s.enumerate_parallel();
-        assert_eq!(seq, par);
-        assert_eq!(seq.digest(), par.digest());
     }
 
     #[test]

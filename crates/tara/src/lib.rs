@@ -18,10 +18,9 @@
 //! * [`engine`] — the enumerator/scorer: walks the cross product,
 //!   dedups by a canonical SplitMix64 scenario hash
 //!   ([`engine::scenario_hash`]), scores every distinct scenario and
-//!   keeps a deterministic top-k risk ranking. Sequential and
-//!   `par_sweep`-parallel enumeration are bit-identical.
-//! * [`topk`] — the order-independent bounded ranking the engine and
-//!   its parallel shards merge through.
+//!   keeps a deterministic top-k risk ranking.
+//! * [`topk`] — the order-independent bounded ranking the engine's
+//!   per-variant rankings merge through.
 //! * [`hypothesis`] — the live end: the top-k ranking becomes a set of
 //!   *hypotheses* that fleet SIEM evidence (correlated campaigns by
 //!   attack class) confirms, and completed mitigations retire. Every
@@ -31,15 +30,15 @@
 //! # Determinism contract
 //!
 //! Given the same model, seed and configuration, enumeration produces a
-//! byte-identical ranking regardless of worker count or enumeration
-//! order: scenario identity is a pure function of the canonical axis
-//! tuple, scoring is pure arithmetic, and the top-k order is total
-//! (risk descending, then the canonical tuple ascending). Duplicate
-//! cells — the same canonical scenario reached through different
-//! Table I rows — fold into one. The engine's unit tests and the crate's
-//! proptests assert parallel == sequential, same-seed byte-identity and
-//! the dedup accounting, and cross-check grounded baseline cells against
-//! the hand-built assessment `exp3_tara` prints. Hypothesis
+//! byte-identical ranking regardless of enumeration order: scenario
+//! identity is a pure function of the canonical axis tuple, scoring is
+//! pure arithmetic, and the top-k order is total (risk descending, then
+//! the canonical tuple ascending). Duplicate cells — the same canonical
+//! scenario reached through different Table I rows — fold into one. The
+//! engine's unit tests and the crate's proptests assert same-seed
+//! byte-identity, top-k order independence and the dedup accounting,
+//! and cross-check grounded baseline cells against the hand-built
+//! assessment `exp3_tara` prints. Hypothesis
 //! confirm/retire is idempotent under duplicate SIEM evidence, and the
 //! hypothesis set replays from the transition trace alone
 //! (`tara_hypotheses_confirm_retire_and_replay_from_the_trace`, and

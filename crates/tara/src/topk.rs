@@ -4,10 +4,9 @@
 //! risk descending, then the canonical axis tuple ascending — so the
 //! final contents depend only on the set of scenarios pushed, never on
 //! the order they arrive in. That makes a sequential enumeration, a
-//! shuffled one and a merge of per-shard rankings all byte-identical,
-//! which is exactly what `topk_is_enumeration_order_independent` and
-//! `parallel_enumeration_matches_sequential` (the crate's proptests)
-//! assert.
+//! shuffled one and a merge of per-variant rankings all byte-identical,
+//! which is exactly what the crate's
+//! `topk_is_enumeration_order_independent` proptest asserts.
 
 use crate::engine::CellScore;
 
@@ -74,7 +73,8 @@ impl TopK {
 
     /// Merges another ranking in (the union's best k survive). The
     /// result equals pushing every scenario of both rankings into a
-    /// fresh one, whatever the split was — the parallel-shard merge.
+    /// fresh one, whatever the split was — how the engine folds its
+    /// per-variant rankings together.
     pub fn merge(&mut self, other: &TopK) {
         for score in &other.entries {
             self.push(*score);

@@ -103,21 +103,6 @@ proptest! {
         }
     }
 
-    /// Parallel enumeration over the variant axis is bit-identical to
-    /// the sequential walk for arbitrary knobs.
-    #[test]
-    fn parallel_enumeration_matches_sequential(
-        seed in any::<u64>(),
-        variants in 1u32..5,
-    ) {
-        let catalog = TaraCatalog::from_model(&worksite_model());
-        let space = ScenarioSpace::new(&catalog, seed, variants, 64);
-        let seq = space.enumerate();
-        let par = space.enumerate_parallel();
-        prop_assert_eq!(&seq, &par);
-        prop_assert_eq!(seq.digest(), par.digest());
-    }
-
     // ---------------- hypothesis idempotence ----------------
 
     /// Replaying an evidence stream with every item duplicated (at a

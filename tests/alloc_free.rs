@@ -5,13 +5,16 @@
 //!   allocation;
 //! * once one episode per attack class has sized every buffer,
 //!   [`Worksite::reset_for_episode`] plus campaign arming makes none
-//!   either.
+//!   either;
+//! * a site reset into a world with a larger roster sizes its scratch
+//!   as a fresh build of that world does, so its ticks allocate no
+//!   more than the fresh build's.
 //!
 //! The allocator counts per thread, so the tests of this binary can run
 //! in parallel without disturbing each other's windows.
 
 use silvasec::attacks::AttackKind;
-use silvasec::experiments::{run_episode_pooled, standard_config, EpisodeSpec};
+use silvasec::experiments::{compact_config, run_episode_pooled, standard_config, EpisodeSpec};
 use silvasec::sim::time::SimDuration;
 use silvasec::sos::{SecurityPosture, Worksite};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -123,5 +126,35 @@ fn steady_episode_resets_do_not_allocate() {
     assert_eq!(
         made, 0,
         "{made} heap allocations across {RESETS} steady resets"
+    );
+}
+
+#[test]
+fn reset_into_a_larger_roster_allocates_no_more_than_a_fresh_build() {
+    // A site built for the two-person compact world is reset into the
+    // standard world with twelve people; a fresh build of that world
+    // runs the same ticks. Perception, fusion and the drone feed grow
+    // with the roster, so a reset that kept the small site's scratch
+    // capacities would grow them inside its ticks.
+    const TICKS: usize = 960;
+    let mut crowded = standard_config(SecurityPosture::secure());
+    crowded.world.human_count = 12;
+    let count_ticks = |site: &mut Worksite| {
+        let before = allocations();
+        for _ in 0..TICKS {
+            site.tick();
+        }
+        allocations() - before
+    };
+
+    let mut reset = Worksite::new(&compact_config(SecurityPosture::secure()), 7);
+    reset.run(SimDuration::from_secs(10));
+    reset.reset_for_episode(&crowded, 7);
+    let after_reset = count_ticks(&mut reset);
+    let after_build = count_ticks(&mut Worksite::new(&crowded, 7));
+    assert!(
+        after_reset <= after_build,
+        "{after_reset} heap allocations across {TICKS} ticks after the reset, \
+         {after_build} after a fresh build"
     );
 }
