@@ -415,8 +415,14 @@ mod tests {
         assert_eq!(run(), run());
     }
 
+    /// sha256 over [`into_variant_matches_oracle`]'s 36 plans, in case
+    /// order: per plan a found byte, the waypoint count as a
+    /// little-endian `u64`, then each waypoint's x and y `to_bits`.
+    const ORACLE_PLANS: &str = "1c97c34f6a06c2cf9a4bb596cb76e1b00ab0f4c7cc5c9b4059481c7f021629eb";
+
     #[test]
     fn into_variant_matches_oracle() {
+        let mut h = silvasec_crypto::sha256::Sha256::new();
         let terrain = Terrain::generate(
             &TerrainConfig {
                 relief_m: 25.0,
@@ -453,8 +459,16 @@ mod tests {
                         assert!(out.is_empty());
                     }
                 }
+                h.update(&[u8::from(found)]);
+                h.update(&(out.len() as u64).to_le_bytes());
+                for p in &out {
+                    h.update(&p.x.to_bits().to_le_bytes());
+                    h.update(&p.y.to_bits().to_le_bytes());
+                }
             }
         }
+        let got: String = h.finalize().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(got, ORACLE_PLANS, "planner outputs moved");
     }
 
     #[test]

@@ -17,14 +17,22 @@
 use silvasec::attacks::{AttackCampaign, AttackKind, AttackTarget};
 use silvasec::crypto::sha256::{self, Sha256};
 use silvasec::experiments::{
-    campaign_for, figure1_trace, fleet_scale_config, run_fleet_rollout, run_pathway_scenario,
-    standard_config, EpisodeRunner, EpisodeSpec, FleetScenario,
+    campaign_for, figure1_trace, fleet_scale_config, occlusion_sweep, run_fleet_rollout,
+    run_pathway_scenario, sotif_evidence, standard_config, EpisodeRunner, EpisodeSpec,
+    FleetScenario,
 };
 use silvasec::fleet::{Fleet, RolloutReport};
+use silvasec::machines::sensors::{PeopleSensor, SensorKind};
+use silvasec::machines::validation::measure_detection_curve;
 use silvasec::risk::catalog::worksite_model;
 use silvasec::sim::geom::Vec2;
-use silvasec::sim::rng::hash3;
+use silvasec::sim::humans::HumanConfig;
+use silvasec::sim::rng::{hash3, SimRng};
+use silvasec::sim::terrain::TerrainConfig;
 use silvasec::sim::time::{SimDuration, SimTime};
+use silvasec::sim::vegetation::StandConfig;
+use silvasec::sim::weather::Weather;
+use silvasec::sim::world::{World, WorldConfig};
 use silvasec::sos::{SecurityPosture, Worksite};
 use silvasec::tara::{ScenarioSpace, TaraCatalog};
 
@@ -85,6 +93,26 @@ const STANDARD_SITE_SEED7: [(&str, &str); 4] = [
 /// rollout (`run_fleet_rollout`): the plain sha256 of its trace JSONL,
 /// no length prefix.
 const FLEET_64_SEED11: &str = "44c52268bb2ce420363da9753b9d8c4c7514d2303770eaf19de7affc1557e450";
+
+/// The `figure2` bin's Figure 2b grid: `occlusion_sweep` over seven
+/// stand densities (0 to 1 500 trees/ha) at 15 m relief, seeds 5, 17
+/// and 29, 400 sim-s each. Every row's six `f64`s as little-endian
+/// `to_bits`, in row order.
+const FIGURE2_DENSITY_GRID: &str =
+    "4181147ee5b34590e376a87c295d1f1be464f57857c918dae47e73189c793148";
+
+/// E9's SOTIF evidence (`sotif_evidence`) at seed 7 for 2 400 sim-s in
+/// each of the six weathers: exposures and unsafe outcomes as
+/// little-endian `u64`s, in weather order.
+const SOTIF_EVIDENCE_SEED7: &str =
+    "b0e481048461485b39f3e5a3acf890ca59b87a540fd42aabaf06c53d6c4c3f84";
+
+/// E8's reference detection curve (`measure_detection_curve`): a LiDAR
+/// people sensor at seed 1 in clear weather, 150 trees/ha, 1 800 sim-s.
+/// The bin width's `to_bits`, then every bin's samples and detections,
+/// each a little-endian `u64`.
+const DETECTION_CURVE_SEED1: &str =
+    "853c60c9341a6ba7232dd4032129bfeb6b61b4699b329ba7c5125bb5b2758409";
 
 /// sha256 over `parts`, each length-prefixed, as hex.
 fn digest(parts: &[&[u8]]) -> String {
@@ -267,5 +295,97 @@ fn fleet_64_rollout_trace_matches_its_pin() {
         hex(&sha256::digest(trace.as_bytes())),
         FLEET_64_SEED11,
         "64-site seed-11 fleet trace moved (re-pin procedure: module doc)"
+    );
+}
+
+#[test]
+fn figure2_density_grid_matches_its_pin() {
+    let densities = [0.0, 100.0, 300.0, 600.0, 900.0, 1200.0, 1500.0];
+    let rows = occlusion_sweep(&densities, 15.0, &[5, 17, 29], SimDuration::from_secs(400));
+    let bytes: Vec<u8> = rows
+        .iter()
+        .flat_map(|r| {
+            [
+                r.density,
+                r.relief_m,
+                r.forwarder_coverage,
+                r.combined_coverage,
+                r.forwarder_ttd_s,
+                r.combined_ttd_s,
+            ]
+        })
+        .flat_map(|x| x.to_bits().to_le_bytes())
+        .collect();
+    assert_eq!(
+        digest(&[&bytes]),
+        FIGURE2_DENSITY_GRID,
+        "Figure 2b grid moved (re-pin procedure: module doc)"
+    );
+}
+
+#[test]
+fn sotif_evidence_matches_its_pin() {
+    let weathers = [
+        Weather::Clear,
+        Weather::Overcast,
+        Weather::Rain,
+        Weather::HeavyRain,
+        Weather::Fog,
+        Weather::Snow,
+    ];
+    let bytes: Vec<u8> = weathers
+        .iter()
+        .map(|&w| sotif_evidence(w, 7, SimDuration::from_secs(2400)))
+        .flat_map(|e| [e.exposures, e.unsafe_outcomes])
+        .flat_map(u64::to_le_bytes)
+        .collect();
+    assert_eq!(
+        digest(&[&bytes]),
+        SOTIF_EVIDENCE_SEED7,
+        "E9 seed-7 SOTIF evidence moved (re-pin procedure: module doc)"
+    );
+}
+
+#[test]
+fn detection_curve_matches_its_pin() {
+    // The `exp8_sim_validation` reference campaign.
+    let config = WorldConfig {
+        terrain: TerrainConfig {
+            size_m: 150.0,
+            relief_m: 2.0,
+            ..TerrainConfig::default()
+        },
+        stand: StandConfig {
+            trees_per_hectare: 150.0,
+            ..StandConfig::default()
+        },
+        human_count: 6,
+        human: HumanConfig {
+            work_area_bias: 0.8,
+            ..HumanConfig::default()
+        },
+        work_area: Vec2::new(75.0, 75.0),
+        landing_area: Vec2::new(20.0, 20.0),
+        initial_weather: Weather::Clear,
+        weather_change_prob: 0.0,
+    };
+    let mut world = World::generate(&config, SimRng::from_seed(1));
+    let sensor = PeopleSensor::new(SensorKind::Lidar, 3.0);
+    let mut rng = SimRng::from_seed(1 ^ 0xabc);
+    let curve = measure_detection_curve(
+        &mut world,
+        &sensor,
+        Vec2::new(75.0, 75.0),
+        SimDuration::from_secs(1800),
+        &mut rng,
+    );
+    let bytes: Vec<u8> = std::iter::once(curve.bin_width_m.to_bits())
+        .chain(curve.bins.iter().flat_map(|b| [b.samples, b.detections]))
+        .flat_map(u64::to_le_bytes)
+        .collect();
+    assert_eq!(
+        digest(&[&bytes]),
+        DETECTION_CURVE_SEED1,
+        "E8 seed-1 reference detection curve moved (re-pin procedure: module doc)"
     );
 }
