@@ -59,18 +59,15 @@ fn drone_altitude_ablation() {
         let (mut in_range, mut hits) = (0u64, 0u64);
         let mut waiting: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
         let mut ttds: Vec<f64> = Vec::new();
+        let (mut candidates, mut seen) = (Vec::new(), Vec::new());
         for _ in 0..800 {
             world.step(tick);
             drone.step(&world, machine_pos, tick);
-            let seen: Vec<u32> = drone
-                .detect(&world, &mut rng)
-                .into_iter()
-                .map(|d| d.human_id.0)
-                .collect();
+            drone.detect_into(&world, &mut rng, &mut candidates, &mut seen);
             for human in world.humans() {
                 if human.position.distance(machine_pos) <= 40.0 {
                     in_range += 1;
-                    if seen.contains(&human.id.0) {
+                    if seen.iter().any(|d| d.human_id == human.id) {
                         hits += 1;
                         if let Some(w) = waiting.remove(&human.id.0) {
                             ttds.push(w as f64 * 0.5);

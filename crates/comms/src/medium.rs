@@ -186,12 +186,6 @@ impl Medium {
         self.nodes[node.0 as usize].position
     }
 
-    /// Number of registered nodes.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Adds an interference source (jammer) and returns its handle.
     pub fn add_interferer(&mut self, position: Vec3, power_dbm: f64) -> InterfererId {
         let id = InterfererId(self.next_interferer);

@@ -111,29 +111,40 @@ pub fn occlusion_point(
 
     // The machine sweeps its heading like a working forwarder.
     let mut heading = 0.0f64;
+    let (mut candidates, mut cam, mut lid, mut air) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
 
-    for t in 0..ticks {
+    for _ in 0..ticks {
         world.step(tick);
         drone.step(&world, machine_pos, tick);
         heading = (heading + 0.2) % std::f64::consts::TAU;
 
-        let cam = camera.detect(&world, machine_pos, heading, &mut rng);
-        let lid = lidar.detect(&world, machine_pos, heading, &mut rng);
-        let air = drone.detect(&world, &mut rng);
-        let fw_set: Vec<u32> = cam.iter().chain(lid.iter()).map(|d| d.human_id.0).collect();
-        let comb_set: Vec<u32> = fw_set
-            .iter()
-            .copied()
-            .chain(air.iter().map(|d| d.human_id.0))
-            .collect();
+        camera.detect_into(
+            &world,
+            machine_pos,
+            heading,
+            &mut rng,
+            &mut candidates,
+            &mut cam,
+        );
+        lidar.detect_into(
+            &world,
+            machine_pos,
+            heading,
+            &mut rng,
+            &mut candidates,
+            &mut lid,
+        );
+        drone.detect_into(&world, &mut rng, &mut candidates, &mut air);
 
         for human in world.humans() {
             let dist = human.position.distance(machine_pos);
             let ep = episodes.entry(human.id.0).or_default();
             if dist <= eval_radius {
                 in_range_ticks += 1;
-                let fw_detected = fw_set.contains(&human.id.0);
-                let comb_detected = comb_set.contains(&human.id.0);
+                let seen = |feed: &[Detection]| feed.iter().any(|d| d.human_id == human.id);
+                let fw_detected = seen(&cam) || seen(&lid);
+                let comb_detected = fw_detected || seen(&air);
                 if fw_detected {
                     fw_hits += 1;
                 }
@@ -174,7 +185,6 @@ pub fn occlusion_point(
                 *ep = Episode::default();
             }
         }
-        let _ = t;
     }
 
     let mean = |v: &[f64]| {
@@ -680,24 +690,39 @@ pub fn sotif_evidence(
     let mut in_episode: HashMap<u32, bool> = HashMap::new();
     let mut evidence = silvasec_risk::sotif::Evidence::default();
     let mut episode_unsafe: HashMap<u32, bool> = HashMap::new();
+    let (mut candidates, mut cam, mut lid, mut air) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
 
     for _ in 0..ticks {
         world.step(tick);
         drone.step(&world, machine_pos, tick);
         heading = (heading + 0.2) % std::f64::consts::TAU;
-        let detected: Vec<u32> = camera
-            .detect(&world, machine_pos, heading, &mut rng)
-            .into_iter()
-            .chain(lidar.detect(&world, machine_pos, heading, &mut rng))
-            .chain(drone.detect(&world, &mut rng))
-            .map(|d| d.human_id.0)
-            .collect();
+        camera.detect_into(
+            &world,
+            machine_pos,
+            heading,
+            &mut rng,
+            &mut candidates,
+            &mut cam,
+        );
+        lidar.detect_into(
+            &world,
+            machine_pos,
+            heading,
+            &mut rng,
+            &mut candidates,
+            &mut lid,
+        );
+        drone.detect_into(&world, &mut rng, &mut candidates, &mut air);
 
         for human in world.humans() {
             let dist = human.position.distance(machine_pos);
             let id = human.id.0;
             if dist <= 40.0 {
-                let seen = detected.contains(&id);
+                let seen = [&cam, &lid, &air]
+                    .into_iter()
+                    .flatten()
+                    .any(|d| d.human_id == human.id);
                 let entry = in_episode.entry(id).or_insert(false);
                 *entry = *entry || seen;
                 if dist <= critical_distance && !*entry {

@@ -73,20 +73,9 @@ impl Drone {
     }
 
     /// Samples the drone's people detections (gimballed camera:
-    /// omnidirectional in azimuth).
-    ///
-    /// Allocating form; the hot path uses [`Drone::detect_into`], with
-    /// this as its parity oracle.
-    #[must_use]
-    pub fn detect(&self, world: &World, rng: &mut SimRng) -> Vec<Detection> {
-        self.sensor
-            .detect_from(world, self.body.position, None, rng)
-    }
-
-    /// Zero-alloc, grid-culled form of [`Drone::detect`]: writes
-    /// detections into caller-owned `out` (cleared first), using
-    /// `candidates` as index scratch. Bit-identical output and RNG
-    /// stream — see [`crate::sensors::PeopleSensor::detect_from_into`].
+    /// omnidirectional in azimuth) into caller-owned `out` (cleared
+    /// first), using `candidates` as index scratch — see
+    /// [`crate::sensors::PeopleSensor::detect_from_into`].
     pub fn detect_into(
         &self,
         world: &World,
@@ -163,12 +152,11 @@ mod tests {
         let mut rng = SimRng::from_seed(2);
         // Hover directly over the worker.
         d.step(&w, worker, SimDuration::from_millis(500));
+        let (mut candidates, mut out) = (Vec::new(), Vec::new());
         let mut hits = 0;
         for _ in 0..100 {
-            if d.detect(&w, &mut rng)
-                .iter()
-                .any(|det| det.human_id == w.humans()[0].id)
-            {
+            d.detect_into(&w, &mut rng, &mut candidates, &mut out);
+            if out.iter().any(|det| det.human_id == w.humans()[0].id) {
                 hits += 1;
             }
         }

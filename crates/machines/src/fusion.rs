@@ -6,42 +6,15 @@
 //! same ground truth, so the best view wins).
 
 use crate::sensors::Detection;
-use silvasec_sim::humans::HumanId;
-use std::collections::HashMap;
 
-/// Fuses detection lists from multiple sources.
+/// Fuses detection lists from multiple sources into caller-owned `out`
+/// (cleared first). With warm capacity no heap allocation occurs.
 ///
-/// Output is sorted by worker id for determinism. Allocating form; the
-/// hot path uses [`fuse_detections_into`], with this as its parity
-/// oracle.
-#[must_use]
-pub fn fuse_detections(sources: &[Vec<Detection>]) -> Vec<Detection> {
-    let mut best: HashMap<HumanId, Detection> = HashMap::new();
-    for source in sources {
-        for d in source {
-            best.entry(d.human_id)
-                .and_modify(|cur| {
-                    if d.confidence > cur.confidence {
-                        *cur = *d;
-                    }
-                })
-                .or_insert(*d);
-        }
-    }
-    let mut out: Vec<Detection> = best.into_values().collect();
-    out.sort_by_key(|d| d.human_id);
-    out
-}
-
-/// Zero-alloc form of [`fuse_detections`]: writes the fused list into
-/// caller-owned `out` (cleared first). With warm capacity no heap
-/// allocation occurs.
-///
-/// A handful of detections per tick makes a linear merge cheaper than
-/// hashing; it applies the identical rule (per worker, keep the first
-/// report and replace it only on strictly greater confidence), and with
-/// one entry per worker after the merge the unstable sort by id yields
-/// exactly the oracle's order.
+/// Per worker, the first report seen is kept and replaced only by one
+/// of strictly greater confidence, so a confidence tie goes to the
+/// earlier source. The output holds one entry per reporting worker,
+/// sorted by worker id for determinism. A handful of detections per
+/// tick makes a linear merge cheaper than hashing.
 pub fn fuse_detections_into(sources: &[&[Detection]], out: &mut Vec<Detection>) {
     out.clear();
     for source in sources {
@@ -63,6 +36,7 @@ pub fn fuse_detections_into(sources: &[&[Detection]], out: &mut Vec<Detection>) 
 mod tests {
     use super::*;
     use silvasec_sim::geom::Vec2;
+    use silvasec_sim::humans::HumanId;
 
     fn det(id: u32, confidence: f64) -> Detection {
         Detection {
@@ -73,15 +47,22 @@ mod tests {
         }
     }
 
+    fn fuse(sources: &[Vec<Detection>]) -> Vec<Detection> {
+        let slices: Vec<&[Detection]> = sources.iter().map(Vec::as_slice).collect();
+        let mut out = Vec::new();
+        fuse_detections_into(&slices, &mut out);
+        out
+    }
+
     #[test]
     fn empty_sources_fuse_to_empty() {
-        assert!(fuse_detections(&[]).is_empty());
-        assert!(fuse_detections(&[vec![], vec![]]).is_empty());
+        assert!(fuse(&[]).is_empty());
+        assert!(fuse(&[vec![], vec![]]).is_empty());
     }
 
     #[test]
     fn union_of_distinct_workers() {
-        let fused = fuse_detections(&[vec![det(1, 0.5)], vec![det(2, 0.6)]]);
+        let fused = fuse(&[vec![det(1, 0.5)], vec![det(2, 0.6)]]);
         assert_eq!(fused.len(), 2);
         assert_eq!(fused[0].human_id, HumanId(1));
         assert_eq!(fused[1].human_id, HumanId(2));
@@ -89,47 +70,51 @@ mod tests {
 
     #[test]
     fn highest_confidence_wins() {
-        let fused = fuse_detections(&[vec![det(1, 0.5)], vec![det(1, 0.9)], vec![det(1, 0.2)]]);
+        let fused = fuse(&[vec![det(1, 0.5)], vec![det(1, 0.9)], vec![det(1, 0.2)]]);
         assert_eq!(fused.len(), 1);
         assert!((fused[0].confidence - 0.9).abs() < 1e-12);
     }
 
     #[test]
     fn deterministic_order() {
-        let a = fuse_detections(&[vec![det(3, 0.1), det(1, 0.2)], vec![det(2, 0.3)]]);
+        let a = fuse(&[vec![det(3, 0.1), det(1, 0.2)], vec![det(2, 0.3)]]);
         let ids: Vec<u32> = a.iter().map(|d| d.human_id.0).collect();
         assert_eq!(ids, vec![1, 2, 3]);
     }
 
     #[test]
     fn into_variant_matches_oracle() {
-        let cases: Vec<Vec<Vec<Detection>>> = vec![
-            vec![],
-            vec![vec![], vec![]],
-            vec![vec![det(1, 0.5)], vec![det(2, 0.6)]],
-            vec![vec![det(1, 0.5)], vec![det(1, 0.9)], vec![det(1, 0.2)]],
-            // Tie on confidence: the first-seen report must win in both
-            // (the reports differ in distance, so a wrong winner shows).
-            vec![
-                vec![Detection {
-                    distance_m: 1.0,
-                    ..det(4, 0.5)
-                }],
-                vec![Detection {
-                    distance_m: 9.0,
-                    ..det(4, 0.5)
-                }],
-            ],
-            vec![
-                vec![det(3, 0.1), det(1, 0.2), det(3, 0.3)],
-                vec![det(2, 0.3), det(1, 0.1)],
-            ],
+        let at = |d: Detection, distance_m: f64| Detection { distance_m, ..d };
+        let cases: Vec<(Vec<Vec<Detection>>, Vec<Detection>)> = vec![
+            (vec![], vec![]),
+            (vec![vec![], vec![]], vec![]),
+            (
+                vec![vec![det(1, 0.5)], vec![det(2, 0.6)]],
+                vec![det(1, 0.5), det(2, 0.6)],
+            ),
+            (
+                vec![vec![det(1, 0.5)], vec![det(1, 0.9)], vec![det(1, 0.2)]],
+                vec![det(1, 0.9)],
+            ),
+            // Tie on confidence: the first-seen report wins (the reports
+            // differ in distance, so a wrong winner shows).
+            (
+                vec![vec![at(det(4, 0.5), 1.0)], vec![at(det(4, 0.5), 9.0)]],
+                vec![at(det(4, 0.5), 1.0)],
+            ),
+            (
+                vec![
+                    vec![det(3, 0.1), det(1, 0.2), det(3, 0.3)],
+                    vec![det(2, 0.3), det(1, 0.1)],
+                ],
+                vec![det(1, 0.2), det(2, 0.3), det(3, 0.3)],
+            ),
         ];
-        let mut out = Vec::new();
-        for sources in cases {
+        let mut out = vec![det(9, 1.0)];
+        for (sources, expected) in cases {
             let slices: Vec<&[Detection]> = sources.iter().map(Vec::as_slice).collect();
             fuse_detections_into(&slices, &mut out);
-            assert_eq!(out, fuse_detections(&sources));
+            assert_eq!(out, expected, "sources {sources:?}");
         }
     }
 }

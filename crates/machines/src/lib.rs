@@ -30,7 +30,9 @@
 //! let sensor = PeopleSensor::new(SensorKind::Lidar, 3.0);
 //! let mut rng = SimRng::from_seed(2);
 //! let pose = Vec2::new(250.0, 250.0);
-//! let detections = sensor.detect(&world, pose, 0.0, &mut rng);
+//! // Caller-owned buffers: reused across samples, they stop allocating.
+//! let (mut candidates, mut detections) = (Vec::new(), Vec::new());
+//! sensor.detect_into(&world, pose, 0.0, &mut rng, &mut candidates, &mut detections);
 //! // Detections depend on who is in range and line of sight.
 //! assert!(detections.len() <= world.humans().len());
 //! ```
@@ -70,11 +72,11 @@ impl std::fmt::Display for MachineId {
 pub mod prelude {
     pub use crate::drone::Drone;
     pub use crate::forwarder::{Forwarder, ForwarderPhase};
-    pub use crate::fusion::{fuse_detections, fuse_detections_into};
+    pub use crate::fusion::fuse_detections_into;
     pub use crate::gnss::{GnssField, GnssFix, GnssReceiver};
     pub use crate::harvester::Harvester;
     pub use crate::kinematics::{DroneBody, GroundVehicle};
-    pub use crate::planner::{plan_path, PlannerConfig};
+    pub use crate::planner::PlannerConfig;
     pub use crate::safety::{SafetySupervisor, SpeedLimit};
     pub use crate::sensors::{Detection, PeopleSensor, SensorKind};
     pub use crate::MachineId;

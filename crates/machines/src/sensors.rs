@@ -121,9 +121,7 @@ impl PeopleSensor {
 
     /// Samples one human: applies the range / field-of-view / occlusion
     /// filters (no RNG draws), then — only for a passing target — draws
-    /// the detection chance and position noise. Shared verbatim by the
-    /// allocating linear-scan oracles and the grid-culled `_into`
-    /// variants so their RNG streams and outputs are bit-identical.
+    /// the detection chance and position noise.
     #[allow(clippy::too_many_arguments)]
     fn sample_human(
         &self,
@@ -182,53 +180,9 @@ impl PeopleSensor {
         }
     }
 
-    /// Samples detections from a ground pose (`position`, `heading`).
-    ///
-    /// Allocating linear-scan form; the hot path uses
-    /// [`PeopleSensor::detect_into`], with this as its parity oracle.
-    #[must_use]
-    pub fn detect(
-        &self,
-        world: &World,
-        position: Vec2,
-        heading: f64,
-        rng: &mut SimRng,
-    ) -> Vec<Detection> {
-        let sensor_pos = position.with_z(world.ground_at(position) + self.mount_height_m);
-        self.detect_from(world, sensor_pos, Some(heading), rng)
-    }
-
-    /// Samples detections from an arbitrary 3-D pose (aerial use). A
-    /// `heading` of `None` means omnidirectional (gimballed camera).
-    ///
-    /// Allocating linear-scan form; the hot path uses
-    /// [`PeopleSensor::detect_from_into`], with this as its parity
-    /// oracle.
-    #[must_use]
-    pub fn detect_from(
-        &self,
-        world: &World,
-        sensor_pos: Vec3,
-        heading: Option<f64>,
-        rng: &mut SimRng,
-    ) -> Vec<Detection> {
-        let weather = world.weather();
-        let range = self.effective_range(weather);
-        let mut out = Vec::new();
-        for human in world.humans() {
-            self.sample_human(
-                world, sensor_pos, heading, weather, range, human, rng, &mut out,
-            );
-        }
-        out
-    }
-
-    /// Zero-alloc, grid-culled form of [`PeopleSensor::detect`]: writes
-    /// detections into caller-owned `out` (cleared first), using
-    /// `candidates` as index scratch. With warm capacities no heap
-    /// allocation occurs. Output and RNG stream are bit-identical to
-    /// `detect` — see [`silvasec_sim::grid::EntityGrid`] for the culling
-    /// equivalence argument.
+    /// Samples detections from a ground pose (`position`, `heading`)
+    /// into caller-owned `out` (cleared first), using `candidates` as
+    /// index scratch. With warm capacities no heap allocation occurs.
     pub fn detect_into(
         &self,
         world: &World,
@@ -242,14 +196,18 @@ impl PeopleSensor {
         self.detect_from_into(world, sensor_pos, Some(heading), rng, candidates, out);
     }
 
-    /// Zero-alloc, grid-culled form of [`PeopleSensor::detect_from`].
+    /// Samples detections from an arbitrary 3-D pose (aerial use) into
+    /// caller-owned `out` (cleared first), using `candidates` as index
+    /// scratch. A `heading` of `None` means omnidirectional (gimballed
+    /// camera).
     ///
     /// The grid query is 2-D with the full weather-adjusted range as
     /// radius; since planar distance never exceeds the 3-D sensor-target
     /// distance the candidate set is a superset of every human passing
     /// the range filter, and candidates arrive index-sorted, so
     /// re-applying the exact per-human filters visits the same accepted
-    /// humans in the same order as the linear scan.
+    /// humans in the same order as a scan of the whole roster — see
+    /// [`silvasec_sim::grid::EntityGrid`].
     pub fn detect_from_into(
         &self,
         world: &World,
@@ -481,6 +439,19 @@ mod tests {
         world
     }
 
+    /// One ground-pose sample on fresh buffers.
+    fn sample(
+        sensor: &PeopleSensor,
+        world: &World,
+        pose: Vec2,
+        heading: f64,
+        rng: &mut SimRng,
+    ) -> Vec<Detection> {
+        let (mut candidates, mut out) = (Vec::new(), Vec::new());
+        sensor.detect_into(world, pose, heading, rng, &mut candidates, &mut out);
+        out
+    }
+
     #[test]
     fn detects_close_unoccluded_worker() {
         let world = open_world(Vec2::new(100.0, 100.0));
@@ -490,7 +461,7 @@ mod tests {
         let mut hits = 0;
         let pose = worker + Vec2::new(10.0, 0.0);
         for _ in 0..100 {
-            if !sensor.detect(&world, pose, 0.0, &mut rng).is_empty() {
+            if !sample(&sensor, &world, pose, 0.0, &mut rng).is_empty() {
                 hits += 1;
             }
         }
@@ -506,7 +477,7 @@ mod tests {
         // 50 m away with an 8 m sensor.
         let pose = worker + Vec2::new(50.0, 0.0);
         for _ in 0..50 {
-            assert!(sensor.detect(&world, pose, 0.0, &mut rng).is_empty());
+            assert!(sample(&sensor, &world, pose, 0.0, &mut rng).is_empty());
         }
     }
 
@@ -519,15 +490,12 @@ mod tests {
         let pose = worker + Vec2::new(15.0, 0.0);
         // Worker is due west of the pose; looking east misses entirely.
         for _ in 0..50 {
-            assert!(sensor.detect(&world, pose, 0.0, &mut rng).is_empty());
+            assert!(sample(&sensor, &world, pose, 0.0, &mut rng).is_empty());
         }
         // Looking west hits.
         let mut hits = 0;
         for _ in 0..100 {
-            if !sensor
-                .detect(&world, pose, std::f64::consts::PI, &mut rng)
-                .is_empty()
-            {
+            if !sample(&sensor, &world, pose, std::f64::consts::PI, &mut rng).is_empty() {
                 hits += 1;
             }
         }
@@ -543,9 +511,7 @@ mod tests {
         let mut rng = SimRng::from_seed(6);
         let pose = worker + Vec2::new(10.0, 0.0);
         for _ in 0..100 {
-            assert!(sensor
-                .detect(&world, pose, std::f64::consts::PI, &mut rng)
-                .is_empty());
+            assert!(sample(&sensor, &world, pose, std::f64::consts::PI, &mut rng).is_empty());
         }
     }
 
@@ -559,7 +525,7 @@ mod tests {
             s.degrade(health);
             let mut rng = SimRng::from_seed(7);
             (0..300)
-                .filter(|_| !s.detect(&world, pose, 0.0, &mut rng).is_empty())
+                .filter(|_| !sample(&s, &world, pose, 0.0, &mut rng).is_empty())
                 .count()
         };
         let healthy = rate(1.0);
@@ -574,12 +540,11 @@ mod tests {
         let sensor = PeopleSensor::new(SensorKind::Camera, 0.0);
         let mut rng = SimRng::from_seed(8);
         let aerial = worker.with_z(world.ground_at(worker) + 40.0);
+        let (mut candidates, mut out) = (Vec::new(), Vec::new());
         let mut hits = 0;
         for _ in 0..100 {
-            if !sensor
-                .detect_from(&world, aerial, None, &mut rng)
-                .is_empty()
-            {
+            sensor.detect_from_into(&world, aerial, None, &mut rng, &mut candidates, &mut out);
+            if !out.is_empty() {
                 hits += 1;
             }
         }
@@ -596,7 +561,7 @@ mod tests {
             let pose = worker + Vec2::new(dist, 0.0);
             let mut errs = Vec::new();
             for _ in 0..2000 {
-                for d in sensor.detect(&world, pose, 0.0, &mut rng) {
+                for d in sample(&sensor, &world, pose, 0.0, &mut rng) {
                     errs.push(d.position.distance(worker));
                 }
             }
@@ -688,7 +653,7 @@ mod tests {
         let mut rng = SimRng::from_seed(10);
         let pose = worker.position + Vec2::new(10.0, 0.0);
         for _ in 0..100 {
-            for d in sensor.detect(&world, pose, 0.0, &mut rng) {
+            for d in sample(&sensor, &world, pose, 0.0, &mut rng) {
                 assert_eq!(d.human_id, worker.id);
                 assert!((d.distance_m - 10.0).abs() < 3.0);
                 assert!((0.0..=1.0).contains(&d.confidence));

@@ -152,10 +152,18 @@ pub fn measure_detection_curve(
     let mut curve = DetectionCurve::new(5.0, max_range);
     let ticks = duration.as_millis() / tick.as_millis();
     let mut heading = 0.0f64;
+    let (mut candidates, mut detections) = (Vec::new(), Vec::new());
     for _ in 0..ticks {
         world.step(tick);
         heading = (heading + 0.35) % std::f64::consts::TAU;
-        let detections = sensor.detect(world, machine_pos, heading, rng);
+        sensor.detect_into(
+            world,
+            machine_pos,
+            heading,
+            rng,
+            &mut candidates,
+            &mut detections,
+        );
         for human in world.humans() {
             let dist = human.position.distance(machine_pos);
             if dist <= max_range {

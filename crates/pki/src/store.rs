@@ -164,12 +164,6 @@ impl TrustStore {
         self.max_crl_age = Some(age);
     }
 
-    /// Whether an issuer id is a trusted root.
-    #[must_use]
-    pub fn is_trusted_root(&self, id: &str) -> bool {
-        self.roots.contains_key(id)
-    }
-
     /// Validates a chain `[end_entity, intermediate…]` at `time`.
     ///
     /// The chain is ordered from the end entity towards (but excluding)

@@ -154,11 +154,6 @@ impl World {
         &self.stand
     }
 
-    /// Mutable access to the stand (harvesting fells trees).
-    pub fn stand_mut(&mut self) -> &mut TreeStand {
-        &mut self.stand
-    }
-
     /// Current weather.
     #[must_use]
     pub fn weather(&self) -> Weather {

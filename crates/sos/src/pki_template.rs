@@ -6,8 +6,8 @@
 //! handshakes. None of that depends on anything but the scenario seed
 //! and whether the drone link exists, so a [`SitePkiTemplate`] performs
 //! the whole sequence **once** per `(seed, drone profile)` and freezes
-//! the results: the trust store, every established session's traffic
-//! keys and authenticated peer id, and the handshake telemetry records.
+//! the results: every established session's traffic keys and
+//! authenticated peer id, and the handshake telemetry records.
 //! Episode resets then fork per-episode state (sessions via
 //! [`Session::reinit`], telemetry via replay) in microseconds instead of
 //! re-running the asymmetric crypto.
@@ -23,10 +23,10 @@
 //!
 //! [`Session::reinit`]: silvasec_channel::Session::reinit
 
-use crate::pki_setup::{MachineCredentials, WorksitePki};
+use crate::pki_setup::WorksitePki;
 use silvasec_channel::session::SessionKeys;
 use silvasec_channel::{HandshakePolicy, Initiator, Responder};
-use silvasec_pki::{TrustStore, Validity};
+use silvasec_pki::Validity;
 use silvasec_sim::rng::SimRng;
 use silvasec_telemetry::{Record, Recorder};
 
@@ -51,17 +51,10 @@ pub struct LinkTemplate {
 pub struct SitePkiTemplate {
     seed: u64,
     drone_enabled: bool,
-    /// The trust store every machine carries (root certificate).
-    pub store: TrustStore,
     /// Forwarder (initiator) ↔ base station (responder) link.
     pub fw_bs: LinkTemplate,
     /// Drone (initiator) ↔ forwarder (responder) link, when commissioned.
     pub drone_fw: Option<LinkTemplate>,
-    /// Credentials of every commissioned machine, in commissioning order
-    /// (forwarder, base station, then drone when enabled). The signed
-    /// firmware chains inside are `Arc`-shared, so holding them here
-    /// keeps the 4 KiB + 64 KiB payloads alive without copies.
-    pub credentials: Vec<MachineCredentials>,
     /// Handshake telemetry captured during commissioning, replayed
     /// verbatim into each episode's recorder.
     records: Vec<Record>,
@@ -126,7 +119,6 @@ impl SitePkiTemplate {
             responder_peer: bs_session.peer_id().to_string(),
         };
 
-        let mut credentials = vec![fw_creds, bs_creds];
         let drone_fw = if drone_enabled {
             let drone_creds = pki.commission_machine(
                 "drone-01",
@@ -141,9 +133,8 @@ impl SitePkiTemplate {
                 pki_rng.next_seed(),
                 pki_rng.next_seed(),
             );
-            let fw_identity = credentials[0].identity.clone();
             let (resp, reply) = Responder::respond(
-                fw_identity,
+                fw_creds.identity.clone(),
                 &policy,
                 &hello,
                 pki_rng.next_seed(),
@@ -152,7 +143,6 @@ impl SitePkiTemplate {
             .expect("forwarder rejects drone hello");
             let (drone_session, finished) = init.finish(&policy, &reply).expect("drone finish");
             let fw_session = resp.complete(&finished).expect("drone complete");
-            credentials.push(drone_creds);
             Some(LinkTemplate {
                 initiator_keys: drone_session.keys().clone(),
                 initiator_peer: drone_session.peer_id().to_string(),
@@ -173,10 +163,8 @@ impl SitePkiTemplate {
         SitePkiTemplate {
             seed,
             drone_enabled,
-            store: pki.store,
             fw_bs,
             drone_fw,
-            credentials,
             records,
         }
     }
@@ -240,7 +228,6 @@ mod tests {
         let link = t.drone_fw.as_ref().expect("drone link commissioned");
         assert_eq!(link.initiator_peer, "forwarder-01");
         assert_eq!(link.responder_peer, "drone-01");
-        assert_eq!(t.credentials.len(), 3);
         // Sessions differ per link: key reuse across links would be a
         // cross-protocol confusion hazard.
         assert_ne!(t.fw_bs.initiator_keys, link.initiator_keys);

@@ -7,10 +7,12 @@ use silvasec::crypto::field::FieldElement;
 use silvasec::crypto::scalar::Scalar;
 use silvasec::crypto::schnorr::{self, BatchItem, SigningKey};
 use silvasec::crypto::{chacha20, hkdf, sha256};
+use silvasec::machines::planner::{plan_path_into, PlannerConfig, PlannerScratch};
 use silvasec::prelude::*;
 use silvasec::risk::feasibility::{AttackFeasibility, AttackPotential};
 use silvasec::risk::impact::ImpactLevel;
 use silvasec::risk::RiskLevel;
+use silvasec::sim::terrain::{Terrain, TerrainConfig};
 use silvasec::sim::vegetation::{StandConfig, Tree, TreeStand};
 use silvasec_channel::replay::ReplayWindow;
 
@@ -705,14 +707,17 @@ proptest! {
 // ---------------- tick hot path (zero-alloc perception + culling) ----------------
 
 /// A generated compact world for the perception/culling parity
-/// properties (forest stand + worker roster + entity grid).
-fn hotpath_world(seed: u64) -> World {
-    let config = silvasec::experiments::compact_config(SecurityPosture::secure());
-    World::generate(&config.world, SimRng::from_seed(seed))
+/// properties (forest stand + roster of `workers` + entity grid).
+fn hotpath_world(seed: u64, workers: u32) -> World {
+    let mut config = silvasec::experiments::compact_config(SecurityPosture::secure()).world;
+    config.human_count = workers;
+    World::generate(&config, SimRng::from_seed(seed))
 }
 
 /// Decodes one fuzzed detection from 64 raw bits (the vendored proptest
-/// has integer strategies only; floats are derived in-test).
+/// has integer strategies only; floats are derived in-test). Eight
+/// workers and five confidence levels make repeated and equal-confidence
+/// reports of one worker common, the cases the fusion rule orders.
 fn detection_from_bits(bits: u64) -> Detection {
     Detection {
         human_id: silvasec::sim::humans::HumanId((bits & 7) as u32),
@@ -720,7 +725,7 @@ fn detection_from_bits(bits: u64) -> Detection {
             ((bits >> 3) % 1000) as f64 / 10.0 - 50.0,
             ((bits >> 13) % 1000) as f64 / 10.0 - 50.0,
         ),
-        confidence: ((bits >> 23) % 1001) as f64 / 1000.0,
+        confidence: ((bits >> 23) % 5) as f64 / 4.0,
         distance_m: 0.5 + ((bits >> 33) % 400) as f64 / 10.0,
     }
 }
@@ -805,8 +810,9 @@ proptest! {
         yi in 0u32..1500,
         heading_i in 0u32..628,
         steps in 0u32..40,
+        workers in 2u32..13,
     ) {
-        let mut world = hotpath_world(seed);
+        let mut world = hotpath_world(seed, workers);
         for _ in 0..steps {
             world.step(SimDuration::from_millis(500));
         }
@@ -814,17 +820,33 @@ proptest! {
         let sensor = PeopleSensor::new(kind, 2.8);
         let pos = Vec2::new(f64::from(xi) / 10.0, f64::from(yi) / 10.0);
         let heading = f64::from(heading_i) / 100.0;
-        let mut oracle_rng = SimRng::from_seed(seed ^ 0x9e37_79b9);
-        let mut hot_rng = oracle_rng.clone();
-        let oracle = sensor.detect(&world, pos, heading, &mut oracle_rng);
+        let mut fresh_rng = SimRng::from_seed(seed ^ 0x9e37_79b9);
+        let mut reused_rng = fresh_rng.clone();
+        let (mut fresh_candidates, mut fresh) = (Vec::new(), Vec::new());
+        sensor.detect_into(&world, pos, heading, &mut fresh_rng, &mut fresh_candidates, &mut fresh);
+        // Buffers a tick leaves behind: the other sensor's sample from
+        // the opposite corner, plus stale entries (valid, unsorted,
+        // repeated indices), so leftovers would show as extra
+        // detections rather than a panic.
+        let other = PeopleSensor::new([SensorKind::Lidar, SensorKind::Camera][kind_i], 3.2);
         let (mut candidates, mut out) = (Vec::new(), Vec::new());
-        sensor.detect_into(&world, pos, heading, &mut hot_rng, &mut candidates, &mut out);
-        prop_assert_eq!(&out, &oracle);
-        // Both forms must consume the exact same RNG draws, or every
+        other.detect_into(
+            &world,
+            Vec2::new(150.0 - pos.x, 150.0 - pos.y),
+            -heading,
+            &mut SimRng::from_seed(seed),
+            &mut candidates,
+            &mut out,
+        );
+        candidates.extend([1, 0, 0]);
+        out.push(detection_from_bits(seed));
+        sensor.detect_into(&world, pos, heading, &mut reused_rng, &mut candidates, &mut out);
+        prop_assert_eq!(&out, &fresh);
+        // Both calls must consume the exact same RNG draws, or every
         // later draw in a tick would diverge.
         prop_assert_eq!(
-            oracle_rng.uniform_range(0.0, 1.0).to_bits(),
-            hot_rng.uniform_range(0.0, 1.0).to_bits()
+            fresh_rng.uniform_range(0.0, 1.0).to_bits(),
+            reused_rng.uniform_range(0.0, 1.0).to_bits()
         );
     }
 
@@ -839,11 +861,21 @@ proptest! {
             .iter()
             .map(|l| l.iter().copied().map(detection_from_bits).collect())
             .collect();
-        let oracle = fuse_detections(&sources);
         let views: Vec<&[Detection]> = sources.iter().map(Vec::as_slice).collect();
-        let mut out = Vec::new();
+        let mut out = vec![detection_from_bits(u64::MAX)];
         fuse_detections_into(&views, &mut out);
-        prop_assert_eq!(out, oracle);
+        // One entry per reporting worker, ids ascending...
+        let mut reporting: Vec<_> = sources.iter().flatten().map(|d| d.human_id).collect();
+        reporting.sort_unstable();
+        reporting.dedup();
+        prop_assert_eq!(out.iter().map(|d| d.human_id).collect::<Vec<_>>(), reporting);
+        // ...each the first of its worker's highest-confidence reports.
+        for fused in &out {
+            let reports = || sources.iter().flatten().filter(|d| d.human_id == fused.human_id);
+            let best = reports().map(|d| d.confidence).fold(f64::NEG_INFINITY, f64::max);
+            let first_best = reports().find(|d| d.confidence >= best);
+            prop_assert_eq!(Some(fused), first_best);
+        }
     }
 
     #[test]
@@ -853,8 +885,9 @@ proptest! {
         xi in 0u32..1500,
         yi in 0u32..1500,
         radius_i in 1u32..800,
+        workers in 1u32..13,
     ) {
-        let mut world = hotpath_world(seed);
+        let mut world = hotpath_world(seed, workers);
         for _ in 0..steps {
             world.step(SimDuration::from_millis(500));
         }
@@ -893,7 +926,7 @@ proptest! {
         byi in 0u32..1500,
         margin_i in 1u32..300,
     ) {
-        let world = hotpath_world(seed);
+        let world = hotpath_world(seed, 2);
         let stand = world.stand();
         let a = Vec2::new(f64::from(axi) / 10.0, f64::from(ayi) / 10.0);
         let b = Vec2::new(f64::from(bxi) / 10.0, f64::from(byi) / 10.0);
@@ -955,7 +988,7 @@ proptest! {
     ) {
         use silvasec::comms::propagation::{foliage_loss_db, PropagationConfig};
         use silvasec::sim::geom::Vec3;
-        let world = hotpath_world(seed);
+        let world = hotpath_world(seed, 2);
         let config = PropagationConfig::default();
         let from = Vec3::new(f64::from(axi) / 10.0, f64::from(ayi) / 10.0, f64::from(azi) / 10.0);
         let to = Vec3::new(f64::from(bxi) / 10.0, f64::from(byi) / 10.0, f64::from(bzi) / 10.0);
@@ -1054,6 +1087,93 @@ proptest! {
                 radius,
                 d
             );
+        }
+    }
+}
+
+// ---------------- path planner ----------------
+
+/// Checks one plan's contract: `found` iff waypoints were written, the
+/// last waypoint is the goal, and the machine can climb every waypoint
+/// before it.
+fn plan_is_admissible(
+    terrain: &Terrain,
+    config: &PlannerConfig,
+    goal: Vec2,
+    found: bool,
+    out: &[Vec2],
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(found, !out.is_empty());
+    if let Some((last, before)) = out.split_last() {
+        prop_assert_eq!(*last, goal);
+        for p in before {
+            prop_assert!(
+                terrain.slope_at(*p) <= config.max_slope,
+                "waypoint {:?} has slope {} over {}",
+                p,
+                terrain.slope_at(*p),
+                config.max_slope
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    // Each case generates two terrains and plans on a grid of up to
+    // 81 x 81 cells; keep the count debug-CI friendly.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn planner_paths_are_admissible(
+        seed in 0u64..1000,
+        relief_i in 0u32..400,
+        small_i in 0u32..150,
+        large_i in 0u32..160,
+        grid_i in 0usize..3,
+        max_slope_i in 0u32..80,
+        slope_cost_i in 0u32..300,
+    ) {
+        let terrain = |size_m: f64, seed: u64| {
+            Terrain::generate(
+                &TerrainConfig {
+                    size_m,
+                    relief_m: f64::from(relief_i) / 10.0,
+                    ..TerrainConfig::default()
+                },
+                &mut SimRng::from_seed(seed),
+            )
+        };
+        let small = terrain(60.0 + f64::from(small_i), seed);
+        let large = terrain(240.0 + f64::from(large_i), seed + 1);
+        let config = PlannerConfig {
+            grid_m: [5.0, 7.5, 10.0][grid_i],
+            max_slope: f64::from(max_slope_i) / 100.0,
+            slope_cost: f64::from(slope_cost_i) / 10.0,
+        };
+        let mut rng = SimRng::from_seed(seed ^ 0x91a2);
+        // One scratch and one output buffer carried across both sizes,
+        // growing and shrinking, against a fresh pair per plan.
+        let (mut scratch, mut out) = (PlannerScratch::default(), Vec::new());
+        for terrain in [&large, &small, &large, &small] {
+            let size = terrain.size_m();
+            for _ in 0..2 {
+                let start = Vec2::new(rng.uniform_range(0.0, size), rng.uniform_range(0.0, size));
+                let goal = Vec2::new(rng.uniform_range(0.0, size), rng.uniform_range(0.0, size));
+                let mut fresh = Vec::new();
+                let fresh_found = plan_path_into(
+                    terrain,
+                    &config,
+                    start,
+                    goal,
+                    &mut PlannerScratch::default(),
+                    &mut fresh,
+                );
+                plan_is_admissible(terrain, &config, goal, fresh_found, &fresh)?;
+                let found = plan_path_into(terrain, &config, start, goal, &mut scratch, &mut out);
+                prop_assert_eq!(found, fresh_found);
+                prop_assert_eq!(&out, &fresh);
+            }
         }
     }
 }
