@@ -1462,6 +1462,13 @@ pub fn run_episode_pooled(slot: &mut Option<Worksite>, spec: &EpisodeSpec) -> Ep
 /// property). This is the substrate for generative Ag-ODD scenario
 /// sweeps: enumerate specs, hand them here, get trajectory-grade
 /// outcomes back.
+///
+/// Workers take contiguous claims of the batch
+/// ([`crate::sweep::par_sweep_scoped_workers`]), so list the specs that
+/// share a scenario seed next to each other (world-major order): a run
+/// of them stays on one worker, whose worksite commissions that seed's
+/// PKI template once and replays it for the rest of the run. Any other
+/// order gives the same outcomes, only with more template builds.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EpisodeRunner {
     workers: Option<usize>,

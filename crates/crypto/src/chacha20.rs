@@ -19,6 +19,11 @@
 //!
 //! Both paths are bit-identical by contract; the fast path must never be
 //! "validated" against itself.
+//!
+//! The same wide core also refills [`crate::drbg::ChaChaDrbg`], which
+//! steps the 64-bit nonce rather than the block counter: the lane
+//! set-up is the only thing that differs, so the record layer and the
+//! DRBG share one round core.
 
 /// Key length in bytes.
 pub const KEY_LEN: usize = 32;
@@ -160,13 +165,45 @@ fn xor_lane_group(fin: &[Lanes; 16], init: &[Lanes; 16], chunk: &mut [u8; 4 * BL
     }
 }
 
-/// The fast-path core: generates [`WIDE_BLOCKS`] keystream blocks
-/// (counters `counter .. counter + WIDE_BLOCKS`) from a precomputed
-/// key/nonce state and XORs them into `chunk`. The counter never
-/// round-trips through memory — lane `l` of each chain seeds word 12
-/// with `counter + l` directly.
+/// What varies across the [`WIDE_BLOCKS`] blocks of one core call; every
+/// other state word comes from the key/nonce template.
+#[derive(Clone, Copy)]
+enum LaneStep {
+    /// RFC 7539 keystream: block `l` sets the 32-bit block counter
+    /// (word 12) to `counter + l`.
+    Counter(u32),
+    /// The DRBG's stream: block `l` sets the 64-bit nonce in words 13–14
+    /// (little-endian, low word first) to `nonce + l`, carry included.
+    Nonce(u64),
+}
+
+impl LaneStep {
+    /// State words 12, 13 and 14 of block `l`.
+    #[inline(always)]
+    fn words(self, template: &[u32; 16], l: usize) -> (u32, u32, u32) {
+        match self {
+            LaneStep::Counter(counter) => {
+                (counter.wrapping_add(l as u32), template[13], template[14])
+            }
+            LaneStep::Nonce(nonce) => {
+                let n = nonce.wrapping_add(l as u64);
+                (template[12], n as u32, (n >> 32) as u32)
+            }
+        }
+    }
+}
+
+/// The fast-path core: generates [`WIDE_BLOCKS`] keystream blocks from
+/// a precomputed key/nonce state and XORs them into `chunk`. `step`
+/// places each block: lane `l` of chain a is block `l` and lane `l` of
+/// chain b is block `4 + l`. The per-block words never round-trip
+/// through memory — they are seeded into the lanes directly.
 #[allow(clippy::too_many_lines)]
-fn xor_wide_blocks(template: &[u32; 16], counter: u32, chunk: &mut [u8; WIDE_BLOCKS * BLOCK_LEN]) {
+fn xor_wide_blocks(
+    template: &[u32; 16],
+    step: LaneStep,
+    chunk: &mut [u8; WIDE_BLOCKS * BLOCK_LEN],
+) {
     let splat = |w: u32| [w; 4];
     let (mut a0, mut a1, mut a2, mut a3) = (
         splat(template[0]),
@@ -186,23 +223,17 @@ fn xor_wide_blocks(template: &[u32; 16], counter: u32, chunk: &mut [u8; WIDE_BLO
         splat(template[10]),
         splat(template[11]),
     );
-    let mut a12 = [0u32; 4];
-    for (l, slot) in a12.iter_mut().enumerate() {
-        *slot = counter.wrapping_add(l as u32);
+    let (mut a12, mut a13, mut a14) = ([0u32; 4], [0u32; 4], [0u32; 4]);
+    let (mut b12, mut b13, mut b14) = ([0u32; 4], [0u32; 4], [0u32; 4]);
+    for l in 0..4 {
+        (a12[l], a13[l], a14[l]) = step.words(template, l);
+        (b12[l], b13[l], b14[l]) = step.words(template, 4 + l);
     }
-    let (mut a13, mut a14, mut a15) = (
-        splat(template[13]),
-        splat(template[14]),
-        splat(template[15]),
-    );
+    let mut a15 = splat(template[15]);
     let (mut b0, mut b1, mut b2, mut b3) = (a0, a1, a2, a3);
     let (mut b4, mut b5, mut b6, mut b7) = (a4, a5, a6, a7);
     let (mut b8, mut b9, mut b10, mut b11) = (a8, a9, a10, a11);
-    let mut b12 = [0u32; 4];
-    for (l, slot) in b12.iter_mut().enumerate() {
-        *slot = counter.wrapping_add(4 + l as u32);
-    }
-    let (mut b13, mut b14, mut b15) = (a13, a14, a15);
+    let mut b15 = a15;
     let init_a = [
         a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15,
     ];
@@ -284,6 +315,20 @@ impl ChaCha20 {
         out
     }
 
+    /// Writes the [`WIDE_BLOCKS`] blocks at block counter 0 under the
+    /// 64-bit nonces `nonce .. nonce + WIDE_BLOCKS` into `out`. Block `l`
+    /// equals [`ChaCha20::block`] for the 12-byte nonce whose first eight
+    /// bytes are `(nonce + l).to_le_bytes()` and whose last four are zero,
+    /// so a step from nonce word 13 into word 14 carries.
+    pub(crate) fn nonce_stepped_blocks(&self, nonce: u64, out: &mut [u8; WIDE_BLOCKS * BLOCK_LEN]) {
+        out.fill(0);
+        xor_wide_blocks(
+            &self.state_template(&[0; NONCE_LEN]),
+            LaneStep::Nonce(nonce),
+            out,
+        );
+    }
+
     /// XORs the keystream starting at block `initial_counter` into `data`.
     ///
     /// Delegates to the multi-block fast path
@@ -329,7 +374,7 @@ impl ChaCha20 {
         for chunk in &mut chunks {
             xor_wide_blocks(
                 &template,
-                counter,
+                LaneStep::Counter(counter),
                 chunk.try_into().expect("chunks_exact yields exact chunks"),
             );
             counter = counter.wrapping_add(WIDE_BLOCKS as u32);

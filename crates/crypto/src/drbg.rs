@@ -4,9 +4,21 @@
 //! the only source of "randomness" the security substrates use (key
 //! generation, nonces, attack schedules). It is *deterministic by design* —
 //! a production system would seed it from hardware entropy.
+//!
+//! The stream is ChaCha20 block 0 under the 64-bit nonces 0, 1, 2, …
+//! (little-endian in nonce bytes 0..8, bytes 8..12 zero). A refill
+//! generates [`WIDE_BLOCKS`] of those blocks (512 B) at once through the
+//! record layer's interleaved 4-lane core, stepping the nonce across the
+//! lanes, and draws copy whole slices out of the buffer. The bytes are
+//! the ones the one-block generator this replaced produced; the
+//! `drbg_matches_one_block_reference` proptest holds every operation,
+//! fork included, to that frozen generator.
 
-use crate::chacha20::{ChaCha20, BLOCK_LEN};
+use crate::chacha20::{ChaCha20, BLOCK_LEN, WIDE_BLOCKS};
 use crate::sha256;
+
+/// Bytes one refill produces.
+const REFILL_LEN: usize = WIDE_BLOCKS * BLOCK_LEN;
 
 /// A ChaCha20-based deterministic random bit generator.
 ///
@@ -23,8 +35,9 @@ use crate::sha256;
 #[derive(Debug, Clone)]
 pub struct ChaChaDrbg {
     cipher: ChaCha20,
-    counter: u64,
-    buf: [u8; BLOCK_LEN],
+    /// Nonce of the first block the next refill generates.
+    next_block: u64,
+    buf: [u8; REFILL_LEN],
     buf_pos: usize,
 }
 
@@ -35,9 +48,9 @@ impl ChaChaDrbg {
         let key = sha256::digest(seed);
         ChaChaDrbg {
             cipher: ChaCha20::new(&key),
-            counter: 0,
-            buf: [0; BLOCK_LEN],
-            buf_pos: BLOCK_LEN,
+            next_block: 0,
+            buf: [0; REFILL_LEN],
+            buf_pos: REFILL_LEN,
         }
     }
 
@@ -56,11 +69,13 @@ impl ChaChaDrbg {
         const PREFIX: usize = 8 + 6; // counter ‖ b"/fork/"
         const STACK_LABEL_MAX: usize = 42;
         // Mix in a block of our keystream so forks of forks differ.
-        let nonce = self.nonce_for(self.counter);
+        let counter = self.blocks_started();
+        let mut nonce = [0u8; 12];
+        nonce[..8].copy_from_slice(&counter.to_le_bytes());
         let block = self.cipher.block(&nonce, u32::MAX);
         if label.len() <= STACK_LABEL_MAX {
             let mut seed = [0u8; PREFIX + STACK_LABEL_MAX + BLOCK_LEN];
-            seed[..8].copy_from_slice(&self.counter.to_le_bytes());
+            seed[..8].copy_from_slice(&counter.to_le_bytes());
             seed[8..PREFIX].copy_from_slice(b"/fork/");
             seed[PREFIX..PREFIX + label.len()].copy_from_slice(label);
             let end = PREFIX + label.len() + BLOCK_LEN;
@@ -68,7 +83,7 @@ impl ChaChaDrbg {
             ChaChaDrbg::from_seed(&seed[..end])
         } else {
             let mut seed = Vec::with_capacity(PREFIX + label.len() + BLOCK_LEN);
-            seed.extend_from_slice(&self.counter.to_le_bytes());
+            seed.extend_from_slice(&counter.to_le_bytes());
             seed.extend_from_slice(b"/fork/");
             seed.extend_from_slice(label);
             seed.extend_from_slice(&block);
@@ -76,34 +91,53 @@ impl ChaChaDrbg {
         }
     }
 
-    fn nonce_for(&self, counter: u64) -> [u8; 12] {
-        let mut nonce = [0u8; 12];
-        nonce[..8].copy_from_slice(&counter.to_le_bytes());
-        nonce
+    /// Blocks whose first byte has been drawn: the blocks refilled so far
+    /// less the buffered ones not yet begun. It is the counter the
+    /// one-block generator held at the same point of the stream, and
+    /// [`ChaChaDrbg::fork`] mixes it in, so every fork stays unchanged.
+    fn blocks_started(&self) -> u64 {
+        let unstarted = (REFILL_LEN - self.buf_pos) / BLOCK_LEN;
+        self.next_block.wrapping_sub(unstarted as u64)
     }
 
     fn refill(&mut self) {
-        let nonce = self.nonce_for(self.counter);
-        self.counter = self.counter.wrapping_add(1);
-        self.buf = self.cipher.block(&nonce, 0);
+        self.cipher
+            .nonce_stepped_blocks(self.next_block, &mut self.buf);
+        self.next_block = self.next_block.wrapping_add(WIDE_BLOCKS as u64);
         self.buf_pos = 0;
     }
 
     /// Fills `out` with pseudorandom bytes.
     pub fn fill_bytes(&mut self, out: &mut [u8]) {
-        for byte in out.iter_mut() {
-            if self.buf_pos == BLOCK_LEN {
+        let mut filled = 0;
+        while filled < out.len() {
+            if self.buf_pos == REFILL_LEN {
                 self.refill();
             }
-            *byte = self.buf[self.buf_pos];
-            self.buf_pos += 1;
+            let n = (out.len() - filled).min(REFILL_LEN - self.buf_pos);
+            out[filled..filled + n].copy_from_slice(&self.buf[self.buf_pos..self.buf_pos + n]);
+            self.buf_pos += n;
+            filled += n;
         }
     }
 
     /// Returns the next pseudorandom `u64`.
+    ///
+    /// Inlinable across crates: it is the simulation's hottest draw, and
+    /// outside a refill it is a bounds check and an 8-byte copy.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
+        if self.buf_pos == REFILL_LEN {
+            self.refill();
+        }
         let mut b = [0u8; 8];
-        self.fill_bytes(&mut b);
+        match self.buf.get(self.buf_pos..self.buf_pos + 8) {
+            Some(bytes) => {
+                b.copy_from_slice(bytes);
+                self.buf_pos += 8;
+            }
+            None => self.fill_bytes(&mut b),
+        }
         u64::from_le_bytes(b)
     }
 
@@ -125,6 +159,7 @@ impl ChaChaDrbg {
     }
 
     /// Returns a pseudorandom `f64` in `[0, 1)`.
+    #[inline]
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
@@ -198,6 +233,24 @@ mod tests {
     #[should_panic(expected = "bound must be positive")]
     fn zero_bound_panics() {
         ChaChaDrbg::from_seed(b"x").next_bounded(0);
+    }
+
+    #[test]
+    fn refills_carry_the_nonce_into_word_14() {
+        // Start three blocks before nonce word 13 wraps: the first
+        // refill's lanes 3..8 and all of the second need the carry.
+        let start = (1u64 << 32) - 3;
+        let mut rng = ChaChaDrbg::from_seed(b"carry");
+        rng.next_block = start;
+        let cipher = rng.cipher.clone();
+        let mut drawn = [0u8; 2 * REFILL_LEN];
+        rng.fill_bytes(&mut drawn);
+        for (i, block) in drawn.chunks_exact(BLOCK_LEN).enumerate() {
+            let mut nonce = [0u8; 12];
+            nonce[..8].copy_from_slice(&(start + i as u64).to_le_bytes());
+            assert_eq!(block, cipher.block(&nonce, 0), "block {i}");
+        }
+        assert_eq!(rng.blocks_started(), start + 16);
     }
 
     #[test]

@@ -24,6 +24,22 @@
 //! assert_eq!(squares, points.iter().map(|&p| p * p).collect::<Vec<_>>());
 //! ```
 //!
+//! # Claims
+//!
+//! Workers take points in **contiguous claims** from one shared cursor,
+//! each claim a share `remaining / (2 × workers)` of what is left and
+//! never less than one point (guided self-scheduling). Contiguity is for
+//! sweeps whose consecutive points share expensive set-up: in an
+//! episode sweep in world-major order, consecutive specs share a world
+//! seed, and a claim keeps a run of them on the worker whose pooled
+//! worksite already holds that world's PKI template instead of having
+//! every worker commission every world. In the benchmark's
+//! `episode_sweep` every point has that property (runs of 16 specs per
+//! world); `site_soak`, `pathway` and `fleet_scale` run no claimed sweep
+//! (the fleet's shards go through [`par_sweep_mut`]). Claims shrink as
+//! the sweep drains and end in single points, so the workers still
+//! finish together when point costs are uneven.
+//!
 //! The module lives in the simulation kernel (rather than the `silvasec`
 //! umbrella crate, which re-exports it as `silvasec::sweep`) so that
 //! mid-stack crates — notably the fleet's sharded shadow-site population
@@ -54,9 +70,9 @@ pub fn worker_count(points: usize) -> usize {
 /// Determinism: `f` receives each point exactly once and results are
 /// scattered back by input index, so the output is the same `Vec` the
 /// sequential `points.iter().map(f).collect()` would produce — bit for
-/// bit, for any worker count and any scheduling. Work is distributed by
-/// atomic work-stealing (each worker grabs the next unclaimed index), so
-/// uneven point costs balance automatically.
+/// bit, for any worker count and any scheduling. Workers take contiguous
+/// claims that shrink to single points as the sweep drains (see the
+/// [module docs](self#claims)), so uneven point costs still balance.
 ///
 /// # Panics
 ///
@@ -77,10 +93,10 @@ where
 /// fleet-scale control plane splits its shadow-site population into
 /// independent shards and steps every shard once per tick. Each worker
 /// owns a contiguous `chunks_mut` slice (static assignment by position,
-/// not work-stealing — safe mutable access needs disjoint borrows, and
-/// the workspace forbids `unsafe`), applies `f` to its items in slice
-/// order, and the per-chunk result vectors are concatenated in chunk
-/// order. The output is therefore the same `Vec` the sequential
+/// not claims from a shared cursor — safe mutable access needs disjoint
+/// borrows, and the workspace forbids `unsafe`), applies `f` to its
+/// items in slice order, and the per-chunk result vectors are
+/// concatenated in chunk order. The output is therefore the same `Vec` the sequential
 /// `items.iter_mut().enumerate().map(..)` loop would produce — bit for
 /// bit, for any worker count — which is what lets a sharded fleet trace
 /// stay byte-identical to its sequential reference.
@@ -148,6 +164,15 @@ where
 /// bound — `Rc`-backed recorders are fine. `f` receives
 /// `(&mut scratch, point, input_index)`.
 ///
+/// Scheduling: a worker claims `max(1, remaining / (2 × workers))`
+/// contiguous points with one compare-and-swap on a shared cursor and
+/// runs them in order on its scratch. Contiguous claims keep runs of
+/// consecutive points that share set-up (an episode sweep's same-world
+/// specs) on one scratch; the claims shrink towards the end so the last
+/// points spread over every worker. The cursor uses `Relaxed` ordering:
+/// it publishes no data, only which indices a worker owns, and the
+/// results come back through the scope join, which synchronizes.
+///
 /// Determinism contract: results are scattered back by input index, so
 /// the output order matches the sequential map for any worker count and
 /// scheduling — but the *values* only match when `f` fully re-derives
@@ -180,20 +205,24 @@ where
             .collect();
     }
 
-    let next = AtomicUsize::new(0);
-    let (next, init, f) = (&next, &init, &f);
+    let n = points.len();
+    let cursor = AtomicUsize::new(0);
+    let (cursor, init, f) = (&cursor, &init, &f);
     let gathered: Vec<Vec<(usize, R)>> = crossbeam::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(move |_| {
                     let mut scratch = init();
                     let mut local = Vec::new();
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= points.len() {
-                            break;
+                    while let Ok(start) =
+                        cursor.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |at| {
+                            (at < n).then(|| at + claim_len(n - at, workers))
+                        })
+                    {
+                        let claim = start..start + claim_len(n - start, workers);
+                        for (idx, p) in claim.clone().zip(&points[claim]) {
+                            local.push((idx, f(&mut scratch, p, idx)));
                         }
-                        local.push((idx, f(&mut scratch, &points[idx], idx)));
                     }
                     local
                 })
@@ -217,9 +246,90 @@ where
         .collect()
 }
 
+/// Size of the claim a worker takes when `remaining` points are left:
+/// an even split of half the remaining work over `workers`, never less
+/// than one point.
+fn claim_len(remaining: usize, workers: usize) -> usize {
+    (remaining / (2 * workers)).max(1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The claim sizes of an `n`-point sweep on `workers` workers, in
+    /// cursor order. The cursor alone fixes the size of each claim, so
+    /// the sequence is the same whichever worker takes which claim.
+    fn claim_sizes(n: usize, workers: usize) -> Vec<usize> {
+        let mut sizes = Vec::new();
+        let mut at = 0;
+        while at < n {
+            sizes.push(claim_len(n - at, workers));
+            at += sizes[sizes.len() - 1];
+        }
+        sizes
+    }
+
+    #[test]
+    fn claims_cover_the_sweep_and_end_in_single_points() {
+        for (n, workers) in [
+            (1, 2),
+            (5, 2),
+            (64, 3),
+            (1024, 2),
+            (1024, 3),
+            (2048, 2),
+            (999, 8),
+        ] {
+            let sizes = claim_sizes(n, workers);
+            assert!(sizes.iter().all(|&s| s >= 1), "{n}/{workers}: {sizes:?}");
+            assert_eq!(sizes.iter().sum::<usize>(), n, "{n}/{workers}");
+            assert!(
+                sizes.windows(2).all(|w| w[0] >= w[1]),
+                "{n}/{workers}: claims grow: {sizes:?}"
+            );
+            let tail = n.min(2 * workers);
+            assert!(
+                sizes[sizes.len() - tail..].iter().all(|&s| s == 1),
+                "{n}/{workers}: tail {sizes:?}"
+            );
+        }
+        // 2048 points on 2 workers take 27 claims rather than 2048.
+        assert_eq!(claim_sizes(2048, 2)[..3], [512, 384, 288]);
+        assert_eq!(claim_sizes(2048, 2).len(), 27);
+    }
+
+    #[test]
+    fn scoped_sweep_keeps_runs_of_a_group_on_one_scratch() {
+        // Consecutive points share a group, as an episode sweep's specs
+        // share a world. The scratch remembers the last group it saw, so
+        // each point reports whether its worker had to change group: at
+        // most once per group, plus once per claim that starts inside a
+        // group or on a worker that last held another one.
+        const GROUPS: usize = 64;
+        const RUN: usize = 16;
+        let points: Vec<usize> = (0..GROUPS * RUN).map(|i| i / RUN).collect();
+        let eval = |last: &mut Option<usize>, &group: &usize, i: usize| {
+            let changed = *last != Some(group);
+            *last = Some(group);
+            ((group as u64).wrapping_mul(0x9e37_79b9) ^ i as u64, changed)
+        };
+        let reference = par_sweep_scoped_workers(&points, 1, || None, eval);
+        assert_eq!(reference.iter().filter(|r| r.1).count(), GROUPS);
+        for workers in [2usize, 3] {
+            let out = par_sweep_scoped_workers(&points, workers, || None, eval);
+            assert!(
+                out.iter().map(|r| r.0).eq(reference.iter().map(|r| r.0)),
+                "diverged at {workers} workers"
+            );
+            let changes = out.iter().filter(|r| r.1).count();
+            let claims = claim_sizes(points.len(), workers).len();
+            assert!(
+                changes <= GROUPS + claims,
+                "{workers} workers: {changes} group changes > {GROUPS} groups + {claims} claims"
+            );
+        }
+    }
 
     #[test]
     fn preserves_input_order() {

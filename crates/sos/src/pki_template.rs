@@ -44,9 +44,16 @@ pub struct LinkTemplate {
 }
 
 /// A seed-keyed, immutable snapshot of the commissioned worksite PKI,
-/// shareable (e.g. behind an `Rc` — worksites are thread-local, each
-/// sweep worker commissions its own) across every episode that replays
-/// the same scenario seed.
+/// shareable behind an `Rc` across every episode that replays the same
+/// scenario seed.
+///
+/// Worksites are thread-local, so a template is never shared between
+/// sweep workers. The sweep keeps each run of same-seed episodes on one
+/// worker instead (contiguous claims): in a world-major episode sweep a
+/// world is commissioned once, plus once more only where a claim
+/// boundary hands part of its secure run to another worker. A
+/// cross-thread cache would need a lock-and-wait protocol: two workers
+/// that reach the same world at once would otherwise both build it.
 #[derive(Debug)]
 pub struct SitePkiTemplate {
     seed: u64,

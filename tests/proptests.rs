@@ -323,6 +323,136 @@ proptest! {
     }
 }
 
+// ---------------- DRBG ----------------
+
+/// The one-block `ChaChaDrbg`, kept as the oracle of
+/// `crypto::drbg::ChaChaDrbg`: it refills one scalar ChaCha20 block at a
+/// time and copies byte by byte, and a fork mixes in its block counter.
+#[derive(Clone)]
+struct DrbgReference {
+    cipher: chacha20::ChaCha20,
+    counter: u64,
+    buf: [u8; 64],
+    buf_pos: usize,
+}
+
+impl DrbgReference {
+    fn from_seed(seed: &[u8]) -> Self {
+        DrbgReference {
+            cipher: chacha20::ChaCha20::new(&sha256::digest(seed)),
+            counter: 0,
+            buf: [0; 64],
+            buf_pos: 64,
+        }
+    }
+
+    fn nonce_for(counter: u64) -> [u8; 12] {
+        let mut nonce = [0u8; 12];
+        nonce[..8].copy_from_slice(&counter.to_le_bytes());
+        nonce
+    }
+
+    fn fork(&self, label: &[u8]) -> Self {
+        let block = self.cipher.block(&Self::nonce_for(self.counter), u32::MAX);
+        let mut seed = Vec::new();
+        seed.extend_from_slice(&self.counter.to_le_bytes());
+        seed.extend_from_slice(b"/fork/");
+        seed.extend_from_slice(label);
+        seed.extend_from_slice(&block);
+        DrbgReference::from_seed(&seed)
+    }
+
+    fn fill_bytes(&mut self, out: &mut [u8]) {
+        for byte in out.iter_mut() {
+            if self.buf_pos == 64 {
+                self.buf = self.cipher.block(&Self::nonce_for(self.counter), 0);
+                self.counter = self.counter.wrapping_add(1);
+                self.buf_pos = 0;
+            }
+            *byte = self.buf[self.buf_pos];
+            self.buf_pos += 1;
+        }
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        let mut b = [0u8; 8];
+        self.fill_bytes(&mut b);
+        u64::from_le_bytes(b)
+    }
+
+    fn next_bounded(&mut self, bound: u64) -> u64 {
+        let zone = u64::MAX - (u64::MAX % bound);
+        loop {
+            let v = self.next_u64();
+            if v < zone {
+                return v % bound;
+            }
+        }
+    }
+
+    fn next_seed(&mut self) -> [u8; 32] {
+        let mut out = [0u8; 32];
+        self.fill_bytes(&mut out);
+        out
+    }
+}
+
+/// Fill lengths on either side of the 8-byte draw, the 64-byte block
+/// and the 512-byte refill.
+const DRBG_EDGE_LENS: [usize; 12] = [0, 1, 7, 8, 9, 63, 64, 65, 511, 512, 513, 1100];
+
+proptest! {
+    #[test]
+    fn drbg_matches_one_block_reference(seed in any::<[u8; 16]>(),
+                                        ops in proptest::collection::vec(any::<u64>(), 1..48)) {
+        // A random sequence of draws leaves the generator at every
+        // offset within a refill; each operation, and every fork taken
+        // there, must give the one-block generator's bytes.
+        let mut fast = silvasec::crypto::drbg::ChaChaDrbg::from_seed(&seed);
+        let mut reference = DrbgReference::from_seed(&seed);
+        for (step, op) in ops.into_iter().enumerate() {
+            let (edge, arg) = ((op >> 8) & 1 == 1, op >> 9);
+            match op % 6 {
+                0 | 1 => {
+                    let len = if edge {
+                        DRBG_EDGE_LENS[arg as usize % DRBG_EDGE_LENS.len()]
+                    } else {
+                        arg as usize % 1101
+                    };
+                    let (mut a, mut b) = (vec![0u8; len], vec![0u8; len]);
+                    fast.fill_bytes(&mut a);
+                    reference.fill_bytes(&mut b);
+                    prop_assert_eq!(a, b, "step {} fill_bytes({})", step, len);
+                }
+                2 => prop_assert_eq!(fast.next_u64(), reference.next_u64(), "step {} next_u64", step),
+                3 => {
+                    // A bound just above 2^63 rejects about half the draws.
+                    let bound = if edge { arg % 1000 + 1 } else { u64::MAX / 2 + 1 + arg };
+                    prop_assert_eq!(fast.next_bounded(bound), reference.next_bounded(bound),
+                                    "step {} next_bounded({})", step, bound);
+                }
+                4 => prop_assert_eq!(fast.next_seed(), reference.next_seed(), "step {} next_seed", step),
+                _ => {
+                    // Labels past 42 bytes take the fork's heap path.
+                    let label = if edge { vec![b'x'; 43 + arg as usize % 8] } else { format!("label-{arg}").into_bytes() };
+                    let (mut child, mut child_ref) = (fast.fork(&label), reference.fork(&label));
+                    let (mut a, mut b) = ([0u8; 600], [0u8; 600]);
+                    child.fill_bytes(&mut a[..arg as usize % 600]);
+                    child_ref.fill_bytes(&mut b[..arg as usize % 600]);
+                    let (mut grand, mut grand_ref) = (child.fork(b"grand"), child_ref.fork(b"grand"));
+                    child.fill_bytes(&mut a);
+                    child_ref.fill_bytes(&mut b);
+                    prop_assert_eq!(a, b, "step {} fork child", step);
+                    grand.fill_bytes(&mut a);
+                    grand_ref.fill_bytes(&mut b);
+                    prop_assert_eq!(a, b, "step {} fork grandchild", step);
+                }
+            }
+        }
+        prop_assert_eq!(fast.next_u64(), reference.next_u64());
+    }
+}
+
 // ---------------- fleet OTA bundles ----------------
 
 /// A signed update bundle over arbitrary manifest fields and payloads,
