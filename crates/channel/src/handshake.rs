@@ -86,10 +86,7 @@ impl HandshakePolicy {
         self
     }
 
-    /// Validates the peer's chain. Repeated handshakes against the same
-    /// chain/CRL state within one cache bucket hit the trust store's
-    /// verified-chain cache and skip the signature work entirely; cold
-    /// validations batch the chain's signatures through one Straus pass.
+    /// Validates the peer's chain.
     fn validate_peer(&self, chain: &[Certificate]) -> Result<(), ChannelError> {
         self.store
             .validate_chain_for_usage(chain, self.now, &self.crls, KeyUsage::AUTHENTICATION)

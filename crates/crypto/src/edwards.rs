@@ -22,8 +22,8 @@
 //!   inside [`EdwardsPoint::scalar_mul`]): an on-the-fly table of 8
 //!   cached multiples, signed radix-16 digits, 4 doublings + 1 masked
 //!   lookup + 1 addition per digit.
-//! * **Straus/Shamir, variable-time** ([`EdwardsPoint::double_scalar_mul`]
-//!   and the batch-verification multiscalar): width-5 NAF for dynamic
+//! * **Straus/Shamir, variable-time** ([`EdwardsPoint::double_scalar_mul`],
+//!   the signature-verification equation): width-5 NAF for dynamic
 //!   points, width-9 NAF (`i16` digits, [`BASEPOINT_NAF_WINDOW`])
 //!   against a static affine table of 128 odd basepoint multiples, one
 //!   shared doubling chain for all scalars. This path is **not**
@@ -571,7 +571,7 @@ impl EdwardsPoint {
     /// **Variable-time**: digit positions leak through timing. All call
     /// sites are signature *verification* over public inputs; never use
     /// this with secret scalars. When either point is the standard
-    /// basepoint its share of the work runs against the static width-8
+    /// basepoint its share of the work runs against the static width-9
     /// NAF table of odd basepoint multiples.
     #[must_use]
     pub fn double_scalar_mul(&self, a: &Scalar, other: &Self, b: &Scalar) -> Self {

@@ -135,104 +135,6 @@ impl VerifyingKey {
     }
 }
 
-/// One signature-verification job for [`verify_batch`].
-#[derive(Debug, Clone, Copy)]
-pub struct BatchItem<'a> {
-    /// The signed message.
-    pub message: &'a [u8],
-    /// The signature to check.
-    pub signature: &'a Signature,
-    /// The key it must verify under.
-    pub key: &'a VerifyingKey,
-}
-
-/// Batch signature verification: checks every item in one multiscalar
-/// multiplication instead of one verification equation per signature.
-///
-/// Each item's equation `sᵢ·B − eᵢ·Aᵢ − Rᵢ = 0` is scaled by an
-/// independent coefficient zᵢ and the results are summed, so the whole
-/// batch costs a single shared doubling chain:
-///
-/// ```text
-/// (Σ zᵢ·sᵢ)·B − Σ (zᵢ·eᵢ)·Aᵢ − Σ zᵢ·Rᵢ == identity
-/// ```
-///
-/// The coefficients are derived deterministically (Fiat–Shamir over all
-/// signatures, keys, and message digests) because this codebase runs
-/// everything from seeds — no ambient randomness. A batch of valid
-/// signatures therefore *always* accepts (no false rejections), and a
-/// batch containing an invalid signature is rejected unless the forger
-/// can steer the hash-derived coefficients, i.e. break SHA-256.
-///
-/// Returns `true` exactly when every individual [`VerifyingKey::verify`]
-/// would succeed (up to that hash caveat). The batch cannot say *which*
-/// item failed — callers that need the failing index or the precise
-/// error must fall back to individual verification, which is also how
-/// every call site in this workspace preserves its original
-/// error-precedence semantics.
-#[must_use]
-pub fn verify_batch(items: &[BatchItem<'_>]) -> bool {
-    if items.is_empty() {
-        return true;
-    }
-    // Cheap per-item checks, replicating `verify` exactly: R must decode
-    // to a curve point and s must be canonical.
-    let mut decoded = Vec::with_capacity(items.len());
-    for item in items {
-        let Ok(r) = EdwardsPoint::decode(&item.signature.r_bytes) else {
-            return false;
-        };
-        let s = Scalar::from_bytes_mod_order(&item.signature.s_bytes);
-        if s.to_bytes() != item.signature.s_bytes {
-            return false;
-        }
-        let e = challenge(&item.signature.r_bytes, &item.key.encoded, item.message);
-        decoded.push((r, s, e));
-    }
-
-    // Deterministic coefficient seed binding every input.
-    let mut h = Sha256::new();
-    h.update(b"silvasec-schnorr-batch-v1");
-    h.update(&(items.len() as u64).to_le_bytes());
-    for item in items {
-        h.update(&item.signature.r_bytes);
-        h.update(&item.signature.s_bytes);
-        h.update(&item.key.encoded);
-        let mut mh = Sha256::new();
-        mh.update(item.message);
-        h.update(&mh.finalize());
-    }
-    let seed = h.finalize();
-
-    let mut base_scalar = Scalar::ZERO;
-    let mut pairs = Vec::with_capacity(2 * items.len());
-    for (i, (item, (r, s, e))) in items.iter().zip(decoded.iter()).enumerate() {
-        let z = batch_coefficient(&seed, i as u64);
-        base_scalar = base_scalar.add(&z.mul(s));
-        pairs.push((*r, z.neg()));
-        pairs.push((item.key.point, z.mul(e).neg()));
-    }
-    EdwardsPoint::vartime_multiscalar_mul(&pairs, Some(&base_scalar)).is_identity()
-}
-
-/// Derives the i-th batch coefficient: 128 bits of H(seed ‖ i),
-/// guaranteed nonzero.
-fn batch_coefficient(seed: &[u8; 32], i: u64) -> Scalar {
-    let mut h = Sha256::new();
-    h.update(b"silvasec-schnorr-batch-z");
-    h.update(seed);
-    h.update(&i.to_le_bytes());
-    let d = h.finalize();
-    let mut bytes = [0u8; 32];
-    bytes[..16].copy_from_slice(&d[..16]);
-    let z = Scalar::from_bytes_mod_order(&bytes);
-    if z.is_zero() {
-        Scalar::ONE
-    } else {
-        z
-    }
-}
-
 /// A signing (private) key derived deterministically from a 32-byte seed.
 #[derive(Clone)]
 pub struct SigningKey {
@@ -440,84 +342,6 @@ mod tests {
             };
             assert!(sk.verifying_key().verify(b"m", &bad).is_err());
         }
-    }
-
-    #[test]
-    fn batch_accepts_all_valid() {
-        let keys: Vec<SigningKey> = (0..16u8).map(|i| SigningKey::from_seed(&[i; 32])).collect();
-        let messages: Vec<Vec<u8>> = (0..16u8).map(|i| vec![i; 40]).collect();
-        let sigs: Vec<Signature> = keys.iter().zip(&messages).map(|(k, m)| k.sign(m)).collect();
-        let vks: Vec<VerifyingKey> = keys.iter().map(SigningKey::verifying_key).collect();
-        let items: Vec<BatchItem<'_>> = (0..16)
-            .map(|i| BatchItem {
-                message: &messages[i],
-                signature: &sigs[i],
-                key: &vks[i],
-            })
-            .collect();
-        assert!(verify_batch(&items));
-        assert!(verify_batch(&items[..1]));
-        assert!(verify_batch(&[]));
-    }
-
-    #[test]
-    fn batch_rejects_single_corruption() {
-        let keys: Vec<SigningKey> = (0..16u8).map(|i| SigningKey::from_seed(&[i; 32])).collect();
-        let messages: Vec<Vec<u8>> = (0..16u8).map(|i| vec![i ^ 0x5a; 33]).collect();
-        let mut sigs: Vec<Signature> = keys.iter().zip(&messages).map(|(k, m)| k.sign(m)).collect();
-        // Corrupt exactly one signature's s.
-        sigs[7].s_bytes[3] ^= 0x10;
-        let vks: Vec<VerifyingKey> = keys.iter().map(SigningKey::verifying_key).collect();
-        let items: Vec<BatchItem<'_>> = (0..16)
-            .map(|i| BatchItem {
-                message: &messages[i],
-                signature: &sigs[i],
-                key: &vks[i],
-            })
-            .collect();
-        assert!(!verify_batch(&items));
-        // The individual fallback pinpoints the failure.
-        for (i, item) in items.iter().enumerate() {
-            let ok = item.key.verify(item.message, item.signature).is_ok();
-            assert_eq!(ok, i != 7, "item {i}");
-        }
-    }
-
-    #[test]
-    fn batch_rejects_swapped_messages() {
-        let sk = SigningKey::from_seed(&[77u8; 32]);
-        let vk = sk.verifying_key();
-        let sig_a = sk.sign(b"message a");
-        let sig_b = sk.sign(b"message b");
-        let items = [
-            BatchItem {
-                message: b"message b",
-                signature: &sig_a,
-                key: &vk,
-            },
-            BatchItem {
-                message: b"message a",
-                signature: &sig_b,
-                key: &vk,
-            },
-        ];
-        assert!(!verify_batch(&items));
-    }
-
-    #[test]
-    fn batch_matches_individual_on_bad_encodings() {
-        let sk = SigningKey::from_seed(&[78u8; 32]);
-        let vk = sk.verifying_key();
-        let good = sk.sign(b"m");
-        // Off-curve R.
-        let mut bad_r = good;
-        bad_r.r_bytes[0] ^= 1;
-        assert!(!verify_batch(&[BatchItem {
-            message: b"m",
-            signature: &bad_r,
-            key: &vk,
-        }]));
-        assert!(vk.verify(b"m", &bad_r).is_err());
     }
 
     #[test]

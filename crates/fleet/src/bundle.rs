@@ -7,12 +7,12 @@
 //! its commissioned trust store: chain → [`KeyUsage::FIRMWARE_SIGNING`],
 //! then the bundle signature, then the manifest's monotone version
 //! against the site's installed version. Per-image signatures are checked
-//! a second time by the secure-boot device when the update is applied —
-//! the bundle signature authenticates *distribution*, the image
-//! signatures authenticate *boot*.
+//! by the secure-boot device when the update is applied — the bundle
+//! signature authenticates *distribution*, the image signatures
+//! authenticate *boot*.
 
 use serde::{Deserialize, Serialize};
-use silvasec_crypto::schnorr::{self, BatchItem, Signature, SigningKey};
+use silvasec_crypto::schnorr::{Signature, SigningKey};
 use silvasec_pki::{Certificate, CertificateRevocationList, KeyUsage, PkiError, TrustStore};
 use silvasec_secure_boot::SignedImage;
 use std::fmt;
@@ -189,19 +189,9 @@ impl UpdateBundle {
     /// chain's end-entity key, component binding, image/manifest
     /// agreement, and the monotone version rule.
     ///
-    /// # Performance
-    ///
-    /// The bundle signature is checked through
-    /// [`schnorr::verify_batch`] together with the per-image signatures
-    /// (under the same leaf key, the common case in this fleet) so the
-    /// whole set shares one Straus doubling chain. The batch is purely
-    /// an accelerator: when it fails for any reason — including an image
-    /// signed by a key other than the chain leaf, which is *not* a
-    /// distribution-layer error — the bundle signature alone is
-    /// re-checked sequentially, so accept/reject outcomes and error
-    /// precedence are exactly those of the sequential path. Image
-    /// signatures remain authoritative only at boot, where the device
-    /// checks them against its pinned key.
+    /// The per-image signatures are not checked here: they are
+    /// authoritative only at boot, where the device checks them against
+    /// its pinned key.
     ///
     /// # Errors
     ///
@@ -238,8 +228,7 @@ impl UpdateBundle {
     }
 
     /// The site-independent prefix of [`UpdateBundle::verify`]: signer
-    /// chain, bundle signature (batched with the image signatures, same
-    /// fallback semantics), component binding, and image/manifest
+    /// chain, bundle signature, component binding, and image/manifest
     /// agreement — everything except the per-site monotone version rule.
     ///
     /// Every site in a fleet shares the same trust store and component
@@ -279,33 +268,8 @@ impl UpdateBundle {
         let leaf = self.signer_chain.first().ok_or(BundleError::Signature)?;
         let key = leaf.subject_key().map_err(|_| BundleError::Signature)?;
         let sig = Signature::from_bytes(&self.signature).map_err(|_| BundleError::Signature)?;
-        let tbs = self.signed_bytes();
-
-        let image_sigs: Option<Vec<(Vec<u8>, Signature)>> = self
-            .images
-            .iter()
-            .map(|img| {
-                Signature::from_bytes(&img.signature)
-                    .ok()
-                    .map(|s| (img.image.tbs_bytes(), s))
-            })
-            .collect();
-        let batched = image_sigs.is_some_and(|image_sigs| {
-            let mut items = vec![BatchItem {
-                message: &tbs,
-                signature: &sig,
-                key: &key,
-            }];
-            items.extend(image_sigs.iter().map(|(msg, s)| BatchItem {
-                message: msg,
-                signature: s,
-                key: &key,
-            }));
-            schnorr::verify_batch(&items)
-        });
-        if !batched {
-            key.verify(&tbs, &sig).map_err(|_| BundleError::Signature)?;
-        }
+        key.verify(&self.signed_bytes(), &sig)
+            .map_err(|_| BundleError::Signature)?;
 
         if self.manifest.component_id != component_id {
             return Err(BundleError::WrongComponent {
@@ -488,10 +452,9 @@ mod tests {
 
     #[test]
     fn foreign_image_signer_does_not_fail_distribution() {
-        // Images signed by a key other than the chain leaf defeat the
-        // batch fast path but are not a distribution-layer error: the
-        // sequential fallback must still accept the bundle (the boot ROM
-        // is the authority on image signatures).
+        // Images signed by a key other than the chain leaf are not a
+        // distribution-layer error: the bundle must still be accepted
+        // (the boot ROM is the authority on image signatures).
         let (bundle, store) = fixture();
         let other = SigningKey::from_seed(&[9u8; 32]);
         let images: Vec<_> = bundle
@@ -511,8 +474,8 @@ mod tests {
 
     #[test]
     fn garbage_image_signature_does_not_fail_distribution() {
-        // An undecodable image signature likewise only disables the
-        // batch; the bundle signature still decides.
+        // An undecodable image signature likewise leaves the decision
+        // to the bundle signature.
         let (bundle, store) = fixture();
         let mut images = bundle.images.clone();
         images[0].signature = vec![0u8; 5];
@@ -528,8 +491,7 @@ mod tests {
 
     #[test]
     fn bad_bundle_signature_still_rejected_with_valid_images() {
-        // Valid image signatures must not mask a bad bundle signature
-        // through the batch path.
+        // Valid image signatures must not mask a bad bundle signature.
         let (mut bundle, store) = fixture();
         let last = bundle.signature.len() - 1;
         bundle.signature[last] ^= 0x01;

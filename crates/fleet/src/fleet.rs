@@ -954,7 +954,7 @@ impl Fleet {
                     }
 
                     // Shadow members of the wave: sharded distribution,
-                    // one batched bundle verification per shard, merged
+                    // one shared bundle verification per shard, merged
                     // in shard order.
                     if let Some(shadows) = &mut self.shadows {
                         let jam = self

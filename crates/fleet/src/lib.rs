@@ -24,9 +24,9 @@
 //!   of sites runs as full [`Worksite`] simulations while the rest live
 //!   as a compact struct-of-arrays shadow population ([`shadow`]),
 //!   sharded across the deterministic sweep worker pool with an
-//!   order-preserving merge and one Fiat–Shamir batched bundle
-//!   verification per shard, so a million-site control plane stays
-//!   tractable and byte-identical to a sequential reference.
+//!   order-preserving merge and one shared bundle verification per
+//!   shard, so a million-site control plane stays tractable and
+//!   byte-identical to a sequential reference.
 //! * **Live TARA hypotheses** — with [`FleetConfig::tara`] set, the
 //!   generative TARA of `silvasec-tara` ranks the worksite's threat
 //!   scenarios at commissioning and the fleet carries the top-k as

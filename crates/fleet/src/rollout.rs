@@ -112,13 +112,14 @@ pub struct RolloutReport {
     /// kept out of the serialized form so the report JSON schema is
     /// unchanged — read it off the struct directly.
     pub transfer_tampered_sites: u32,
-    /// Fiat–Shamir batch verifications performed across shadow shards
-    /// (one per shard per rollout variant, not one per site). Like
+    /// Shared bundle verifications performed across shadow shards (one
+    /// chain walk and one bundle-signature check per shard per rollout
+    /// variant, not one per site). Like
     /// [`transfer_tampered_sites`](RolloutReport::transfer_tampered_sites),
     /// deterministic but kept out of the serialized report JSON.
     pub batch_verify_calls: u64,
     /// Shadow sites whose bundle acceptance was resolved from a shared
-    /// per-shard batched verification verdict. Not serialized.
+    /// per-shard verification verdict. Not serialized.
     pub batch_verified_sites: u64,
     /// Shadow sites that had to be verified individually (their received
     /// bytes were tampered, so no shared verdict applies). Not serialized.

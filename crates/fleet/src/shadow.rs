@@ -36,16 +36,15 @@
 //! (`tests/fleet_scale.rs`) asserts.
 //!
 //! Bundle verification is amortized across a shard: the
-//! site-independent verdict ([`UpdateBundle::verify_shared`], which
-//! internally batch-verifies the bundle + image signatures in one
-//! Fiat–Shamir batch) is computed once per shard per distributed
-//! variant and cached; each shadow site then pays only the monotone
-//! version rule ([`UpdateBundle::check_version`]). Tampered deliveries
-//! corrupt *per-site* bytes, so they fall off the shared path and are
-//! decoded + verified individually — exactly the precedence the full
-//! path has. They share one scratch copy of the delivered bundle per
-//! shard tick: each site flips its corruption in, verifies and flips
-//! it back out. The JSON decoder's structural pre-scan stops at the
+//! site-independent verdict ([`UpdateBundle::verify_shared`]: one
+//! signer-chain walk and one bundle-signature check) is computed once
+//! per shard per distributed variant and cached; each shadow site then
+//! pays only the monotone version rule
+//! ([`UpdateBundle::check_version`]). Tampered deliveries corrupt
+//! *per-site* bytes, so they fall off the shared path and are decoded +
+//! verified individually — exactly the precedence the full path has.
+//! They share one scratch copy of the delivered bundle per shard tick:
+//! each site flips its corruption in, verifies and flips it back out. The JSON decoder's structural pre-scan stops at the
 //! first broken token without building anything, so a tampered site
 //! costs a scan of its bundle's intact prefix, not a copy and a tree.
 //!
@@ -68,7 +67,7 @@ pub struct ShadowConfig {
     pub full_sites: usize,
     /// Shadow sites per shard. Each shard is stepped by one sweep
     /// worker; smaller shards parallelize better, larger shards
-    /// amortize the per-shard batched bundle verification further.
+    /// amortize the per-shard shared bundle verification further.
     pub shard_sites: usize,
     /// Step shards sequentially instead of on the sweep pool — the
     /// reference schedule the parallel path must match byte-for-byte.
@@ -399,7 +398,8 @@ pub struct ShadowWaveOut {
     pub bytes_on_air: u64,
     /// Frames transmitted this tick.
     pub frames_sent: u64,
-    /// Shared (batched) bundle verifications performed.
+    /// Shared bundle verifications performed (one per shard per
+    /// distributed variant).
     pub batch_verify_calls: u64,
     /// Sites resolved off a shared verdict.
     pub batch_verified_sites: u64,
@@ -743,9 +743,9 @@ impl ShadowShard {
 
     /// The shared (site-independent) verdict for the distributed bundle
     /// variant, computed once per shard per rollout and cached. The one
-    /// [`UpdateBundle::verify_shared`] call runs the Fiat–Shamir batch
-    /// over bundle + image signatures — this is where per-site verifies
-    /// collapse into one batched verification per shard.
+    /// [`UpdateBundle::verify_shared`] call walks the signer chain and
+    /// checks the bundle signature — this is where per-site verifies
+    /// collapse into one verification per shard.
     fn shared_verdict(
         &mut self,
         old_bundle: bool,

@@ -37,7 +37,15 @@ impl Certificate {
     #[must_use]
     pub fn tbs_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.tbs_len());
-        self.tbs_write(&mut |b| out.extend_from_slice(b));
+        out.extend_from_slice(b"silvasec-cert-v1");
+        push_bytes(&mut out, self.subject.id.as_bytes());
+        push_bytes(&mut out, self.subject.role.as_str().as_bytes());
+        push_bytes(&mut out, self.issuer_id.as_bytes());
+        out.extend_from_slice(&self.serial.to_le_bytes());
+        out.extend_from_slice(&self.validity.not_before.to_le_bytes());
+        out.extend_from_slice(&self.validity.not_after.to_le_bytes());
+        out.push(self.key_usage.bits());
+        push_bytes(&mut out, &self.public_key);
         out
     }
 
@@ -52,32 +60,6 @@ impl Certificate {
             + 8
             + 1
             + (4 + self.public_key.len())
-    }
-
-    /// Streams the TBS encoding into `sink`, chunk by chunk — the single
-    /// source of truth for the encoding, shared by [`Certificate::tbs_bytes`]
-    /// and the streaming fingerprint path.
-    fn tbs_write(&self, sink: &mut dyn FnMut(&[u8])) {
-        sink(b"silvasec-cert-v1");
-        write_str(sink, &self.subject.id);
-        write_str(sink, self.subject.role.as_str());
-        write_str(sink, &self.issuer_id);
-        sink(&self.serial.to_le_bytes());
-        sink(&self.validity.not_before.to_le_bytes());
-        sink(&self.validity.not_after.to_le_bytes());
-        sink(&[self.key_usage.bits()]);
-        write_bytes(sink, &self.public_key);
-    }
-
-    /// Absorbs `len(tbs) || tbs || len(sig) || sig` (u64 LE lengths) into
-    /// a streaming hasher without materializing the TBS encoding —
-    /// byte-for-byte what a caller hashing `tbs_bytes()` with the same
-    /// framing would absorb.
-    pub fn absorb_fingerprint(&self, h: &mut silvasec_crypto::sha256::Sha256) {
-        h.update(&(self.tbs_len() as u64).to_le_bytes());
-        self.tbs_write(&mut |b| h.update(b));
-        h.update(&(self.signature.len() as u64).to_le_bytes());
-        h.update(&self.signature);
     }
 
     /// Parses the embedded subject public key.
@@ -125,13 +107,9 @@ impl Certificate {
     }
 }
 
-fn write_str(sink: &mut dyn FnMut(&[u8]), s: &str) {
-    write_bytes(sink, s.as_bytes());
-}
-
-fn write_bytes(sink: &mut dyn FnMut(&[u8]), b: &[u8]) {
-    sink(&(b.len() as u32).to_le_bytes());
-    sink(b);
+fn push_bytes(out: &mut Vec<u8>, b: &[u8]) {
+    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
+    out.extend_from_slice(b);
 }
 
 #[cfg(test)]

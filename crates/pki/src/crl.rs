@@ -65,7 +65,16 @@ impl CertificateRevocationList {
     #[must_use]
     pub fn tbs_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.tbs_len());
-        self.tbs_write(&mut |b| out.extend_from_slice(b));
+        out.extend_from_slice(b"silvasec-crl-v1");
+        out.extend_from_slice(&(self.issuer_id.len() as u32).to_le_bytes());
+        out.extend_from_slice(self.issuer_id.as_bytes());
+        out.extend_from_slice(&self.sequence.to_le_bytes());
+        out.extend_from_slice(&self.issued_at.to_le_bytes());
+        out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
+        for e in &self.entries {
+            out.extend_from_slice(&e.serial.to_le_bytes());
+            out.extend_from_slice(&e.revoked_at.to_le_bytes());
+        }
         out
     }
 
@@ -74,31 +83,6 @@ impl CertificateRevocationList {
     #[must_use]
     pub fn tbs_len(&self) -> usize {
         15 + (4 + self.issuer_id.len()) + 8 + 8 + 4 + self.entries.len() * 16
-    }
-
-    /// Streams the TBS encoding into `sink` — the single source of truth
-    /// for the encoding, shared by `tbs_bytes` and the streaming
-    /// fingerprint path.
-    fn tbs_write(&self, sink: &mut dyn FnMut(&[u8])) {
-        sink(b"silvasec-crl-v1");
-        sink(&(self.issuer_id.len() as u32).to_le_bytes());
-        sink(self.issuer_id.as_bytes());
-        sink(&self.sequence.to_le_bytes());
-        sink(&self.issued_at.to_le_bytes());
-        sink(&(self.entries.len() as u32).to_le_bytes());
-        for e in &self.entries {
-            sink(&e.serial.to_le_bytes());
-            sink(&e.revoked_at.to_le_bytes());
-        }
-    }
-
-    /// Absorbs `len(tbs) || tbs || len(sig) || sig` (u64 LE lengths) into
-    /// a streaming hasher without materializing the TBS encoding.
-    pub fn absorb_fingerprint(&self, h: &mut silvasec_crypto::sha256::Sha256) {
-        h.update(&(self.tbs_len() as u64).to_le_bytes());
-        self.tbs_write(&mut |b| h.update(b));
-        h.update(&(self.signature.len() as u64).to_le_bytes());
-        h.update(&self.signature);
     }
 
     /// Verifies the CRL signature against the issuer's key.

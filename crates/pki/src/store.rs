@@ -1,70 +1,19 @@
 //! Trust stores and chain validation.
 //!
-//! Chain validation is the per-handshake / per-OTA-verify hot path, so
-//! it is organised around two amortisations (see DESIGN.md):
-//!
-//! * **Batched signature checks**: a validation pass first runs every
-//!   cheap structural check in the original order while *collecting*
-//!   the signature jobs (certificate and CRL signatures), then verifies
-//!   them all in one [`silvasec_crypto::schnorr::verify_batch`] call.
-//!   Any failure falls back to the exact sequential path, so the first
-//!   error reported is always the same one the unbatched code returned.
-//! * **A verified-chain cache**: once every signature in a chain (+ its
-//!   CRLs, + the resolved root) has verified, that fact is recorded
-//!   under a content fingerprint. Signature validity is a pure function
-//!   of those bytes, so a later validation of the same chain can skip
-//!   the signature work and re-run only the cheap, time-dependent
-//!   checks (validity windows, CRL staleness, revocation) — outcomes
-//!   are bit-identical to a full validation.
+//! [`TrustStore::validate_chain`] is the one chain check behind every
+//! trust decision that rests on a certificate: a handshake peer's chain
+//! and an OTA bundle's signer chain. It walks the chain once, end entity
+//! first, and verifies every certificate and CRL signature on every
+//! call; nothing is cached between calls.
 
 use crate::cert::Certificate;
 use crate::crl::CertificateRevocationList;
 use crate::error::PkiError;
 use crate::types::KeyUsage;
-use silvasec_crypto::schnorr::{self, Signature, VerifyingKey};
-use silvasec_crypto::sha256::Sha256;
-use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::collections::HashMap;
 
 /// Default maximum accepted chain length (end entity + intermediates).
 pub const DEFAULT_MAX_CHAIN_LEN: usize = 4;
-
-/// Width of the verified-chain cache's validation-time bucket. Entries
-/// are keyed by `time / bucket` in addition to the content fingerprint,
-/// so a cached "signatures verified" fact is never consulted more than
-/// one bucket away from when it was established (defense in depth — the
-/// cached fact itself is time-independent).
-pub const CHAIN_CACHE_TIME_BUCKET: u64 = 60_000;
-
-/// Cache-size bound: when an insert would exceed this many entries, all
-/// entries outside the current time bucket are evicted (deterministic,
-/// no LRU clocks).
-const CHAIN_CACHE_MAX_ENTRIES: usize = 1024;
-
-/// A collected signature-verification job (deferred for batching).
-struct SigJob {
-    message: Vec<u8>,
-    signature: Signature,
-    key: VerifyingKey,
-}
-
-/// How [`TrustStore::validate_chain_inner`] treats signature checks.
-enum SigCheck<'a> {
-    /// Verify each signature inline, exactly like the original
-    /// sequential implementation (error-precedence reference).
-    Sequential,
-    /// Skip signature checks: the verified-chain cache has already
-    /// established that every signature over these exact bytes is good.
-    Skip,
-    /// Parse each signature (malformed signatures must still fail in
-    /// order) and collect the verification jobs for one batched check.
-    Collect(&'a mut Vec<SigJob>),
-}
-
-/// Verified-chain cache entries: a content fingerprint over the
-/// chain+CRL+root bytes plus the validation-time bucket it was proven
-/// in. See [`TrustStore::validate_chain`].
-type VerifiedChainSet = Arc<Mutex<HashSet<([u8; 32], u64)>>>;
 
 /// A set of trusted root certificates plus validation policy.
 ///
@@ -92,12 +41,6 @@ pub struct TrustStore {
     max_chain_len: usize,
     /// Maximum accepted CRL age; `None` disables staleness checks.
     max_crl_age: Option<u64>,
-    /// Verified-chain cache: fingerprints of chain+CRL+root byte
-    /// contents whose signatures have all verified, keyed additionally
-    /// by validation-time bucket. Shared across clones (`Arc`) — safe,
-    /// because entries are content-addressed facts, not policy
-    /// decisions; all policy/time checks re-run on every hit.
-    verified_chains: VerifiedChainSet,
 }
 
 impl Default for TrustStore {
@@ -114,7 +57,6 @@ impl TrustStore {
             roots: HashMap::new(),
             max_chain_len: DEFAULT_MAX_CHAIN_LEN,
             max_crl_age: None,
-            verified_chains: Arc::new(Mutex::new(HashSet::new())),
         }
     }
 
@@ -173,129 +115,25 @@ impl TrustStore {
     ///
     /// # Errors
     ///
-    /// Any [`PkiError`] variant describing the first failure found,
-    /// checking (in order): shape, issuer links, signatures, validity
-    /// windows, key usage of intermediates, and revocation.
+    /// The [`PkiError`] of the first check that fails. The chain must be
+    /// non-empty and no longer than the maximum chain length. Then, for
+    /// each certificate from the end entity up:
+    ///
+    /// 1. its issuer link: the next certificate's subject, or a trusted
+    ///    root for the last one;
+    /// 2. the issuer's [`KeyUsage::CERT_SIGNING`] usage;
+    /// 3. the issuer's key, then its signature under that key;
+    /// 4. its validity window;
+    /// 5. each CRL from its issuer, in slice order: the issuer's
+    ///    [`KeyUsage::CRL_SIGNING`] usage, the CRL's signature, its age
+    ///    (when a maximum is set) and the certificate's revocation.
+    ///
+    /// Last comes the validity window of the root itself.
     pub fn validate_chain(
         &self,
         chain: &[Certificate],
         time: u64,
         crls: &[CertificateRevocationList],
-    ) -> Result<(), PkiError> {
-        if chain.is_empty() {
-            return Err(PkiError::EmptyChain);
-        }
-        let cache_key = self.chain_cache_key(chain, time, crls);
-        if self
-            .verified_chains
-            .lock()
-            .expect("chain cache lock poisoned")
-            .contains(&cache_key)
-        {
-            // Every signature over these exact bytes is known-good, so
-            // skipping the signature checks cannot change which check
-            // fails first; only the cheap time/policy checks re-run.
-            return self.validate_chain_inner(chain, time, crls, &mut SigCheck::Skip);
-        }
-
-        // First pass: cheap checks in original order, signatures
-        // collected for one batched verification.
-        let mut jobs = Vec::new();
-        let cheap = self.validate_chain_inner(chain, time, crls, &mut SigCheck::Collect(&mut jobs));
-        let batch_ok = cheap.is_ok() && {
-            let items: Vec<schnorr::BatchItem<'_>> = jobs
-                .iter()
-                .map(|j| schnorr::BatchItem {
-                    message: &j.message,
-                    signature: &j.signature,
-                    key: &j.key,
-                })
-                .collect();
-            schnorr::verify_batch(&items)
-        };
-        if batch_ok {
-            self.chain_cache_insert(cache_key);
-            return Ok(());
-        }
-
-        // Something failed — either a cheap check (whose error may be
-        // preempted by an earlier signature failure in sequential
-        // order) or the batch itself (which cannot name the failing
-        // signature). Re-run the exact sequential reference path so the
-        // reported error is identical to the pre-batching code.
-        let result = self.validate_chain_inner(chain, time, crls, &mut SigCheck::Sequential);
-        if result.is_ok() {
-            self.chain_cache_insert(cache_key);
-        }
-        result
-    }
-
-    /// Content fingerprint for the verified-chain cache: hashes every
-    /// chain certificate (TBS + signature), every CRL (TBS + signature),
-    /// and the resolved root certificate's bytes, then pairs the digest
-    /// with the validation-time bucket. Any change to chain bytes, CRL
-    /// contents (including sequence bumps / new revocations), or the
-    /// trusted root resolving the chain produces a different key.
-    fn chain_cache_key(
-        &self,
-        chain: &[Certificate],
-        time: u64,
-        crls: &[CertificateRevocationList],
-    ) -> ([u8; 32], u64) {
-        // Every TBS encoding streams straight into the hasher
-        // (`absorb_fingerprint` feeds the identical `len || tbs || len
-        // || sig` framing) — no per-certificate buffer is materialized.
-        let mut h = Sha256::new();
-        h.update(b"silvasec-chain-cache-v1");
-        h.update(&(chain.len() as u64).to_le_bytes());
-        for cert in chain {
-            cert.absorb_fingerprint(&mut h);
-        }
-        h.update(&(crls.len() as u64).to_le_bytes());
-        for crl in crls {
-            crl.absorb_fingerprint(&mut h);
-        }
-        // The root that will anchor this chain (if known): replacing a
-        // root under the same id must invalidate cached verdicts.
-        if let Some(root) = chain.last().and_then(|c| self.roots.get(&c.issuer_id)) {
-            root.absorb_fingerprint(&mut h);
-        }
-        (h.finalize(), time / CHAIN_CACHE_TIME_BUCKET)
-    }
-
-    fn chain_cache_insert(&self, key: ([u8; 32], u64)) {
-        let mut cache = self
-            .verified_chains
-            .lock()
-            .expect("chain cache lock poisoned");
-        if cache.len() >= CHAIN_CACHE_MAX_ENTRIES {
-            // Deterministic eviction: drop everything outside the
-            // current time bucket.
-            let bucket = key.1;
-            cache.retain(|entry| entry.1 == bucket);
-        }
-        cache.insert(key);
-    }
-
-    /// Number of entries currently in the verified-chain cache.
-    #[must_use]
-    pub fn chain_cache_len(&self) -> usize {
-        self.verified_chains
-            .lock()
-            .expect("chain cache lock poisoned")
-            .len()
-    }
-
-    /// The single source of truth for chain-validation check order.
-    /// `mode` selects how signature checks are performed; every other
-    /// check is identical across modes, which is what keeps the batched
-    /// and cached paths' outcomes bit-identical to the sequential one.
-    fn validate_chain_inner(
-        &self,
-        chain: &[Certificate],
-        time: u64,
-        crls: &[CertificateRevocationList],
-        mode: &mut SigCheck<'_>,
     ) -> Result<(), PkiError> {
         if chain.is_empty() {
             return Err(PkiError::EmptyChain);
@@ -334,24 +172,7 @@ impl TrustStore {
             }
 
             let issuer_key = issuer_cert.subject_key()?;
-            match mode {
-                SigCheck::Sequential => cert.verify_signature(&issuer_key)?,
-                SigCheck::Skip => {}
-                SigCheck::Collect(jobs) => {
-                    // A malformed signature must fail here, in order;
-                    // only the curve equation check is deferred.
-                    let sig = Signature::from_bytes(&cert.signature).map_err(|_| {
-                        PkiError::BadSignature {
-                            subject: cert.subject.id.clone(),
-                        }
-                    })?;
-                    jobs.push(SigJob {
-                        message: cert.tbs_bytes(),
-                        signature: sig,
-                        key: issuer_key,
-                    });
-                }
-            }
+            cert.verify_signature(&issuer_key)?;
 
             if time < cert.validity.not_before {
                 return Err(PkiError::NotYetValid {
@@ -366,23 +187,10 @@ impl TrustStore {
 
             // Revocation: find CRLs from this certificate's issuer.
             for crl in crls.iter().filter(|c| c.issuer_id == cert.issuer_id) {
-                let crl_key = issuer_cert.subject_key()?;
                 if !issuer_cert.key_usage.permits(KeyUsage::CRL_SIGNING) {
                     return Err(PkiError::BadCrl);
                 }
-                match mode {
-                    SigCheck::Sequential => crl.verify_signature(&crl_key)?,
-                    SigCheck::Skip => {}
-                    SigCheck::Collect(jobs) => {
-                        let sig =
-                            Signature::from_bytes(&crl.signature).map_err(|_| PkiError::BadCrl)?;
-                        jobs.push(SigJob {
-                            message: crl.tbs_bytes(),
-                            signature: sig,
-                            key: crl_key,
-                        });
-                    }
-                }
+                crl.verify_signature(&issuer_key)?;
                 if let Some(max_age) = self.max_crl_age {
                     if time.saturating_sub(crl.issued_at) > max_age {
                         return Err(PkiError::BadCrl);
@@ -649,50 +457,26 @@ mod tests {
     }
 
     #[test]
-    fn chain_cache_populates_and_repeats() {
-        let mut f = fixture();
-        let end = issue_end(&mut f, Validity::new(0, 5_000));
-        let chain = vec![end, f.site.certificate().clone()];
-        assert_eq!(f.store.chain_cache_len(), 0);
-        assert!(f.store.validate_chain(&chain, 100, &[]).is_ok());
-        assert_eq!(f.store.chain_cache_len(), 1);
-        // Second validation hits the cache (no new entry) and agrees.
-        assert!(f.store.validate_chain(&chain, 120, &[]).is_ok());
-        assert_eq!(f.store.chain_cache_len(), 1);
-        // A different time bucket is a different key — the cert has
-        // expired by the next bucket, so this misses the cache, fails,
-        // and must not add an entry.
-        assert!(matches!(
-            f.store
-                .validate_chain(&chain, 100 + CHAIN_CACHE_TIME_BUCKET, &[]),
-            Err(PkiError::Expired { .. })
-        ));
-        assert_eq!(f.store.chain_cache_len(), 1);
-    }
-
-    #[test]
     fn cache_hit_still_enforces_time_checks() {
         let mut f = fixture();
         let end = issue_end(&mut f, Validity::new(0, 200));
         f.site.revoke(end.serial, 150);
         let crl = f.site.sign_crl(100);
         let chain = vec![end, f.site.certificate().clone()];
-        // Populate the cache with a successful validation…
+        // A chain that validated once…
         assert!(f
             .store
             .validate_chain(&chain, 100, std::slice::from_ref(&crl))
             .is_ok());
-        assert_eq!(f.store.chain_cache_len(), 1);
-        // …then re-validate the *same bytes in the same bucket* at a
-        // time where revocation has taken effect: the cached signature
-        // verdict must not mask the revocation check.
+        // …is revoked when the same bytes are validated again after the
+        // revocation took effect: an earlier verdict carries nothing
+        // over.
         assert!(matches!(
             f.store
                 .validate_chain(&chain, 180, std::slice::from_ref(&crl)),
             Err(PkiError::Revoked { .. })
         ));
-        // Likewise expiry on a cache hit: same bytes, same bucket,
-        // later time.
+        // Likewise expiry: same bytes, later time.
         assert!(f.store.validate_chain(&chain, 100, &[]).is_ok());
         assert!(matches!(
             f.store.validate_chain(&chain, 250, &[]),
@@ -702,15 +486,13 @@ mod tests {
 
     #[test]
     fn crl_revoking_cached_chains_issuer_invalidates() {
-        // Satellite regression: a chain is validated and cached, then a
-        // *new* CRL from the root revokes the cached chain's issuing
-        // intermediate. The CRL bytes are part of the cache key, so the
-        // next validation must miss the cache and report the revocation.
+        // A chain is validated, then a *new* CRL from the root revokes
+        // its issuing intermediate: the next validation must report the
+        // intermediate's revocation.
         let mut f = fixture();
         let end = issue_end(&mut f, Validity::new(0, 5_000));
         let chain = vec![end, f.site.certificate().clone()];
         assert!(f.store.validate_chain(&chain, 100, &[]).is_ok());
-        assert_eq!(f.store.chain_cache_len(), 1);
 
         let site_serial = f.site.certificate().serial;
         f.root.revoke(site_serial, 110);
@@ -727,7 +509,7 @@ mod tests {
     #[test]
     fn replacing_a_root_invalidates_cached_verdicts() {
         // Same chain bytes, different trust anchor under the same id:
-        // the cached "signatures verified" fact must not carry over.
+        // the earlier verdict must not carry over.
         let mut f = fixture();
         let end = issue_end(&mut f, Validity::new(0, 5_000));
         let chain = vec![end, f.site.certificate().clone()];

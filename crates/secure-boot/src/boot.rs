@@ -3,7 +3,7 @@
 use crate::image::{FirmwareStage, SignedImage};
 use crate::pcr::PcrBank;
 use serde::{Deserialize, Serialize};
-use silvasec_crypto::schnorr::{self, BatchItem, Signature, VerifyingKey};
+use silvasec_crypto::schnorr::VerifyingKey;
 use silvasec_telemetry::{Event, Label, Recorder};
 use std::collections::HashMap;
 use std::error::Error;
@@ -157,45 +157,6 @@ impl Device {
             }
         }
 
-        // Fast path: verify every present stage's signature in one batch
-        // (one shared Straus doubling chain) before the per-stage walk.
-        // The batch records no telemetry and decides nothing on its own:
-        // when it passes, the per-stage signature re-check is skipped;
-        // when it fails for any reason, the per-stage walk below runs the
-        // signature checks individually, so the failing stage, the
-        // telemetry events and the partial PCR state are exactly those of
-        // the sequential path.
-        // Each stage's payload is hashed exactly once: the measurement
-        // feeds both the signed encoding below and the PCR extension in
-        // the per-stage walk.
-        let digests: HashMap<FirmwareStage, [u8; 32]> = by_stage
-            .iter()
-            .map(|(stage, signed)| (*stage, signed.image.digest()))
-            .collect();
-        let batch_tbs: Vec<Vec<u8>> = [FirmwareStage::Bootloader, FirmwareStage::Application]
-            .iter()
-            .filter_map(|stage| by_stage.get(stage).map(|s| (stage, s)))
-            .map(|(stage, signed)| signed.image.tbs_bytes_with_digest(&digests[stage]))
-            .collect();
-        let batch_sigs: Option<Vec<Signature>> =
-            [FirmwareStage::Bootloader, FirmwareStage::Application]
-                .iter()
-                .filter_map(|stage| by_stage.get(stage))
-                .map(|signed| Signature::from_bytes(&signed.signature).ok())
-                .collect();
-        let batch_ok = batch_sigs.is_some_and(|sigs| {
-            let items: Vec<BatchItem<'_>> = batch_tbs
-                .iter()
-                .zip(&sigs)
-                .map(|(tbs, sig)| BatchItem {
-                    message: tbs,
-                    signature: sig,
-                    key: &self.signer,
-                })
-                .collect();
-            schnorr::verify_batch(&items)
-        });
-
         for stage in [FirmwareStage::Bootloader, FirmwareStage::Application] {
             let Some(signed) = by_stage.get(&stage) else {
                 return fail(BootError::MissingStage(stage), pcrs, booted);
@@ -216,7 +177,10 @@ impl Device {
                     booted,
                 );
             }
-            if !batch_ok && !signed.verify(&self.signer) {
+            // One hash per payload: the measurement is both the signed
+            // digest and the PCR extension.
+            let digest = signed.image.digest();
+            if !signed.verify(&self.signer, &digest) {
                 self.recorder.record(reject);
                 return fail(BootError::BadSignature(stage), pcrs, booted);
             }
@@ -233,7 +197,7 @@ impl Device {
                     booted,
                 );
             }
-            pcrs.extend(stage.pcr_index(), &digests[&stage]);
+            pcrs.extend(stage.pcr_index(), &digest);
             booted.insert(stage, signed.image.version);
             self.recorder.record(Event::BootMeasure {
                 stage: Label::new(stage_label(stage)),
@@ -375,9 +339,9 @@ mod tests {
 
     #[test]
     fn batched_boot_records_one_event_per_stage() {
-        // The batch fast path must not add or drop BootMeasure events: a
-        // clean boot records exactly one ok event per stage, a tampered
-        // application records bootloader-ok then application-reject.
+        // A clean boot records exactly one ok event per stage, a
+        // tampered application records bootloader-ok then
+        // application-reject.
         use silvasec_telemetry::{Event, Recorder};
         let mut d = device();
         let recorder = Recorder::new();

@@ -104,11 +104,19 @@ pub struct SignedImage {
 }
 
 impl SignedImage {
-    /// Verifies the signature against the pinned signer key.
+    /// Verifies the signature against the pinned signer key, given the
+    /// payload's measurement `digest` (its [`FirmwareImage::digest`]), so
+    /// a boot stage that measures its payload hashes it only once. The
+    /// payload itself is not read: a `digest` that is not its
+    /// measurement vouches for nothing about it.
     #[must_use]
-    pub fn verify(&self, signer: &VerifyingKey) -> bool {
+    pub fn verify(&self, signer: &VerifyingKey, digest: &[u8; 32]) -> bool {
         Signature::from_bytes(&self.signature)
-            .map(|sig| signer.verify(&self.image.tbs_bytes(), &sig).is_ok())
+            .map(|sig| {
+                signer
+                    .verify(&self.image.tbs_bytes_with_digest(digest), &sig)
+                    .is_ok()
+            })
             .unwrap_or(false)
     }
 }
@@ -125,7 +133,7 @@ mod tests {
     fn sign_and_verify() {
         let img = FirmwareImage::new("fw-01", FirmwareStage::Application, 5, vec![1, 2, 3]);
         let signed = img.sign(&signer());
-        assert!(signed.verify(&signer().verifying_key()));
+        assert!(signed.verify(&signer().verifying_key(), &signed.image.digest()));
     }
 
     #[test]
@@ -133,7 +141,7 @@ mod tests {
         let img = FirmwareImage::new("fw-01", FirmwareStage::Application, 5, vec![1, 2, 3]);
         let mut signed = img.sign(&signer());
         signed.image.payload[0] ^= 0xff;
-        assert!(!signed.verify(&signer().verifying_key()));
+        assert!(!signed.verify(&signer().verifying_key(), &signed.image.digest()));
     }
 
     #[test]
@@ -141,7 +149,7 @@ mod tests {
         let img = FirmwareImage::new("fw-01", FirmwareStage::Application, 5, vec![1, 2, 3]);
         let mut signed = img.sign(&signer());
         signed.image.version = 6;
-        assert!(!signed.verify(&signer().verifying_key()));
+        assert!(!signed.verify(&signer().verifying_key(), &signed.image.digest()));
     }
 
     #[test]
@@ -149,7 +157,7 @@ mod tests {
         let img = FirmwareImage::new("fw-01", FirmwareStage::Bootloader, 5, vec![1]);
         let mut signed = img.sign(&signer());
         signed.image.component_id = "fw-02".into();
-        assert!(!signed.verify(&signer().verifying_key()));
+        assert!(!signed.verify(&signer().verifying_key(), &signed.image.digest()));
     }
 
     #[test]
@@ -157,7 +165,7 @@ mod tests {
         let img = FirmwareImage::new("fw-01", FirmwareStage::Application, 5, vec![1]);
         let signed = img.sign(&signer());
         let other = SigningKey::from_seed(&[8u8; 32]);
-        assert!(!signed.verify(&other.verifying_key()));
+        assert!(!signed.verify(&other.verifying_key(), &signed.image.digest()));
     }
 
     #[test]
@@ -165,7 +173,7 @@ mod tests {
         let img = FirmwareImage::new("fw-01", FirmwareStage::Application, 5, vec![1]);
         let mut signed = img.sign(&signer());
         signed.signature = vec![0u8; 12];
-        assert!(!signed.verify(&signer().verifying_key()));
+        assert!(!signed.verify(&signer().verifying_key(), &signed.image.digest()));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Fleet-scale two-fidelity control plane: decision equivalence,
-//! tamper parity through the per-shard batched verify, and shard
-//! determinism.
+//! tamper parity through the per-shard shared verify (one chain walk
+//! and one bundle-signature check per shard, its verdict shared by the
+//! shard's batch of untampered sites), and shard determinism.
 //!
 //! Small populations keep these affordable in debug mode. The 16k-site
 //! scenario and the 64-site shadowless trace are pinned in
@@ -47,8 +48,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
 
     /// A tampered bundle must be rejected by every site even though
-    /// shadow shards share one batched verification verdict — tampered
-    /// sites fall off the shared-verdict fast path and are verified
+    /// shadow shards share one verification verdict — tampered sites
+    /// fall off the shared-verdict fast path and are verified
     /// individually.
     #[test]
     fn tampered_bundles_reject_through_batched_verify(seed in 1u64..100) {
@@ -96,7 +97,7 @@ fn sharded_traces_match_sequential_reference_byte_for_byte() {
 }
 
 /// A clean shadow rollout amortizes signature verification: far fewer
-/// batched calls than sites, and no per-site fallback verifies.
+/// shared verifications than sites, and no per-site fallback verifies.
 #[test]
 fn batched_verify_amortizes_across_shadow_sites() {
     let (report, fleet) = run_fleet_scale_point(128, 7, FleetScenario::Clean, false);
@@ -110,7 +111,7 @@ fn batched_verify_amortizes_across_shadow_sites() {
     assert_eq!(report.individually_verified_sites, 0);
     assert!(
         report.batch_verify_calls < shadow_sites / 4,
-        "batched verify must amortize: {} calls for {} shadow sites",
+        "shared verify must amortize: {} calls for {} shadow sites",
         report.batch_verify_calls,
         shadow_sites
     );

@@ -5,7 +5,7 @@ use silvasec::crypto::aead::ChaCha20Poly1305;
 use silvasec::crypto::edwards::EdwardsPoint;
 use silvasec::crypto::field::FieldElement;
 use silvasec::crypto::scalar::Scalar;
-use silvasec::crypto::schnorr::{self, BatchItem, SigningKey};
+use silvasec::crypto::schnorr::SigningKey;
 use silvasec::crypto::{chacha20, hkdf, sha256};
 use silvasec::machines::planner::{plan_path_into, PlannerConfig, PlannerScratch};
 use silvasec::prelude::*;
@@ -613,68 +613,6 @@ proptest! {
     }
 
     #[test]
-    fn batch_verify_accepts_iff_every_individual_verifies(
-        msg_salt in any::<u64>(),
-        corrupt_idx in 0usize..16,
-        corrupt_sig in any::<bool>(),
-    ) {
-        const N: usize = 16;
-        let keys: Vec<SigningKey> = (0..N)
-            .map(|i| {
-                let mut seed = [0u8; 32];
-                seed[..8].copy_from_slice(&msg_salt.to_le_bytes());
-                seed[8] = i as u8;
-                SigningKey::from_seed(&seed)
-            })
-            .collect();
-        let mut messages: Vec<Vec<u8>> = (0..N)
-            .map(|i| format!("batch proptest {msg_salt} {i}").into_bytes())
-            .collect();
-        let mut signatures: Vec<_> = keys
-            .iter()
-            .zip(&messages)
-            .map(|(k, m)| k.sign(m))
-            .collect();
-        let verifiers: Vec<_> = keys.iter().map(SigningKey::verifying_key).collect();
-
-        let batch_ok = |messages: &[Vec<u8>], sigs: &[schnorr::Signature]| {
-            let items: Vec<BatchItem<'_>> = (0..N)
-                .map(|i| BatchItem {
-                    message: &messages[i],
-                    signature: &sigs[i],
-                    key: &verifiers[i],
-                })
-                .collect();
-            schnorr::verify_batch(&items)
-        };
-
-        // All-valid set: the batch accepts.
-        prop_assert!(batch_ok(&messages, &signatures));
-
-        // Corrupt exactly one of the sixteen (signature or message).
-        if corrupt_sig {
-            let mut bytes = signatures[corrupt_idx].to_bytes();
-            bytes[17] ^= 0x40;
-            match schnorr::Signature::from_bytes(&bytes) {
-                Ok(sig) => signatures[corrupt_idx] = sig,
-                // A flipped bit can make the encoding undecodable
-                // (non-canonical); corrupt the message instead.
-                Err(_) => messages[corrupt_idx].push(0x99),
-            }
-        } else {
-            messages[corrupt_idx][0] ^= 0x01;
-        }
-
-        // The batch rejects, and individual verification pinpoints
-        // exactly the corrupted index.
-        prop_assert!(!batch_ok(&messages, &signatures));
-        for i in 0..N {
-            let individual = verifiers[i].verify(&messages[i], &signatures[i]).is_ok();
-            prop_assert_eq!(individual, i != corrupt_idx, "index {}", i);
-        }
-    }
-
-    #[test]
     fn field_mul_prescaled_matches_widening_reference(
         a_bytes in any::<[u8; 32]>(),
         b_bytes in any::<[u8; 32]>(),
@@ -692,7 +630,7 @@ proptest! {
     }
 
     #[test]
-    fn chain_cache_never_survives_a_crl_revocation(
+    fn validated_chain_never_survives_a_crl_revocation(
         validate_t in 10u64..900,
         revoke_at in 1_000u64..5_000,
     ) {
@@ -711,14 +649,12 @@ proptest! {
         let store = TrustStore::with_roots([ca.certificate().clone()]);
         let chain = vec![end.clone()];
 
-        // Warm the verified-chain cache (second call is the cached hit).
+        // The chain validates, twice over…
         prop_assert!(store.validate_chain(&chain, validate_t, &[]).is_ok());
         prop_assert!(store.validate_chain(&chain, validate_t, &[]).is_ok());
-        prop_assert!(store.chain_cache_len() >= 1);
 
-        // A CRL revoking the leaf changes the cache key (CRL bytes are
-        // part of the fingerprint), so the warm cache cannot mask the
-        // revocation.
+        // …and a CRL revoking the leaf is honoured all the same: no
+        // earlier verdict masks the revocation.
         ca.revoke(end.serial, revoke_at);
         let crl = ca.sign_crl(revoke_at + 1);
         prop_assert!(matches!(
@@ -726,8 +662,97 @@ proptest! {
             Err(PkiError::Revoked { .. })
         ));
 
-        // The CRL-free verdict at the original time is still served.
+        // The CRL-free verdict at the original time is unchanged.
         prop_assert!(store.validate_chain(&chain, validate_t, &[]).is_ok());
+    }
+}
+
+/// Every component role, for the certificate-field mutations.
+const ROLES: [ComponentRole; 8] = [
+    ComponentRole::Authority,
+    ComponentRole::Forwarder,
+    ComponentRole::Harvester,
+    ComponentRole::Drone,
+    ComponentRole::BaseStation,
+    ComponentRole::Sensor,
+    ComponentRole::OperatorTerminal,
+    ComponentRole::FirmwareSigner,
+];
+
+/// Changes one signed field of `cert`, or one bit of its signature.
+/// `field` picks what (0 subject id, 1 role, 2 issuer id, 3 serial,
+/// 4 `not_before`, 5 `not_after`, 6 key-usage bits, 7 a public-key
+/// byte, 8 a signature bit) and `pick` how. Validity only widens, so a
+/// mutated window still contains every time the original one does.
+fn mutate_certificate(cert: &mut Certificate, field: usize, pick: u64) {
+    let bit = 1u8 << ((pick >> 32) % 8);
+    match field {
+        0 => cert.subject.id.push('x'),
+        1 => {
+            let at = ROLES.iter().position(|r| *r == cert.subject.role).unwrap();
+            cert.subject.role = ROLES[(at + 1 + (pick % 7) as usize) % ROLES.len()];
+        }
+        2 => cert.issuer_id.push('x'),
+        3 => cert.serial ^= 1 << (pick % 64),
+        4 => cert.validity.not_before = pick % cert.validity.not_before,
+        5 => cert.validity.not_after += 1 + pick % 1_000_000,
+        6 => cert.key_usage = KeyUsage::from_bits(cert.key_usage.bits() ^ bit),
+        7 => {
+            let at = (pick % cert.public_key.len() as u64) as usize;
+            cert.public_key[at] ^= bit;
+        }
+        _ => {
+            let at = (pick % cert.signature.len() as u64) as usize;
+            cert.signature[at] ^= bit;
+        }
+    }
+}
+
+proptest! {
+    // Three certificates signed and nineteen chain walks per case.
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A root → intermediate → leaf chain validates, and changing any
+    /// one signed field of the leaf or the intermediate, or one bit of
+    /// either signature, makes it fail: the TBS encoding covers every
+    /// field the walk trusts, and a mutated chain is an error, never a
+    /// panic.
+    #[test]
+    fn chain_field_mutations_never_validate(
+        key_seed in any::<u8>(),
+        time in 1_000u64..50_000,
+        picks in proptest::collection::vec(any::<u64>(), 18..19),
+    ) {
+        let mut root = CertificateAuthority::new_root(
+            "mut-root",
+            &[key_seed; 32],
+            Validity::new(0, 100_000),
+        );
+        let mut site = root.issue_intermediate_mut(
+            "mut-site",
+            &[key_seed ^ 0x5a; 32],
+            Validity::new(100, 90_000),
+        );
+        let leaf_key = SigningKey::from_seed(&[key_seed ^ 0xa5; 32]);
+        let leaf = site.issue_mut(
+            &Subject::new("mut-leaf", ComponentRole::Forwarder),
+            &leaf_key.verifying_key(),
+            KeyUsage::AUTHENTICATION,
+            Validity::new(500, 80_000),
+        );
+        let store = TrustStore::with_roots([root.certificate().clone()]);
+        let chain = vec![leaf, site.certificate().clone()];
+        prop_assert!(store.validate_chain(&chain, time, &[]).is_ok());
+
+        for (i, &pick) in picks.iter().enumerate() {
+            let (at, field) = (i % 2, i / 2);
+            let mut mutated = chain.clone();
+            mutate_certificate(&mut mutated[at], field, pick);
+            prop_assert!(
+                store.validate_chain(&mutated, time, &[]).is_err(),
+                "field {} of certificate {} changed, yet the chain validated", field, at
+            );
+        }
     }
 }
 
