@@ -10,19 +10,27 @@
 //!
 //! Run with:
 //! `cargo run --release -p silvasec-bench --bin fleet_trace_dump -- <out.jsonl> [sites] [seed]`
-//! (defaults: 64 sites, seed 11, clean scenario).
+//! (defaults: 64 sites, seed 11, clean scenario). An argument that is
+//! not a number prints the usage and exits 1.
 
 use silvasec::experiments::{run_fleet_rollout, FleetScenario};
 use std::process::ExitCode;
 
+const USAGE: &str = "usage: fleet_trace_dump <out.jsonl> [sites] [seed]";
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(out) = args.first() else {
-        eprintln!("usage: fleet_trace_dump <out.jsonl> [sites] [seed]");
+        eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let sites: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(64);
-    let seed: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(11);
+    let (Ok(sites), Ok(seed)) = (
+        args.get(1).map_or(Ok(64), |s| s.parse::<usize>()),
+        args.get(2).map_or(Ok(11), |s| s.parse::<u64>()),
+    ) else {
+        eprintln!("{USAGE}");
+        return ExitCode::FAILURE;
+    };
 
     let (report, trace) = run_fleet_rollout(sites, seed, FleetScenario::Clean);
     if let Err(e) = std::fs::write(out, &trace) {

@@ -184,10 +184,14 @@ impl UpdateBundle {
     /// Verifies the bundle for a site running `component_id` at firmware
     /// `installed_version`.
     ///
-    /// Checks, in order: signer chain (against `store`, for
-    /// [`KeyUsage::FIRMWARE_SIGNING`]), bundle signature under the
-    /// chain's end-entity key, component binding, image/manifest
-    /// agreement, and the monotone version rule.
+    /// Checks, in order: signer chain (against `store` and the
+    /// revocation lists `crls`, for [`KeyUsage::FIRMWARE_SIGNING`]),
+    /// bundle signature under the chain's end-entity key, component
+    /// binding, image/manifest agreement, and the monotone version rule.
+    /// A bundle signed under a revoked certificate — the
+    /// incident-response containment case — is rejected with
+    /// [`BundleError::Chain`] even though its signature still verifies;
+    /// pass `&[]` when no CRL has been published.
     ///
     /// The per-image signatures are not checked here: they are
     /// authoritative only at boot, where the device checks them against
@@ -200,36 +204,18 @@ impl UpdateBundle {
         &self,
         store: &TrustStore,
         now_ms: u64,
-        component_id: &str,
-        installed_version: u32,
-    ) -> Result<(), BundleError> {
-        self.verify_with_crls(store, now_ms, &[], component_id, installed_version)
-    }
-
-    /// [`UpdateBundle::verify`] with revocation checking: the signer
-    /// chain is additionally validated against `crls`, so a bundle
-    /// signed under a revoked certificate — the incident-response
-    /// containment case — is rejected with [`BundleError::Chain`] even
-    /// though its signature still verifies.
-    ///
-    /// # Errors
-    ///
-    /// The first [`BundleError`] encountered.
-    pub fn verify_with_crls(
-        &self,
-        store: &TrustStore,
-        now_ms: u64,
         crls: &[CertificateRevocationList],
         component_id: &str,
         installed_version: u32,
     ) -> Result<(), BundleError> {
-        self.verify_shared_with_crls(store, now_ms, crls, component_id)?;
+        self.verify_shared(store, now_ms, crls, component_id)?;
         self.check_version(installed_version)
     }
 
     /// The site-independent prefix of [`UpdateBundle::verify`]: signer
-    /// chain, bundle signature, component binding, and image/manifest
-    /// agreement — everything except the per-site monotone version rule.
+    /// chain (revocation included), bundle signature, component binding,
+    /// and image/manifest agreement — everything except the per-site
+    /// monotone version rule.
     ///
     /// Every site in a fleet shares the same trust store and component
     /// id, so this verdict can be computed once per rollout shard and
@@ -241,21 +227,6 @@ impl UpdateBundle {
     ///
     /// The first [`BundleError`] encountered.
     pub fn verify_shared(
-        &self,
-        store: &TrustStore,
-        now_ms: u64,
-        component_id: &str,
-    ) -> Result<(), BundleError> {
-        self.verify_shared_with_crls(store, now_ms, &[], component_id)
-    }
-
-    /// [`UpdateBundle::verify_shared`] with revocation checking against
-    /// `crls` (see [`UpdateBundle::verify_with_crls`]).
-    ///
-    /// # Errors
-    ///
-    /// The first [`BundleError`] encountered.
-    pub fn verify_shared_with_crls(
         &self,
         store: &TrustStore,
         now_ms: u64,
@@ -351,7 +322,7 @@ mod tests {
         let bytes = bundle.encode();
         let back = UpdateBundle::decode(&bytes).unwrap();
         assert_eq!(back, bundle);
-        back.verify(&store, 5000, "forwarder-fw", 1).unwrap();
+        back.verify(&store, 5000, &[], "forwarder-fw", 1).unwrap();
     }
 
     #[test]
@@ -365,7 +336,7 @@ mod tests {
         match UpdateBundle::decode(&bytes) {
             Err(BundleError::Decode) => {}
             Ok(b) => {
-                let err = b.verify(&store, 5000, "forwarder-fw", 1).unwrap_err();
+                let err = b.verify(&store, 5000, &[], "forwarder-fw", 1).unwrap_err();
                 assert!(matches!(
                     err,
                     BundleError::Signature | BundleError::Chain(_) | BundleError::ManifestMismatch
@@ -378,7 +349,9 @@ mod tests {
     #[test]
     fn downgrade_rejected() {
         let (bundle, store) = fixture();
-        let err = bundle.verify(&store, 5000, "forwarder-fw", 2).unwrap_err();
+        let err = bundle
+            .verify(&store, 5000, &[], "forwarder-fw", 2)
+            .unwrap_err();
         assert!(matches!(
             err,
             BundleError::Downgrade {
@@ -386,7 +359,9 @@ mod tests {
                 offered: 2
             }
         ));
-        let err = bundle.verify(&store, 5000, "forwarder-fw", 7).unwrap_err();
+        let err = bundle
+            .verify(&store, 5000, &[], "forwarder-fw", 7)
+            .unwrap_err();
         assert!(matches!(
             err,
             BundleError::Downgrade {
@@ -399,7 +374,7 @@ mod tests {
     #[test]
     fn wrong_component_rejected() {
         let (bundle, store) = fixture();
-        let err = bundle.verify(&store, 5000, "drone-fw", 1).unwrap_err();
+        let err = bundle.verify(&store, 5000, &[], "drone-fw", 1).unwrap_err();
         assert!(matches!(err, BundleError::WrongComponent { .. }));
     }
 
@@ -428,7 +403,9 @@ mod tests {
             released_at_ms: 0,
         };
         let bundle = UpdateBundle::build(manifest, images, vec![leaf], &signer);
-        let err = bundle.verify(&store, 100, "forwarder-fw", 1).unwrap_err();
+        let err = bundle
+            .verify(&store, 100, &[], "forwarder-fw", 1)
+            .unwrap_err();
         assert!(matches!(err, BundleError::Chain(_)));
     }
 
@@ -446,7 +423,9 @@ mod tests {
             bundle.signer_chain.clone(),
             &signer,
         );
-        let err = rebuilt.verify(&store, 5000, "forwarder-fw", 1).unwrap_err();
+        let err = rebuilt
+            .verify(&store, 5000, &[], "forwarder-fw", 1)
+            .unwrap_err();
         assert_eq!(err, BundleError::ManifestMismatch);
     }
 
@@ -469,7 +448,9 @@ mod tests {
             bundle.signer_chain.clone(),
             &signer,
         );
-        rebuilt.verify(&store, 5000, "forwarder-fw", 1).unwrap();
+        rebuilt
+            .verify(&store, 5000, &[], "forwarder-fw", 1)
+            .unwrap();
     }
 
     #[test]
@@ -486,7 +467,9 @@ mod tests {
             bundle.signer_chain.clone(),
             &signer,
         );
-        rebuilt.verify(&store, 5000, "forwarder-fw", 1).unwrap();
+        rebuilt
+            .verify(&store, 5000, &[], "forwarder-fw", 1)
+            .unwrap();
     }
 
     #[test]
@@ -495,7 +478,9 @@ mod tests {
         let (mut bundle, store) = fixture();
         let last = bundle.signature.len() - 1;
         bundle.signature[last] ^= 0x01;
-        let err = bundle.verify(&store, 5000, "forwarder-fw", 1).unwrap_err();
+        let err = bundle
+            .verify(&store, 5000, &[], "forwarder-fw", 1)
+            .unwrap_err();
         assert_eq!(err, BundleError::Signature);
     }
 
@@ -505,18 +490,24 @@ mod tests {
         // computed once per shard plus the per-site version rule decides
         // exactly what the per-site verify would.
         let (bundle, store) = fixture();
-        bundle.verify_shared(&store, 5000, "forwarder-fw").unwrap();
+        bundle
+            .verify_shared(&store, 5000, &[], "forwarder-fw")
+            .unwrap();
         bundle.check_version(1).unwrap();
         // The shared prefix is version-independent: a site already on a
         // newer version still passes it and fails only the version rule,
         // matching verify's error.
         assert_eq!(
             bundle.check_version(7).unwrap_err(),
-            bundle.verify(&store, 5000, "forwarder-fw", 7).unwrap_err()
+            bundle
+                .verify(&store, 5000, &[], "forwarder-fw", 7)
+                .unwrap_err()
         );
         // Component mismatch surfaces in the shared prefix.
         assert!(matches!(
-            bundle.verify_shared(&store, 5000, "drone-fw").unwrap_err(),
+            bundle
+                .verify_shared(&store, 5000, &[], "drone-fw")
+                .unwrap_err(),
             BundleError::WrongComponent { .. }
         ));
     }

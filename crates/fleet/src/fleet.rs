@@ -1,6 +1,6 @@
 //! The fleet orchestrator: N worksites, one update backend, one SIEM.
 
-use crate::bundle::{BundleError, UpdateBundle, UpdateManifest};
+use crate::bundle::{UpdateBundle, UpdateManifest};
 use crate::rollout::{RolloutPhase, RolloutPolicy, RolloutReport};
 use crate::shadow::{
     campaign_class, ShadowCampaign, ShadowConfig, ShadowPopulation, ShadowRolloutCtx, SiteSlot,
@@ -62,11 +62,11 @@ pub struct FleetConfig {
     /// Upper bound on rollout duration, ticks (a stuck rollout ends with
     /// `completed: false` instead of spinning forever).
     pub max_rollout_ticks: u32,
-    /// Two-fidelity mode: when set, only a deterministically-sampled
+    /// Two-fidelity split: when set, only a deterministically-sampled
     /// subset of sites runs the full `Worksite` simulation and the rest
     /// live in the compact sharded shadow population. `None` (the
-    /// default) keeps every site full — byte-identical to the
-    /// historical behaviour.
+    /// default) is the all-full layout: every site is a full worksite
+    /// and the shadow population has no shards.
     pub shadow: Option<ShadowConfig>,
     /// Incident-response mode: when set, an [`OpsEngine`] rides on the
     /// fleet — site alerts and correlated campaigns open deterministic
@@ -292,16 +292,11 @@ impl FleetSite {
             Err(e) => return (Err(e.reason()), None),
         };
         let verify_started = std::time::Instant::now();
-        let verified =
-            bundle.verify_with_crls(store, now_ms, crls, FLEET_COMPONENT, self.installed_version);
+        let verified = bundle.verify(store, now_ms, crls, FLEET_COMPONENT, self.installed_version);
         let verify_us = u64::try_from(verify_started.elapsed().as_micros()).unwrap_or(u64::MAX);
         if let Err(e) = verified {
             // Stash the reason tag; the caller tallies it.
-            let reason = match e {
-                BundleError::Chain(_) => "chain",
-                other => other.reason(),
-            };
-            return (Err(reason), Some(verify_us));
+            return (Err(e.reason()), Some(verify_us));
         }
         let report = self.device.boot(&bundle.images);
         if !report.success {
@@ -335,8 +330,10 @@ struct OpsRuntime {
 pub struct Fleet {
     config: FleetConfig,
     backend: FleetBackend,
+    /// The full-fidelity sites, in the order of
+    /// [`ShadowLayout::full`](crate::ShadowLayout::full).
     sites: Vec<FleetSite>,
-    shadows: Option<ShadowPopulation>,
+    shadows: ShadowPopulation,
     shadow_campaigns: Vec<ShadowCampaign>,
     siem: FleetSiem,
     risk: ContinuousAssessment,
@@ -364,9 +361,10 @@ fn site_incident(class: &str, site: u32, at_ms: u64) -> Incident {
 }
 
 impl Fleet {
-    /// Commissions a fleet: backend PKI, one worksite per site index,
-    /// per-site uplinks, and baseline firmware (version 1) booted on
-    /// every site's update device.
+    /// Commissions a fleet: backend PKI, the shadow population, one
+    /// worksite per full-fidelity site index with its uplink, and
+    /// baseline firmware (version 1) booted on every full site's update
+    /// device.
     ///
     /// # Panics
     ///
@@ -397,21 +395,19 @@ impl Fleet {
             set
         });
 
-        // Two-fidelity split: with a shadow config, only the sampled
-        // subset is commissioned as a full worksite (keyed by its
-        // *global* index, so a full site behaves identically to the same
-        // site in an all-full fleet); everything else lives in the
-        // compact shadow population.
-        let shadows = config
-            .shadow
-            .map(|sc| ShadowPopulation::new(config.sites, &sc, seed));
-        let full_indices: Vec<u32> = match &shadows {
-            Some(pop) => pop.layout.full.clone(),
-            None => (0..config.sites as u32).collect(),
-        };
+        // Two-fidelity split: only the sampled subset is commissioned as
+        // a full worksite (keyed by its *global* index, so a full site
+        // behaves identically to the same site in an all-full fleet);
+        // everything else lives in the compact shadow population.
+        // Without a shadow config every site is full.
+        let shadow_config = config.shadow.unwrap_or(ShadowConfig {
+            full_sites: config.sites,
+            ..ShadowConfig::default()
+        });
+        let shadows = ShadowPopulation::new(config.sites, &shadow_config, seed);
 
-        let mut sites = Vec::with_capacity(full_indices.len());
-        for &i in &full_indices {
+        let mut sites = Vec::with_capacity(shadows.layout.full.len());
+        for &i in &shadows.layout.full {
             let mut site_rng = root_rng.fork(&format!("fleet-site-{i}"));
             let site = Worksite::new(&config.site, site_rng.next_u64());
             let alerts_sub = site.recorder().subscribe_filtered(
@@ -473,16 +469,7 @@ impl Fleet {
     /// Panics if `site` is out of range.
     #[must_use]
     pub fn site_slot(&self, site: u32) -> SiteSlot {
-        match &self.shadows {
-            Some(pop) => pop.layout.slot_of(site),
-            None => {
-                assert!(
-                    (site as usize) < self.sites.len(),
-                    "site {site} out of range"
-                );
-                SiteSlot::Full(site)
-            }
-        }
+        self.shadows.layout.slot_of(site)
     }
 
     /// Whether `site` has applied the in-progress rollout, across both
@@ -492,23 +479,7 @@ impl Fleet {
             SiteSlot::Full(pos) => {
                 matches!(self.sites[pos as usize].outcome, Some(Ok(_)))
             }
-            SiteSlot::Shadow { shard, slot } => self
-                .shadows
-                .as_ref()
-                .is_some_and(|pop| pop.shard(shard).is_applied(slot)),
-        }
-    }
-
-    /// Number of shadow-population members of the global site range
-    /// `[lo, hi)`.
-    fn shadow_members_in(&self, lo: u32, hi: u32) -> usize {
-        match &self.shadows {
-            Some(pop) => {
-                let full = &pop.layout.full;
-                let full_in = full.partition_point(|&f| f < hi) - full.partition_point(|&f| f < lo);
-                (hi - lo) as usize - full_in
-            }
-            None => 0,
+            SiteSlot::Shadow { shard, slot } => self.shadows.shard(shard).is_applied(slot),
         }
     }
 
@@ -523,15 +494,13 @@ impl Fleet {
             _ => {
                 // Shadow sites model the same campaign as a detection
                 // schedule over its active window.
-                if self.shadows.is_some() {
-                    if let Some(class) = campaign_class(campaign.kind) {
-                        let start_ms = campaign.start.as_millis();
-                        self.shadow_campaigns.push(ShadowCampaign {
-                            class,
-                            start_ms,
-                            end_ms: start_ms + campaign.duration.as_millis(),
-                        });
-                    }
+                if let Some(class) = campaign_class(campaign.kind) {
+                    let start_ms = campaign.start.as_millis();
+                    self.shadow_campaigns.push(ShadowCampaign {
+                        class,
+                        start_ms,
+                        end_ms: start_ms + campaign.duration.as_millis(),
+                    });
                 }
                 for fs in &mut self.sites {
                     fs.site.attack_engine_mut().add_campaign(campaign.clone());
@@ -540,13 +509,16 @@ impl Fleet {
         }
     }
 
-    /// Schedules a worksite-layer attack on one site.
+    /// Schedules a worksite-layer attack on one full-fidelity site,
+    /// named by its position `full_pos` in the full-site list
+    /// ([`ShadowLayout::full`](crate::ShadowLayout::full)), not by its
+    /// global site index.
     ///
     /// # Panics
     ///
-    /// Panics if `site` is out of range.
-    pub fn schedule_site_attack(&mut self, site: usize, campaign: AttackCampaign) {
-        self.sites[site]
+    /// Panics if `full_pos` is not below the number of full sites.
+    pub fn schedule_site_attack(&mut self, full_pos: usize, campaign: AttackCampaign) {
+        self.sites[full_pos]
             .site
             .attack_engine_mut()
             .add_campaign(campaign);
@@ -621,25 +593,23 @@ impl Fleet {
 
         // Shadow alerts, sharded over the sweep pool and merged in shard
         // order after the full sites — a deterministic stream order.
-        if let Some(shadows) = &mut self.shadows {
-            for alert in shadows.alert_sweep(
-                &self.shadow_campaigns,
-                prev.as_millis(),
-                self.now.as_millis(),
-            ) {
-                if self
-                    .ops
-                    .as_ref()
-                    .is_some_and(|o| o.quarantined.contains(&alert.site))
-                {
-                    withheld += 1;
-                    continue;
-                }
-                self.siem.ingest_alert(alert.site, alert.class, alert.at_ms);
-                alerts.push((alert.site, alert.at_ms));
-                if ops_on {
-                    incidents.push(site_incident(alert.class, alert.site, alert.at_ms));
-                }
+        for alert in self.shadows.alert_sweep(
+            &self.shadow_campaigns,
+            prev.as_millis(),
+            self.now.as_millis(),
+        ) {
+            if self
+                .ops
+                .as_ref()
+                .is_some_and(|o| o.quarantined.contains(&alert.site))
+            {
+                withheld += 1;
+                continue;
+            }
+            self.siem.ingest_alert(alert.site, alert.class, alert.at_ms);
+            alerts.push((alert.site, alert.at_ms));
+            if ops_on {
+                incidents.push(site_incident(alert.class, alert.site, alert.at_ms));
             }
         }
 
@@ -826,9 +796,7 @@ impl Fleet {
             fs.delivery = None;
             fs.outcome = None;
         }
-        if let Some(shadows) = &mut self.shadows {
-            shadows.reset_rollout();
-        }
+        self.shadows.reset_rollout();
 
         let waves = self.config.policy.waves(self.len());
         let started = self.now;
@@ -866,24 +834,16 @@ impl Fleet {
                     let poisoning = self.kind_active(AttackKind::RolloutPoisoning);
                     let now = self.now;
                     let budget = self.config.chunks_per_tick;
-                    // Wave ranges are contiguous by construction; the
-                    // bounds drive the shadow shards' range intersection.
-                    let (wave_lo, wave_hi) = (
-                        waves[wave][0] as u32,
-                        *waves[wave].last().expect("waves are non-empty") as u32 + 1,
-                    );
+                    let wave_sites = waves[wave].clone();
+                    let full = self.shadows.layout.full_within(&wave_sites);
                     let mut applied_sites = Vec::new();
-                    for &idx in &waves[wave] {
-                        // Shadow members are handled by the sharded
-                        // sweep below.
-                        let SiteSlot::Full(pos) = self.site_slot(idx as u32) else {
-                            continue;
-                        };
+                    for pos in full.clone() {
                         let chunk_bytes = self.config.chunk_bytes;
-                        let fs = &mut self.sites[pos as usize];
+                        let fs = &mut self.sites[pos];
                         if fs.outcome.is_some() {
                             continue;
                         }
+                        let idx = fs.index;
                         let delivery = fs.delivery.get_or_insert_with(|| {
                             // A downgrade MITM substitutes the old but
                             // genuinely signed bundle on the wire.
@@ -921,7 +881,7 @@ impl Fleet {
                         let (ok, reason) = match &outcome {
                             Ok(_) => {
                                 report.applied_sites += 1;
-                                applied_sites.push(pos as usize);
+                                applied_sites.push(pos);
                                 (true, "applied")
                             }
                             Err(reason) => {
@@ -937,7 +897,7 @@ impl Fleet {
                         self.recorder.record_at(
                             now,
                             Event::UpdateApply {
-                                site: fs.index,
+                                site: idx,
                                 version,
                                 ok,
                                 reason: Label::new(reason),
@@ -956,74 +916,66 @@ impl Fleet {
                     // Shadow members of the wave: sharded distribution,
                     // one shared bundle verification per shard, merged
                     // in shard order.
-                    if let Some(shadows) = &mut self.shadows {
-                        let jam = self
-                            .campaigns
-                            .iter()
-                            .find(|c| c.kind == AttackKind::RfJamming && c.active_at(now))
-                            .map_or(0.0, |c| c.intensity);
-                        let poison_at_ms =
-                            poisoning.then(|| (now + self.config.site.tick).as_millis());
-                        let ctx = ShadowRolloutCtx {
-                            version,
-                            update_id,
-                            encoded: &encoded,
-                            old_encoded: old_encoded.as_deref(),
-                            store: &self.backend.store,
-                            crls: &self.backend.crls,
-                            chunk_bytes: self.config.chunk_bytes,
-                            budget,
-                            now_ms: now.as_millis(),
-                            tick_index: self.tick_index,
-                            tamper,
-                            downgrade,
-                            poison_at_ms,
-                            jam,
-                        };
-                        for (shard, out) in shadows
-                            .rollout_sweep(wave_lo, wave_hi, &ctx)
-                            .iter()
-                            .enumerate()
-                        {
-                            report.applied_sites += out.applied;
-                            report.rejected_sites += out.rejected;
-                            for (ri, &n) in out.reject_reasons.iter().enumerate() {
-                                if n > 0 {
-                                    *report
-                                        .reject_reasons
-                                        .entry(REJECT_REASONS[ri].to_string())
-                                        .or_default() += n;
-                                }
+                    let jam = self
+                        .campaigns
+                        .iter()
+                        .find(|c| c.kind == AttackKind::RfJamming && c.active_at(now))
+                        .map_or(0.0, |c| c.intensity);
+                    let poison_at_ms = poisoning.then(|| (now + self.config.site.tick).as_millis());
+                    let ctx = ShadowRolloutCtx {
+                        version,
+                        update_id,
+                        encoded: &encoded,
+                        old_encoded: old_encoded.as_deref(),
+                        store: &self.backend.store,
+                        crls: &self.backend.crls,
+                        chunk_bytes: self.config.chunk_bytes,
+                        budget,
+                        now_ms: now.as_millis(),
+                        tick_index: self.tick_index,
+                        tamper,
+                        downgrade,
+                        poison_at_ms,
+                        jam,
+                    };
+                    for (shard, out) in self
+                        .shadows
+                        .rollout_sweep(wave_sites.start as u32, wave_sites.end as u32, &ctx)
+                        .iter()
+                        .enumerate()
+                    {
+                        report.applied_sites += out.applied;
+                        report.rejected_sites += out.rejected;
+                        for (ri, &n) in out.reject_reasons.iter().enumerate() {
+                            if n > 0 {
+                                *report
+                                    .reject_reasons
+                                    .entry(REJECT_REASONS[ri].to_string())
+                                    .or_default() += n;
                             }
-                            report.bytes_on_air += out.bytes_on_air;
-                            report.frames_sent += out.frames_sent;
-                            report.batch_verify_calls += out.batch_verify_calls;
-                            report.batch_verified_sites += out.batch_verified_sites;
-                            report.individually_verified_sites += out.individually_verified_sites;
-                            shadow_resolved_in_wave += out.resolved() as usize;
-                            if out.resolved() > 0 {
-                                self.recorder.record_at(
-                                    now,
-                                    Event::ShadowWave {
-                                        shard: shard as u32,
-                                        applied: out.applied,
-                                        rejected: out.rejected,
-                                    },
-                                );
-                            }
+                        }
+                        report.bytes_on_air += out.bytes_on_air;
+                        report.frames_sent += out.frames_sent;
+                        report.batch_verify_calls += out.batch_verify_calls;
+                        report.batch_verified_sites += out.batch_verified_sites;
+                        report.individually_verified_sites += out.individually_verified_sites;
+                        shadow_resolved_in_wave += out.resolved() as usize;
+                        if out.resolved() > 0 {
+                            self.recorder.record_at(
+                                now,
+                                Event::ShadowWave {
+                                    shard: shard as u32,
+                                    applied: out.applied,
+                                    rejected: out.rejected,
+                                },
+                            );
                         }
                     }
 
-                    let full_resolved =
-                        waves[wave]
-                            .iter()
-                            .all(|&idx| match self.site_slot(idx as u32) {
-                                SiteSlot::Full(pos) => self.sites[pos as usize].outcome.is_some(),
-                                SiteSlot::Shadow { .. } => true,
-                            });
-                    if full_resolved
-                        && shadow_resolved_in_wave >= self.shadow_members_in(wave_lo, wave_hi)
-                    {
+                    let full_resolved = self.sites[full.clone()]
+                        .iter()
+                        .all(|fs| fs.outcome.is_some());
+                    if full_resolved && shadow_resolved_in_wave >= wave_sites.len() - full.len() {
                         phase = RolloutPhase::Observing;
                         observe_left = self.config.policy.observe_ticks;
                     }
@@ -1242,10 +1194,7 @@ impl Fleet {
     /// Number of managed sites, full-fidelity and shadow members both.
     #[must_use]
     pub fn len(&self) -> usize {
-        match &self.shadows {
-            Some(pop) => pop.layout.sites,
-            None => self.sites.len(),
-        }
+        self.shadows.layout.sites
     }
 
     /// Whether the fleet manages no sites.
@@ -1263,12 +1212,7 @@ impl Fleet {
     pub fn installed_version(&self, site: usize) -> u32 {
         match self.site_slot(site as u32) {
             SiteSlot::Full(pos) => self.sites[pos as usize].installed_version,
-            SiteSlot::Shadow { shard, slot } => self
-                .shadows
-                .as_ref()
-                .expect("shadow slot implies a shadow population")
-                .shard(shard)
-                .installed_version(slot),
+            SiteSlot::Shadow { shard, slot } => self.shadows.shard(shard).installed_version(slot),
         }
     }
 
@@ -1296,10 +1240,12 @@ impl Fleet {
         }
     }
 
-    /// The shadow population, when the fleet runs in two-fidelity mode.
+    /// The shadow population and the fleet's layout. A fleet built
+    /// without [`FleetConfig::shadow`] has every site full and no
+    /// shards.
     #[must_use]
-    pub fn shadows(&self) -> Option<&ShadowPopulation> {
-        self.shadows.as_ref()
+    pub fn shadows(&self) -> &ShadowPopulation {
+        &self.shadows
     }
 
     /// A point-in-time security observability snapshot: population split,
@@ -1315,7 +1261,7 @@ impl Fleet {
         FleetSecuritySnapshot {
             sites: self.len(),
             full_sites: self.sites.len(),
-            shadow_sites: self.shadows.as_ref().map_or(0, |p| p.layout.shadow_count()),
+            shadow_sites: self.shadows.layout.shadow_count(),
             siem_records_ingested: self.siem.records_ingested(),
             siem_observations_held: self.siem.observations_held(),
             siem_window_drops: self.siem.window_drops(),
@@ -1323,11 +1269,8 @@ impl Fleet {
             siem_campaigns: self.siem.campaigns().len(),
             trace_pushed: trace.as_ref().map_or(0, |s| s.pushed),
             trace_ring_dropped: trace.as_ref().map_or(0, |s| s.dropped),
-            shadow_mem_bytes: self.shadows.as_ref().map_or(0, ShadowPopulation::mem_bytes),
-            shadow_calendar_bytes: self
-                .shadows
-                .as_ref()
-                .map_or(0, ShadowPopulation::calendar_bytes),
+            shadow_mem_bytes: self.shadows.mem_bytes(),
+            shadow_calendar_bytes: self.shadows.calendar_bytes(),
         }
     }
 }
@@ -1398,6 +1341,56 @@ mod tests {
     }
 
     #[test]
+    fn shadowless_fleet_is_the_all_full_layout() {
+        // `shadow: None` and a shadow config that keeps all four sites
+        // full must build the same layout and export the same trace,
+        // through a deauth campaign (which the shadow population also
+        // schedules) and a rollout.
+        let run = |shadow: Option<ShadowConfig>| {
+            let mut fleet = Fleet::new(
+                FleetConfig {
+                    shadow,
+                    ..small_config(4)
+                },
+                42,
+            );
+            assert_eq!(fleet.shadows().layout.full, [0, 1, 2, 3]);
+            assert_eq!(fleet.shadows().shard_count(), 0);
+            fleet.schedule_fleet_attack(AttackCampaign {
+                kind: AttackKind::DeauthFlood,
+                target: AttackTarget::Link {
+                    spoof_as: silvasec_comms::NodeId(0),
+                    victim: silvasec_comms::NodeId(1),
+                },
+                start: SimTime::from_secs(2),
+                duration: SimDuration::from_secs(30),
+                intensity: 1.0,
+            });
+            fleet.run(SimDuration::from_secs(40));
+            let report = fleet.run_rollout(2);
+            assert!(report.completed, "{report:?}");
+            let report = serde_json::to_string(&report).expect("report serializes");
+            (report, fleet.export_trace_jsonl())
+        };
+        let (report, trace) = run(None);
+        assert!(trace.contains("CampaignAlert"), "{trace}");
+        let all_full = ShadowConfig {
+            full_sites: 4,
+            ..ShadowConfig::default()
+        };
+        assert_eq!(run(Some(all_full)), (report, trace));
+    }
+
+    #[test]
+    fn zero_site_fleet_builds_empty() {
+        let fleet = Fleet::new(small_config(0), 42);
+        assert!(fleet.is_empty());
+        assert!(fleet.shadows().layout.full.is_empty());
+        let snapshot = fleet.security_snapshot();
+        assert_eq!((snapshot.full_sites, snapshot.shadow_sites), (0, 0));
+    }
+
+    #[test]
     fn tara_knob_carries_hypotheses_and_rollout_retires_firmware_tampering() {
         // Rank wide enough that every distinct scenario (2000 per
         // variant) becomes a hypothesis, so the firmware-tampering
@@ -1446,7 +1439,7 @@ mod tests {
         let mut backend = FleetBackend::commission(&mut rng);
         let bundle = backend.publish(3, 256, 0, &mut rng);
         bundle
-            .verify(backend.trust_store(), 100, FLEET_COMPONENT, 1)
+            .verify(backend.trust_store(), 100, &[], FLEET_COMPONENT, 1)
             .unwrap();
     }
 
@@ -1460,7 +1453,7 @@ mod tests {
         // The pre-revocation bundle fails chain validation once the CRL
         // is consulted...
         let err = old
-            .verify_with_crls(
+            .verify(
                 backend.trust_store(),
                 1_000,
                 backend.crls(),
@@ -1468,16 +1461,16 @@ mod tests {
                 1,
             )
             .unwrap_err();
-        assert!(matches!(err, BundleError::Chain(_)));
-        // ...while ignoring CRLs (the historical path) still accepts it.
-        old.verify(backend.trust_store(), 1_000, FLEET_COMPONENT, 1)
+        assert!(matches!(err, crate::BundleError::Chain(_)));
+        // ...while ignoring CRLs still accepts it.
+        old.verify(backend.trust_store(), 1_000, &[], FLEET_COMPONENT, 1)
             .unwrap();
         // A bundle published after rotation carries the fresh leaf for
         // the same pinned signing key: it verifies under the CRLs and
         // still boots on a device pinned at commissioning.
         let fresh = backend.publish(3, 256, 1_500, &mut rng);
         fresh
-            .verify_with_crls(
+            .verify(
                 backend.trust_store(),
                 2_000,
                 backend.crls(),

@@ -26,7 +26,10 @@
 //!   sharded across the deterministic sweep worker pool with an
 //!   order-preserving merge and one shared bundle verification per
 //!   shard, so a million-site control plane stays tractable and
-//!   byte-identical to a sequential reference.
+//!   byte-identical to a sequential reference. This is the fleet's one
+//!   layout: without [`FleetConfig::shadow`] every site is full and the
+//!   population has no shards. Rollout waves are contiguous index
+//!   ranges ([`RolloutPolicy::waves`]).
 //! * **Live TARA hypotheses** — with [`FleetConfig::tara`] set, the
 //!   generative TARA of `silvasec-tara` ranks the worksite's threat
 //!   scenarios at commissioning and the fleet carries the top-k as

@@ -3,6 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// How a fleet update is staged across sites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -32,21 +33,21 @@ impl Default for RolloutPolicy {
 }
 
 impl RolloutPolicy {
-    /// Splits `fleet_size` site indices into waves: the canary wave
-    /// first, then full waves of [`wave_size`].
+    /// Splits the site indices `0..fleet_size` into contiguous waves:
+    /// the canary wave first, then full waves of [`wave_size`].
     ///
     /// [`wave_size`]: RolloutPolicy::wave_size
     #[must_use]
-    pub fn waves(&self, fleet_size: usize) -> Vec<Vec<usize>> {
+    pub fn waves(&self, fleet_size: usize) -> Vec<Range<usize>> {
         let canary = self.canary_sites.clamp(1, fleet_size);
-        let mut waves = vec![(0..canary).collect::<Vec<_>>()];
-        let mut next = canary;
-        while next < fleet_size {
-            let end = (next + self.wave_size.max(1)).min(fleet_size);
-            waves.push((next..end).collect());
-            next = end;
-        }
-        waves
+        let step = self.wave_size.max(1);
+        std::iter::once(0..canary)
+            .chain(
+                (canary..fleet_size)
+                    .step_by(step)
+                    .map(|start| start..(start + step).min(fleet_size)),
+            )
+            .collect()
     }
 }
 
@@ -175,8 +176,9 @@ mod tests {
             ..RolloutPolicy::default()
         };
         let waves = policy.waves(13);
-        assert_eq!(waves[0], vec![0, 1]);
-        assert_eq!(waves.len(), 4);
+        assert_eq!(waves, vec![0..2, 2..7, 7..12, 12..13]);
+        // Each wave starts where the previous one ended.
+        assert!(waves.windows(2).all(|w| w[0].end == w[1].start));
         let all: Vec<usize> = waves.into_iter().flatten().collect();
         assert_eq!(all, (0..13).collect::<Vec<_>>());
     }
@@ -184,7 +186,8 @@ mod tests {
     #[test]
     fn single_site_fleet_is_one_canary_wave() {
         let waves = RolloutPolicy::default().waves(1);
-        assert_eq!(waves, vec![vec![0]]);
+        assert_eq!(waves.len(), 1);
+        assert_eq!(waves[0], 0..1);
     }
 
     #[test]
@@ -193,6 +196,8 @@ mod tests {
             canary_sites: 10,
             ..RolloutPolicy::default()
         };
-        assert_eq!(policy.waves(3), vec![vec![0, 1, 2]]);
+        let waves = policy.waves(3);
+        assert_eq!(waves.len(), 1);
+        assert_eq!(waves[0], 0..3);
     }
 }

@@ -7,7 +7,8 @@
 //!
 //! * **Full** — a deterministically-sampled subset (evenly strided over
 //!   the index space, canary included) runs the complete worksite
-//!   simulation, exactly as every site did before this module existed.
+//!   simulation. A fleet without a [`ShadowConfig`] keeps every site
+//!   here: its population has no shadow sites and no shards.
 //! * **Shadow** — every other site is a handful of bytes in a
 //!   struct-of-arrays [`ShadowShard`]: anti-rollback version, rollout
 //!   outcome, link quality, session-key slot, risk/alert counters. A
@@ -29,7 +30,8 @@
 //! every slot. The packing caps a shard at [`MAX_SHARD_SITES`] sites.
 //!
 //! Shards are stepped on the workspace's deterministic sweep pool
-//! ([`silvasec_sim::sweep::par_sweep_mut`]) and their outputs merged in
+//! ([`silvasec_sim::sweep::par_sweep_mut`], on one worker when
+//! [`ShadowConfig::sequential`] is set) and their outputs merged in
 //! shard order, so a sharded run's security trace is byte-identical to
 //! the same fleet stepped shard-by-shard sequentially — the property
 //! `sharded_traces_match_sequential_reference_byte_for_byte`
@@ -44,21 +46,23 @@
 //! *per-site* bytes, so they fall off the shared path and are decoded +
 //! verified individually — exactly the precedence the full path has.
 //! They share one scratch copy of the delivered bundle per shard tick:
-//! each site flips its corruption in, verifies and flips it back out. The JSON decoder's structural pre-scan stops at the
-//! first broken token without building anything, so a tampered site
-//! costs a scan of its bundle's intact prefix, not a copy and a tree.
+//! each site flips its corruption in, verifies and flips it back out.
+//! The JSON decoder's structural pre-scan stops at the first broken
+//! token without building anything, so a tampered site costs a scan of
+//! its bundle's intact prefix, not a copy and a tree.
 //!
 //! [`Worksite`]: silvasec_sos::Worksite
 
-use crate::bundle::{BundleError, UpdateBundle};
+use crate::bundle::UpdateBundle;
 use crate::transport::{chunk_count, chunk_wire_len};
 use silvasec_attacks::AttackKind;
 use silvasec_pki::{CertificateRevocationList, TrustStore};
-use silvasec_sim::sweep::par_sweep_mut;
+use silvasec_sim::sweep::{par_sweep_mut, worker_count};
+use std::ops::Range;
 
-/// Shadow-population tuning. Present on a fleet config = two-fidelity
-/// mode; absent = every site is full, byte-identical to the historical
-/// behaviour.
+/// Shadow-population tuning. A fleet config without one builds the
+/// all-full layout: `full_sites` equal to the fleet size, so there are
+/// no shadow sites and no shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShadowConfig {
     /// Number of sites kept at full `Worksite` fidelity, evenly strided
@@ -69,7 +73,7 @@ pub struct ShadowConfig {
     /// worker; smaller shards parallelize better, larger shards
     /// amortize the per-shard shared bundle verification further.
     pub shard_sites: usize,
-    /// Step shards sequentially instead of on the sweep pool — the
+    /// Step shards on one worker instead of the sweep pool — the
     /// reference schedule the parallel path must match byte-for-byte.
     pub sequential: bool,
 }
@@ -100,10 +104,10 @@ pub enum SiteSlot {
 
 /// The global indices kept at full fidelity: `full` evenly-strided
 /// picks, always including index 0 (the rollout canary must be a real
-/// worksite). Sorted, distinct.
+/// worksite) unless the fleet is empty. Sorted, distinct.
 #[must_use]
 pub fn full_site_indices(sites: usize, full: usize) -> Vec<u32> {
-    let full = full.clamp(1, sites.max(1));
+    let full = full.clamp(1, sites.max(1)).min(sites);
     (0..full).map(|i| (i * sites / full) as u32).collect()
 }
 
@@ -154,6 +158,15 @@ impl ShadowLayout {
     #[must_use]
     pub fn shard_count(&self) -> usize {
         self.shadow_count().div_ceil(self.shard_sites)
+    }
+
+    /// Positions in [`ShadowLayout::full`] of the full sites whose
+    /// global index lies in `sites`; the range's other members are
+    /// shadow sites.
+    #[must_use]
+    pub(crate) fn full_within(&self, sites: &Range<usize>) -> Range<usize> {
+        let below = |end: usize| self.full.partition_point(|&f| (f as usize) < end);
+        below(sites.start)..below(sites.end)
     }
 
     /// Resolves a global site index to its home.
@@ -223,8 +236,8 @@ pub const OUTCOME_NONE: u8 = 0;
 /// Outcome code: update applied.
 pub const OUTCOME_APPLIED: u8 = 1;
 /// Reject reason tags, in code order (code = index + 2). Mirrors
-/// [`BundleError::reason`] plus the device `"boot"` failure the full
-/// path can report.
+/// [`BundleError::reason`](crate::bundle::BundleError::reason) plus the
+/// device `"boot"` failure the full path can report.
 pub const REJECT_REASONS: [&str; 7] = [
     "decode",
     "chain",
@@ -895,13 +908,10 @@ impl ShadowShard {
 /// `Ok(offered_version)`, or the reject code.
 fn bundle_verdict(bytes: &[u8], ctx: &ShadowRolloutCtx<'_>) -> Result<u32, u8> {
     let bundle = UpdateBundle::decode(bytes).map_err(|e| reject_code(e.reason()))?;
-    match bundle.verify_shared_with_crls(ctx.store, ctx.now_ms, ctx.crls, crate::FLEET_COMPONENT) {
-        Ok(()) => Ok(bundle.manifest.version),
-        Err(e) => Err(reject_code(match e {
-            BundleError::Chain(_) => "chain",
-            other => other.reason(),
-        })),
-    }
+    bundle
+        .verify_shared(ctx.store, ctx.now_ms, ctx.crls, crate::FLEET_COMPONENT)
+        .map_err(|e| reject_code(e.reason()))?;
+    Ok(bundle.manifest.version)
 }
 
 /// XORs a tampered delivery's corruption into `bundle`: three
@@ -937,14 +947,15 @@ fn verify_tampered(bundle: &mut [u8], key: u64, ctx: &ShadowRolloutCtx<'_>) -> R
 // ---------------------------------------------------------------------
 
 /// The whole shadow population: shards, layout, and the sweep schedule
-/// (parallel pool or sequential reference — both produce identical
-/// merged output).
+/// (the pool's workers, or one for the sequential reference — both
+/// produce identical merged output).
 #[derive(Debug)]
 pub struct ShadowPopulation {
     /// Index arithmetic for the two-fidelity split.
     pub layout: ShadowLayout,
     shards: Vec<ShadowShard>,
-    sequential: bool,
+    /// Sweep workers the shards are stepped on.
+    workers: usize,
 }
 
 impl ShadowPopulation {
@@ -969,10 +980,15 @@ impl ShadowPopulation {
             .chunks(layout.shard_sites)
             .map(|chunk| ShadowShard::new(chunk.to_vec(), shadow_seed))
             .collect();
+        let workers = if config.sequential {
+            1
+        } else {
+            worker_count(shards.len())
+        };
         ShadowPopulation {
             layout,
             shards,
-            sequential: config.sequential,
+            workers,
         }
     }
 
@@ -1030,14 +1046,9 @@ impl ShadowPopulation {
         hi: u32,
         ctx: &ShadowRolloutCtx<'_>,
     ) -> Vec<ShadowWaveOut> {
-        if self.sequential {
-            self.shards
-                .iter_mut()
-                .map(|s| s.rollout_tick(lo, hi, ctx))
-                .collect()
-        } else {
-            par_sweep_mut(&mut self.shards, |_, s| s.rollout_tick(lo, hi, ctx))
-        }
+        par_sweep_mut(&mut self.shards, self.workers, |_, s| {
+            s.rollout_tick(lo, hi, ctx)
+        })
     }
 
     /// Steps every shard's alert tick and returns the merged alerts in
@@ -1048,16 +1059,9 @@ impl ShadowPopulation {
         prev_ms: u64,
         now_ms: u64,
     ) -> Vec<ShadowAlert> {
-        let per_shard: Vec<Vec<ShadowAlert>> = if self.sequential {
-            self.shards
-                .iter_mut()
-                .map(|s| s.alert_tick(campaigns, prev_ms, now_ms))
-                .collect()
-        } else {
-            par_sweep_mut(&mut self.shards, |_, s| {
-                s.alert_tick(campaigns, prev_ms, now_ms)
-            })
-        };
+        let per_shard = par_sweep_mut(&mut self.shards, self.workers, |_, s| {
+            s.alert_tick(campaigns, prev_ms, now_ms)
+        });
         let mut merged = Vec::with_capacity(per_shard.iter().map(Vec::len).sum());
         for alerts in per_shard {
             merged.extend(alerts);

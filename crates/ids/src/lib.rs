@@ -6,15 +6,14 @@
 //! attacks. This crate is the detection side of that catalog: a set of
 //! lightweight detectors over the telemetry the worksite already produces
 //! (radio link statistics, navigation cross-checks, sensor health), plus
-//! alert correlation and response policies. Forestry's "remote and
+//! response policies. Forestry's "remote and
 //! isolated locations" characteristic means everything runs *inside* the
 //! worksite — there is no cloud SOC to stream events to.
 //!
-//! * [`alert`] — alert and incident types.
+//! * [`alert`] — alert types.
 //! * [`radio`] — de-auth flood, jamming and auth-failure detectors.
 //! * [`nav`] — the GNSS/odometry consistency monitor.
 //! * [`sensor_health`] — detection-rate collapse (camera blinding).
-//! * [`correlate`] — alert deduplication and incident formation.
 //! * [`response`] — alert → response-action policy.
 //!
 //! # Example
@@ -44,14 +43,12 @@
 #![warn(missing_docs)]
 
 pub mod alert;
-pub mod correlate;
 pub mod nav;
 pub mod radio;
 pub mod response;
 pub mod sensor_health;
 
 pub use alert::{Alert, AlertKind, Severity};
-pub use correlate::{AlertCorrelator, Incident};
 pub use response::{ResponseAction, ResponsePolicy};
 
 use nav::{NavConsistencyMonitor, NavObservation};
@@ -158,7 +155,6 @@ impl WorksiteIds {
 /// Convenient glob import of the crate's primary types.
 pub mod prelude {
     pub use crate::alert::{Alert, AlertKind, Severity};
-    pub use crate::correlate::{AlertCorrelator, Incident};
     pub use crate::nav::{NavConfig, NavObservation};
     pub use crate::radio::{RadioConfig, RadioObservation};
     pub use crate::response::{ResponseAction, ResponsePolicy};

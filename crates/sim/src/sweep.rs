@@ -86,8 +86,9 @@ where
     par_sweep_scoped_workers(points, worker_count(points.len()), || (), |(), p, _| f(p))
 }
 
-/// Maps `f` over mutable `items` on a scoped worker pool, returning the
-/// per-item results in input order.
+/// Maps `f` over mutable `items` on `workers` workers (capped by the
+/// number of items), returning the per-item results in input order.
+/// `workers <= 1` runs the sequential loop on the calling thread.
 ///
 /// The mutable sibling of [`par_sweep`], built for *sharded state*: the
 /// fleet-scale control plane splits its shadow-site population into
@@ -96,24 +97,24 @@ where
 /// not claims from a shared cursor — safe mutable access needs disjoint
 /// borrows, and the workspace forbids `unsafe`), applies `f` to its
 /// items in slice order, and the per-chunk result vectors are
-/// concatenated in chunk order. The output is therefore the same `Vec` the sequential
-/// `items.iter_mut().enumerate().map(..)` loop would produce — bit for
-/// bit, for any worker count — which is what lets a sharded fleet trace
-/// stay byte-identical to its sequential reference.
+/// concatenated in chunk order. The output is therefore the same `Vec`
+/// the sequential `items.iter_mut().enumerate().map(..)` loop would
+/// produce — bit for bit, for any worker count — which is what lets a
+/// sharded fleet trace stay byte-identical to its sequential reference.
 ///
 /// `f` receives `(input_index, &mut item)`.
 ///
 /// # Panics
 ///
 /// Propagates panics from `f`.
-pub fn par_sweep_mut<P, R, F>(items: &mut [P], f: F) -> Vec<R>
+pub fn par_sweep_mut<P, R, F>(items: &mut [P], workers: usize, f: F) -> Vec<R>
 where
     P: Send,
     R: Send,
     F: Fn(usize, &mut P) -> R + Sync,
 {
     let n = items.len();
-    let workers = worker_count(n);
+    let workers = workers.min(n).max(1);
     if workers <= 1 {
         return items
             .iter_mut()
@@ -393,25 +394,28 @@ mod tests {
             *item = item.wrapping_mul(31).wrapping_add(i as u64);
             *item ^ 0x5555_5555_5555_5555
         };
-        let mut par_items: Vec<u64> = (0..137).map(|i| i * 7 + 3).collect();
-        let mut seq_items = par_items.clone();
-        let par_out = par_sweep_mut(&mut par_items, eval);
+        let initial: Vec<u64> = (0..137).map(|i| i * 7 + 3).collect();
+        let mut seq_items = initial.clone();
         let seq_out: Vec<u64> = seq_items
             .iter_mut()
             .enumerate()
             .map(|(i, item)| eval(i, item))
             .collect();
-        assert_eq!(par_out, seq_out);
-        assert_eq!(par_items, seq_items);
+        for workers in [1usize, 2, 3, worker_count(initial.len())] {
+            let mut par_items = initial.clone();
+            let par_out = par_sweep_mut(&mut par_items, workers, eval);
+            assert_eq!(par_out, seq_out, "diverged at {workers} workers");
+            assert_eq!(par_items, seq_items, "diverged at {workers} workers");
+        }
     }
 
     #[test]
     fn mut_sweep_empty_and_single() {
         let mut empty: Vec<u32> = Vec::new();
-        assert!(par_sweep_mut(&mut empty, |_, x| *x).is_empty());
+        assert!(par_sweep_mut(&mut empty, 4, |_, x| *x).is_empty());
         let mut one = vec![41u32];
         assert_eq!(
-            par_sweep_mut(&mut one, |i, x| {
+            par_sweep_mut(&mut one, 8, |i, x| {
                 *x += 1;
                 *x + i as u32
             }),

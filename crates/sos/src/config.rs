@@ -11,14 +11,14 @@ use silvasec_sim::world::WorldConfig;
 /// of the whole evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SecurityPosture {
-    /// Authenticated, encrypted channels (PKI + handshake + AEAD).
+    /// Authenticated, encrypted channels (PKI + handshake + AEAD). This
+    /// also covers secure-boot commissioning: every machine's firmware
+    /// is signed and verified-booted when its identity is provisioned.
     pub secure_channel: bool,
     /// Management-frame protection (defeats forged de-auth).
     pub mfp: bool,
     /// The intrusion detection system and response policy.
     pub ids: bool,
-    /// Verified boot with attestation gating network admission.
-    pub secure_boot: bool,
 }
 
 impl SecurityPosture {
@@ -29,7 +29,6 @@ impl SecurityPosture {
             secure_channel: true,
             mfp: true,
             ids: true,
-            secure_boot: true,
         }
     }
 
@@ -40,7 +39,6 @@ impl SecurityPosture {
             secure_channel: false,
             mfp: false,
             ids: false,
-            secure_boot: false,
         }
     }
 }
@@ -130,9 +128,9 @@ mod tests {
     #[test]
     fn postures() {
         let s = SecurityPosture::secure();
-        assert!(s.secure_channel && s.mfp && s.ids && s.secure_boot);
+        assert!(s.secure_channel && s.mfp && s.ids);
         let i = SecurityPosture::insecure();
-        assert!(!i.secure_channel && !i.mfp && !i.ids && !i.secure_boot);
+        assert!(!i.secure_channel && !i.mfp && !i.ids);
         assert_eq!(SecurityPosture::default(), s);
     }
 

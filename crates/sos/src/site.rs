@@ -116,7 +116,6 @@ pub struct Worksite {
     pki_template: Option<Rc<SitePkiTemplate>>,
 
     ids: Option<WorksiteIds>,
-    correlator: AlertCorrelator,
     response: ResponsePolicy,
     security_stop_until: Option<SimTime>,
     degraded_until: Option<SimTime>,
@@ -219,7 +218,6 @@ impl Worksite {
             links: None,
             pki_template: None,
             ids: None,
-            correlator: AlertCorrelator::default(),
             response: ResponsePolicy::default(),
             security_stop_until: None,
             degraded_until: None,
@@ -415,7 +413,6 @@ impl Worksite {
             ids.set_recorder(self.recorder.clone());
             ids
         });
-        self.correlator = AlertCorrelator::new(SimDuration::from_secs(60));
         self.response = ResponsePolicy::default();
         self.security_stop_until = None;
         self.degraded_until = None;
@@ -1020,10 +1017,9 @@ impl Worksite {
             feature_count: features,
         }));
 
-        // Correlate, record and respond.
+        // Record and respond.
         for alert in alerts {
             self.metrics.record_alert(alert.kind, alert.at);
-            let _ = self.correlator.ingest(&alert);
             match self.response.decide_recorded(&alert, &self.recorder) {
                 ResponseAction::SafeStop => {
                     self.security_stop_until = Some(now + self.config.safe_stop_hold);

@@ -108,6 +108,7 @@ fn device_anti_rollback_is_the_second_line_of_defence() {
         .verify(
             fleet.backend().trust_store(),
             fleet.now().as_millis(),
+            &[],
             silvasec::fleet::FLEET_COMPONENT,
             fleet.installed_version(0),
         )

@@ -72,6 +72,45 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Waves are index ranges and the full sites a strided subset, so a
+    /// wave edge can fall next to, on or between full sites, and a wave
+    /// can hold no full site at all. Whatever the split, a clean rollout
+    /// must resolve every wave and reach every site.
+    #[test]
+    fn clean_two_fidelity_rollouts_reach_every_site(
+        seed in 1u64..1_000,
+        sites in 2usize..=10,
+        full_sites in 1usize..=4,
+        canary_sites in 1usize..=3,
+        wave_size in 1usize..=5,
+        shard_sites in 1usize..=4,
+    ) {
+        let mut config = fleet_config(sites);
+        config.policy.canary_sites = canary_sites;
+        config.policy.wave_size = wave_size;
+        config.policy.observe_ticks = 2;
+        config.shadow = Some(ShadowConfig {
+            full_sites,
+            shard_sites,
+            sequential: false,
+        });
+        let case = format!(
+            "seed {seed}, {sites} sites, {full_sites} full, canary {canary_sites}, \
+             waves of {wave_size}, shards of {shard_sites}"
+        );
+        let mut fleet = Fleet::new(config, seed);
+        let report = fleet.run_rollout(2);
+        prop_assert!(report.completed, "{}: {:?}", case, report);
+        prop_assert_eq!(report.applied_sites as usize, sites, "{}: {:?}", case, report);
+        for site in 0..sites {
+            prop_assert_eq!(fleet.installed_version(site), 2, "{}: site {}", case, site);
+        }
+    }
+}
+
 /// Parallel shadow shards, sequential shards and a same-seed twin all
 /// export byte-identical fleet traces — the order-preserving merge is
 /// indistinguishable from the sequential reference.
@@ -102,11 +141,7 @@ fn sharded_traces_match_sequential_reference_byte_for_byte() {
 fn batched_verify_amortizes_across_shadow_sites() {
     let (report, fleet) = run_fleet_scale_point(128, 7, FleetScenario::Clean, false);
     assert!(report.completed, "{report:?}");
-    let shadow_sites = fleet
-        .shadows()
-        .expect("scale config has a shadow population")
-        .layout
-        .shadow_count() as u64;
+    let shadow_sites = fleet.shadows().layout.shadow_count() as u64;
     assert_eq!(report.batch_verified_sites, shadow_sites);
     assert_eq!(report.individually_verified_sites, 0);
     assert!(

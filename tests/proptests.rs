@@ -525,11 +525,11 @@ proptest! {
         // The decoded bundle verifies against the anchoring store and
         // any strictly older installed version...
         prop_assert!(back
-            .verify(&store, released_at_ms, "forwarder-fw", version - 1)
+            .verify(&store, released_at_ms, &[], "forwarder-fw", version - 1)
             .is_ok());
         // ... and is a rejected downgrade against itself or anything newer.
         prop_assert!(back
-            .verify(&store, released_at_ms, "forwarder-fw", version)
+            .verify(&store, released_at_ms, &[], "forwarder-fw", version)
             .is_err());
     }
 
@@ -553,7 +553,7 @@ proptest! {
                 // to an equal bundle and is not a forgery.)
                 if back != bundle {
                     prop_assert!(back
-                        .verify(&store, 1_000, "forwarder-fw", version - 1)
+                        .verify(&store, 1_000, &[], "forwarder-fw", version - 1)
                         .is_err());
                 }
             }
