@@ -18,8 +18,8 @@ use silvasec::attacks::{AttackCampaign, AttackKind, AttackTarget};
 use silvasec::crypto::sha256::{self, Sha256};
 use silvasec::experiments::{
     campaign_for, figure1_trace, fleet_scale_config, occlusion_sweep, run_fleet_rollout,
-    run_pathway_scenario, sotif_evidence, standard_config, EpisodeRunner, EpisodeSpec,
-    FleetScenario,
+    run_fleet_scale_point, run_pathway_scenario, sotif_evidence, standard_config, EpisodeRunner,
+    EpisodeSpec, FleetScenario,
 };
 use silvasec::fleet::{Fleet, RolloutReport};
 use silvasec::machines::sensors::{PeopleSensor, SensorKind};
@@ -41,6 +41,19 @@ use silvasec::tara::{ScenarioSpace, TaraCatalog};
 /// clean and the tampered `RolloutReport` JSON.
 const FLEET_SCALE_16K_SEED11: &str =
     "b3c9f68992428d6e1520c04b0b5c47b1f3edad20ae20d2f0c60d893d89aef666";
+
+/// Two-fidelity version-2 rollouts under the three other fleet attacks
+/// (`run_fleet_scale_point(4_096, 11, scenario, true)`: 4 full sites,
+/// one 4 092-site shadow shard): fleet trace JSONL, then the
+/// `RolloutReport` JSON. They hold the old-bundle, poison and jam
+/// branches of the shadow rollout kernel, which the 16k pin's clean and
+/// tampered rollouts do not reach.
+const FLEET_SCALE_4K_SEED11_DOWNGRADE: &str =
+    "773bc8d63bc6397cb32f964badf6ec889f360bd3a51c5e234bcec940aae97b99";
+const FLEET_SCALE_4K_SEED11_POISONED: &str =
+    "5b30df2eb8209c15889361b8679f82fa294b4dfc107e228102042590938ef9bd";
+const FLEET_SCALE_4K_SEED11_JAMMED: &str =
+    "275a07acd9f95546513e71ec5b8c815a7e4b8c60706b1ee904c8ceb55568bf02";
 
 /// The Figure-1 security trace: one secure standard-config worksite at
 /// seed 11 for 3 600 sim-s (7 200 ticks) under the five back-to-back
@@ -157,6 +170,41 @@ fn fleet_scale_scenario_matches_its_pin() {
     assert_eq!(
         got, FLEET_SCALE_16K_SEED11,
         "fleet_scale seed-11 16k-site outputs moved (re-pin procedure: module doc)"
+    );
+}
+
+/// The digest [`FLEET_SCALE_4K_SEED11_DOWNGRADE`] and its two siblings
+/// pin.
+fn fleet_scale_4k_digest(scenario: FleetScenario) -> String {
+    let (report, fleet) = run_fleet_scale_point(4_096, 11, scenario, true);
+    let report = serde_json::to_string(&report).expect("report serializes");
+    digest(&[fleet.export_trace_jsonl().as_bytes(), report.as_bytes()])
+}
+
+#[test]
+fn fleet_scale_downgrade_rollout_matches_its_pin() {
+    assert_eq!(
+        fleet_scale_4k_digest(FleetScenario::Downgrade),
+        FLEET_SCALE_4K_SEED11_DOWNGRADE,
+        "4k-site seed-11 downgrade rollout moved (re-pin procedure: module doc)"
+    );
+}
+
+#[test]
+fn fleet_scale_poisoned_rollout_matches_its_pin() {
+    assert_eq!(
+        fleet_scale_4k_digest(FleetScenario::Poisoned),
+        FLEET_SCALE_4K_SEED11_POISONED,
+        "4k-site seed-11 poisoned rollout moved (re-pin procedure: module doc)"
+    );
+}
+
+#[test]
+fn fleet_scale_jammed_rollout_matches_its_pin() {
+    assert_eq!(
+        fleet_scale_4k_digest(FleetScenario::Jammed),
+        FLEET_SCALE_4K_SEED11_JAMMED,
+        "4k-site seed-11 jammed rollout moved (re-pin procedure: module doc)"
     );
 }
 
