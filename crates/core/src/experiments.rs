@@ -845,8 +845,15 @@ pub enum FleetScenario {
     /// A correctly signed malicious bundle: sites that apply it start
     /// misbehaving, and the canary IDS spike must halt the rollout.
     Poisoned,
-    /// Broadband jamming of every uplink — the rollout completes but
-    /// pays for it in retransmissions and latency.
+    /// Broadband jamming of every uplink at intensity 1.0 for the whole
+    /// rollout. No rollout completes: a full-fidelity uplink loses every
+    /// frame, so full site 0 never finishes the canary wave, and the
+    /// rollout stops at its 4 000-tick budget (`completed: false`,
+    /// `latency_ms` 2 000 000). Full-fidelity fleets of 4, 16 and 64
+    /// sites apply nothing (64 000 frames sent, all lost). Shadow sites
+    /// keep 15 % of their link quality (at least 2 %), so in a
+    /// two-fidelity fleet the canary wave's shadow sites apply: 63 of
+    /// 4 096 sites at seed 11, the rollout `tests/golden.rs` pins.
     Jammed,
 }
 

@@ -750,6 +750,11 @@ impl Fleet {
     /// the report reads `halted_at_wave == Some(0)` with zero
     /// `bytes_on_air`. Only a remediation rollout
     /// ([`Fleet::run_ops_remediations`]) supersedes the halt.
+    ///
+    /// An empty fleet has no wave to run: nothing is published or
+    /// distributed and no tick runs. No site is left on the old
+    /// firmware, so the report reads `completed` with every count zero,
+    /// and the escalation is withdrawn as after any completed rollout.
     pub fn run_rollout(&mut self, version: u32) -> RolloutReport {
         let mut report = RolloutReport {
             fleet_size: self.len(),
@@ -779,6 +784,12 @@ impl Fleet {
             report.halted_at_wave = Some(0);
             return report;
         }
+        let waves = self.config.policy.waves(self.len());
+        if waves.is_empty() {
+            report.completed = true;
+            self.withdraw_firmware_tampering();
+            return report;
+        }
         let update_id = self.backend.next_update_id;
         let released_at = self.now.as_millis();
         let bundle = self.backend.publish(
@@ -798,7 +809,6 @@ impl Fleet {
         }
         self.shadows.reset_rollout();
 
-        let waves = self.config.policy.waves(self.len());
         let started = self.now;
         let mut wave = 0usize;
         let mut phase = RolloutPhase::Distributing;
@@ -1000,13 +1010,7 @@ impl Fleet {
 
             if phase == RolloutPhase::Complete {
                 report.completed = true;
-                // The fleet has patched: withdraw the field-evidence
-                // escalation that motivated the rollout.
-                self.risk
-                    .mitigate("firmware-tampering", self.now.as_millis());
-                if let Some(tara) = &mut self.tara {
-                    tara.retire("firmware-tampering", self.now.as_millis());
-                }
+                self.withdraw_firmware_tampering();
                 break;
             }
         }
@@ -1021,6 +1025,16 @@ impl Fleet {
         }
         report.latency_ms = self.now.since(started).as_millis();
         report
+    }
+
+    /// The fleet has patched: withdraws the field-evidence escalation
+    /// that motivated the rollout.
+    fn withdraw_firmware_tampering(&mut self) {
+        self.risk
+            .mitigate("firmware-tampering", self.now.as_millis());
+        if let Some(tara) = &mut self.tara {
+            tara.retire("firmware-tampering", self.now.as_millis());
+        }
     }
 
     /// Models a poisoned image's misbehaviour: the compromised machine
@@ -1388,6 +1402,25 @@ mod tests {
         assert!(fleet.shadows().layout.full.is_empty());
         let snapshot = fleet.security_snapshot();
         assert_eq!((snapshot.full_sites, snapshot.shadow_sites), (0, 0));
+    }
+
+    #[test]
+    fn zero_site_rollout_is_empty_and_complete() {
+        let mut fleet = Fleet::new(small_config(0), 42);
+        let published = fleet.backend.published.len();
+        let report = fleet.run_rollout(2);
+        assert!(report.completed, "{report:?}");
+        assert_eq!(report.halted_at_wave, None);
+        assert_eq!(report.fleet_size, 0);
+        assert_eq!((report.applied_sites, report.rejected_sites), (0, 0));
+        assert!(report.reject_reasons.is_empty());
+        assert_eq!((report.bytes_on_air, report.frames_sent), (0, 0));
+        assert_eq!(report.latency_ms, 0, "no tick runs");
+        assert_eq!(
+            fleet.backend.published.len(),
+            published,
+            "nothing published"
+        );
     }
 
     #[test]

@@ -34,11 +34,15 @@ impl Default for RolloutPolicy {
 
 impl RolloutPolicy {
     /// Splits the site indices `0..fleet_size` into contiguous waves:
-    /// the canary wave first, then full waves of [`wave_size`].
+    /// the canary wave first, then full waves of [`wave_size`]. An empty
+    /// fleet has no waves.
     ///
     /// [`wave_size`]: RolloutPolicy::wave_size
     #[must_use]
     pub fn waves(&self, fleet_size: usize) -> Vec<Range<usize>> {
+        if fleet_size == 0 {
+            return Vec::new();
+        }
         let canary = self.canary_sites.clamp(1, fleet_size);
         let step = self.wave_size.max(1);
         std::iter::once(0..canary)
@@ -77,7 +81,8 @@ pub struct RolloutReport {
     pub fleet_size: usize,
     /// The version the rollout distributed.
     pub target_version: u32,
-    /// Whether every wave completed.
+    /// Whether every wave completed (an empty fleet's rollout has no
+    /// wave, so it counts as completed).
     pub completed: bool,
     /// The wave at which the rollout halted, if it did.
     pub halted_at_wave: Option<u32>,
@@ -188,6 +193,17 @@ mod tests {
         let waves = RolloutPolicy::default().waves(1);
         assert_eq!(waves.len(), 1);
         assert_eq!(waves[0], 0..1);
+    }
+
+    #[test]
+    fn empty_fleet_has_no_waves() {
+        for canary_sites in [0, 1, 10] {
+            let policy = RolloutPolicy {
+                canary_sites,
+                ..RolloutPolicy::default()
+            };
+            assert!(policy.waves(0).is_empty());
+        }
     }
 
     #[test]

@@ -45,11 +45,33 @@
 //! ([`UpdateBundle::check_version`]). Tampered deliveries corrupt
 //! *per-site* bytes, so they fall off the shared path and are decoded +
 //! verified individually — exactly the precedence the full path has.
-//! They share one scratch copy of the delivered bundle per shard tick:
-//! each site flips its corruption in, verifies and flips it back out.
-//! The JSON decoder's structural pre-scan stops at the first broken
+//! They share one scratch copy of the delivered bundle per shard tick.
+//! Each site draws its flip positions once into the tick's scratch
+//! list, XORs them into the copy, verifies, and XORs the same list back
+//! out. The JSON decoder's structural pre-scan stops at the first broken
 //! token without building anything, so a tampered site costs a scan of
 //! its bundle's intact prefix, not a copy and a tree.
+//!
+//! Every shadow draw is `hash3(key ^ salt, b, c)` for the site's
+//! [`site_key`], and `hash3(a, b, c)` is `mix64(a ^ hash2(b, c))`. The
+//! counters `(b, c)` never name the site, so the [`hash2`] level is
+//! computed once for all the sites that share it, and a site pays one
+//! [`mix64`] per draw:
+//!
+//! | draw | `(b, c)` | level computed once per |
+//! |---|---|---|
+//! | chunk loss | `(tick, chunk << 16 \| attempt)` | distributing tick, for every chunk of the longer bundle variant × the chunk budget; every shard reads it |
+//! | tamper flip | `(chunk, flip)` | distributing tick, three flips per chunk of the longer variant |
+//! | detection latency | `(class_tag(class), SALT_LATENCY)` | detector class: alert-calendar build, or a poisoned-site sweep |
+//! | link quality, session slot | `(SALT_LINK, 0)`, `(SALT_SESSION, 0)` | shard commissioning |
+//!
+//! The latency and commissioning draws key on `key` itself, the rollout
+//! draws on `key ^ SALT_CHUNK` and `key ^ SALT_TAMPER`. A chunk lands
+//! when `u01(draw) < p_deliver`. The kernel tests
+//! `draw >> 11 < u01_threshold(p_deliver)` instead, with the threshold
+//! computed once per site per tick. It is the same test in integers:
+//! `u01` scales the draw's top 53 bits by `2⁻⁵³`, exactly, so the cut is
+//! `ceil(p_deliver · 2⁵³)`.
 //!
 //! [`Worksite`]: silvasec_sos::Worksite
 
@@ -198,10 +220,14 @@ impl ShadowLayout {
 // random decision from a splitmix64-style hash of (seed, site, …)
 // counters. The hash primitive itself lives in `sim::rng` (shared with
 // the ops engine's lease/backoff jitter); re-exported here because the
-// shadow draw recipes below are specified in terms of it.
+// shadow draw recipes below are specified in terms of it. Every recipe
+// is `hash3(key ^ salt, b, c)` = `mix64(key ^ salt ^ hash2(b, c))`, and
+// `(b, c)` never names the site, so the `hash2` level is computed once
+// for every site that shares it (see `RolloutDraws`).
 // ---------------------------------------------------------------------
 
-pub use silvasec_sim::rng::{hash3, mix64, u01};
+use silvasec_sim::rng::u01_threshold;
+pub use silvasec_sim::rng::{hash2, hash3, mix64, u01};
 
 /// Per-site key all of a shadow site's draws are derived from.
 #[must_use]
@@ -321,15 +347,24 @@ const LATENCY_SPAN_MS: u64 = 10_000;
 const SLOT_BITS: u32 = 18;
 const _: () = assert!(LATENCY_SPAN_MS <= 1 << (32 - SLOT_BITS));
 
-/// The per-`(site, class)` detection latency, 1–11 s: how long the
-/// site's detector of `class` lags a campaign's start.
-fn detection_latency_ms(key: u64, class: &str) -> u64 {
-    LATENCY_MIN_MS
-        + (u01(hash3(key, class_tag(class), SALT_LATENCY)) * LATENCY_SPAN_MS as f64) as u64
+/// The site-independent level of `class`'s latency draws,
+/// `hash2(class_tag(class), SALT_LATENCY)`: computed once per calendar
+/// build (or per poisoned-site sweep), not once per site.
+fn latency_level(class: &str) -> u64 {
+    hash2(class_tag(class), SALT_LATENCY)
 }
 
-/// Emits the alert instants of `(site, class)` under a campaign window
-/// `[start_ms, end_ms)` that fall in the tick `(prev_ms, now_ms]`.
+/// The per-`(site, class)` detection latency, 1–11 s: how long the
+/// site's detector of a class lags a campaign's start. `level` is the
+/// class's [`latency_level`]; the draw is
+/// `hash3(key, class_tag(class), SALT_LATENCY)`.
+fn detection_latency_ms(key: u64, level: u64) -> u64 {
+    LATENCY_MIN_MS + (u01(mix64(key ^ level)) * LATENCY_SPAN_MS as f64) as u64
+}
+
+/// Emits the alert instants of a `(site, class)` pair whose detection
+/// latency is `latency_ms`, under a campaign window `[start_ms, end_ms)`,
+/// that fall in the tick `(prev_ms, now_ms]`.
 ///
 /// A site's first alert lags campaign start by its
 /// [`detection_latency_ms`]; while the campaign stays active the
@@ -337,15 +372,14 @@ fn detection_latency_ms(key: u64, class: &str) -> u64 {
 /// pure function, so a million dormant sites cost nothing and any tick
 /// can be evaluated without replaying the ticks before it.
 fn alerts_in_tick(
-    key: u64,
-    class: &'static str,
+    latency_ms: u64,
     start_ms: u64,
     end_ms: u64,
     prev_ms: u64,
     now_ms: u64,
     mut emit: impl FnMut(u64),
 ) {
-    let first = start_ms + detection_latency_ms(key, class);
+    let first = start_ms + latency_ms;
     let n = if prev_ms < first {
         0
     } else {
@@ -457,26 +491,118 @@ struct CachedVerdict {
 /// Sentinel: no delivery in flight.
 const NO_DELIVERY: u16 = u16::MAX;
 
-/// One shard tick's scratch copy of a delivered bundle variant. Each
-/// tampered site flips its corruption into it, verifies, and flips it
-/// back, so a tick copies a bundle only when the variant changes (the
+/// Bytes a tampering MITM flips in each chunk body, mirroring the full
+/// transport's MITM.
+const FLIPS_PER_CHUNK: usize = 3;
+
+/// The site-independent levels of one distributing tick's draws, built
+/// once per tick before the shards run and read by every shard. A shadow
+/// draw `hash3(key ^ salt, b, c)` is `mix64(key ^ salt ^ hash2(b, c))`,
+/// so a site pays one [`mix64`] per draw.
+#[derive(Debug)]
+struct RolloutDraws {
+    /// Chunk transmissions per site per tick, the row length of
+    /// `chunk_loss`.
+    budget: usize,
+    /// Chunk-loss levels `hash2(tick_index, chunk << 16 | attempt)`,
+    /// chunk-major, for every chunk of the longer bundle variant.
+    chunk_loss: Vec<u64>,
+    /// Tamper-flip levels `hash2(chunk, flip)`, [`FLIPS_PER_CHUNK`] per
+    /// chunk of the longer bundle variant.
+    tamper_flips: Vec<u64>,
+}
+
+impl RolloutDraws {
+    fn new(ctx: &ShadowRolloutCtx<'_>) -> Self {
+        let chunks = chunk_count(ctx.encoded.len(), ctx.chunk_bytes).max(
+            ctx.old_encoded
+                .map_or(0, |old| chunk_count(old.len(), ctx.chunk_bytes)),
+        ) as u64;
+        let mut chunk_loss = Vec::with_capacity(chunks as usize * ctx.budget);
+        let mut tamper_flips = Vec::with_capacity(chunks as usize * FLIPS_PER_CHUNK);
+        for chunk in 0..chunks {
+            for attempt in 0..ctx.budget as u64 {
+                chunk_loss.push(hash2(ctx.tick_index, (chunk << 16) | attempt));
+            }
+            for flip in 0..FLIPS_PER_CHUNK as u64 {
+                tamper_flips.push(hash2(chunk, flip));
+            }
+        }
+        RolloutDraws {
+            budget: ctx.budget,
+            chunk_loss,
+            tamper_flips,
+        }
+    }
+
+    /// The level of the loss draw for `chunk` on the tick's `attempt`.
+    fn chunk_loss(&self, chunk: usize, attempt: usize) -> u64 {
+        self.chunk_loss[chunk * self.budget + attempt]
+    }
+
+    /// The levels of `chunk`'s tamper flips.
+    fn tamper_flips(&self, chunk: usize) -> &[u64] {
+        &self.tamper_flips[chunk * FLIPS_PER_CHUNK..(chunk + 1) * FLIPS_PER_CHUNK]
+    }
+}
+
+/// One shard tick's scratch for tampered deliveries: a copy of the
+/// delivered bundle variant and the flip positions of the site being
+/// verified. A tick copies a bundle only when the variant changes (the
 /// new bundle or the downgrade one), not once per site.
 #[derive(Debug, Default)]
 struct TamperBuffer {
     bytes: Vec<u8>,
     /// Which variant `bytes` holds; `None` until the first copy.
     old_bundle: Option<bool>,
+    /// The current site's flip positions in `bytes`.
+    flips: Vec<usize>,
 }
 
 impl TamperBuffer {
-    /// The buffer holding `bundle`, the variant `old_bundle` names.
-    fn holding(&mut self, old_bundle: bool, bundle: &[u8]) -> &mut [u8] {
+    /// Verifies a tampered delivery of `bundle` (the variant
+    /// `old_bundle` names) individually, in place. It draws the site's
+    /// corruption once, [`FLIPS_PER_CHUNK`] positions per chunk body,
+    /// XORs it into the held copy, runs the complete verification and
+    /// XORs the same positions back out. Per-site corruption cannot
+    /// share a verdict.
+    fn verify(
+        &mut self,
+        old_bundle: bool,
+        bundle: &[u8],
+        key: u64,
+        ctx: &ShadowRolloutCtx<'_>,
+        draws: &RolloutDraws,
+    ) -> Result<u32, u8> {
         if self.old_bundle != Some(old_bundle) {
             self.bytes.clear();
             self.bytes.extend_from_slice(bundle);
             self.old_bundle = Some(old_bundle);
         }
-        &mut self.bytes
+        let len = self.bytes.len();
+        let tamper_key = key ^ SALT_TAMPER;
+        self.flips.clear();
+        for chunk in 0..chunk_count(len, ctx.chunk_bytes) {
+            let start = chunk * ctx.chunk_bytes;
+            let span = ctx.chunk_bytes.min(len - start) as u64;
+            if span == 0 {
+                continue;
+            }
+            self.flips.extend(
+                draws
+                    .tamper_flips(chunk)
+                    .iter()
+                    .map(|&level| start + (mix64(tamper_key ^ level) % span) as usize),
+            );
+        }
+        for &at in &self.flips {
+            self.bytes[at] ^= 0x41;
+        }
+        let verdict = bundle_verdict(&self.bytes, ctx);
+        for &at in &self.flips {
+            self.bytes[at] ^= 0x41;
+        }
+        verdict
     }
 }
 
@@ -540,11 +666,13 @@ impl ShadowShard {
         let n = site_indices.len();
         let mut link_q16 = Vec::with_capacity(n);
         let mut session_slot = Vec::with_capacity(n);
+        // `hash3(key, SALT_LINK, 0)` and `hash3(key, SALT_SESSION, 0)`.
+        let (link_level, session_level) = (hash2(SALT_LINK, 0), hash2(SALT_SESSION, 0));
         for &site in &site_indices {
             let key = site_key(seed, site);
-            let q = 0.55 + 0.4 * u01(hash3(key, SALT_LINK, 0));
+            let q = 0.55 + 0.4 * u01(mix64(key ^ link_level));
             link_q16.push((q * f64::from(u16::MAX)) as u16);
-            session_slot.push(hash3(key, SALT_SESSION, 0) as u32);
+            session_slot.push(mix64(key ^ session_level) as u32);
         }
         ShadowShard {
             installed_version: vec![1; n],
@@ -640,42 +768,45 @@ impl ShadowShard {
     }
 
     /// Runs one distribution tick for the shard's members of the global
-    /// wave range `[lo, hi)`. Cost is proportional to the members in
-    /// range, not the shard size.
-    pub fn rollout_tick(&mut self, lo: u32, hi: u32, ctx: &ShadowRolloutCtx<'_>) -> ShadowWaveOut {
+    /// wave range `[lo, hi)`, reading the tick's shared draw levels from
+    /// `draws`. Cost is proportional to the members in range, not the
+    /// shard size.
+    fn rollout_tick(
+        &mut self,
+        lo: u32,
+        hi: u32,
+        ctx: &ShadowRolloutCtx<'_>,
+        draws: &RolloutDraws,
+    ) -> ShadowWaveOut {
         let mut out = ShadowWaveOut::default();
         let mut tamper_buffer = TamperBuffer::default();
+        // (length, chunk count) of the new and of the old bundle.
+        let variants = [ctx.encoded.len(), ctx.old_encoded.map_or(0, <[u8]>::len)]
+            .map(|len| (len, chunk_count(len, ctx.chunk_bytes)));
+        // A downgrade MITM substitutes the old but genuinely signed
+        // bundle on the wire of every delivery it sees start.
+        let start_old = ctx.downgrade && ctx.old_encoded.is_some();
+        let jam_factor = 1.0 - 0.85 * ctx.jam;
         let from = self.site_index.partition_point(|&s| s < lo);
         let to = self.site_index.partition_point(|&s| s < hi);
         for slot in from..to {
             if self.outcome[slot] != OUTCOME_NONE {
                 continue;
             }
-            let site = self.site_index[slot];
-            let key = site_key(self.seed, site);
-            if self.pending_chunks[slot] == NO_DELIVERY {
-                // Start the delivery: a downgrade MITM substitutes the
-                // old but genuinely signed bundle on the wire.
-                let old = ctx.downgrade && ctx.old_encoded.is_some();
-                let len = if old {
-                    ctx.old_encoded.map_or(0, <[u8]>::len)
-                } else {
-                    ctx.encoded.len()
-                };
-                self.pending_chunks[slot] = chunk_count(len, ctx.chunk_bytes) as u16;
-                self.old_bundle[slot] = old;
+            let key = site_key(self.seed, self.site_index[slot]);
+            let mut pending = self.pending_chunks[slot];
+            if pending == NO_DELIVERY {
+                pending = variants[usize::from(start_old)].1 as u16;
+                self.old_bundle[slot] = start_old;
                 self.tampered[slot] = false;
             }
-            let len = if self.old_bundle[slot] {
-                ctx.old_encoded.map_or(0, <[u8]>::len)
-            } else {
-                ctx.encoded.len()
-            };
-            let total = chunk_count(len, ctx.chunk_bytes);
+            let (len, total) = variants[usize::from(self.old_bundle[slot])];
             let q = f64::from(self.link_q16[slot]) / f64::from(u16::MAX);
-            let p_deliver = (q * (1.0 - 0.85 * ctx.jam)).clamp(0.02, 1.0);
+            // `u01(draw) < p_deliver`, tested on the draw's top 53 bits.
+            let deliver_below = u01_threshold((q * jam_factor).clamp(0.02, 1.0));
+            let loss_key = key ^ SALT_CHUNK;
+            let mut landed = false;
             for attempt in 0..ctx.budget {
-                let pending = self.pending_chunks[slot];
                 if pending == 0 {
                     break;
                 }
@@ -685,22 +816,20 @@ impl ShadowShard {
                 let chunk = total - usize::from(pending);
                 out.frames_sent += 1;
                 out.bytes_on_air += chunk_wire_len(len, ctx.chunk_bytes, chunk);
-                let draw = hash3(
-                    key ^ SALT_CHUNK,
-                    ctx.tick_index,
-                    ((chunk as u64) << 16) | attempt as u64,
-                );
-                if u01(draw) < p_deliver {
-                    self.pending_chunks[slot] = pending - 1;
-                    if ctx.tamper {
-                        // An active MITM corrupts chunks as they land.
-                        self.tampered[slot] = true;
-                    }
+                if mix64(loss_key ^ draws.chunk_loss(chunk, attempt)) >> 11 < deliver_below {
+                    pending -= 1;
+                    landed = true;
                 }
             }
-            if self.pending_chunks[slot] == 0 {
+            if landed && ctx.tamper {
+                // An active MITM corrupts chunks as they land.
+                self.tampered[slot] = true;
+            }
+            if pending == 0 {
                 self.pending_chunks[slot] = NO_DELIVERY;
-                self.resolve(slot, key, ctx, &mut tamper_buffer, &mut out);
+                self.resolve(slot, key, ctx, draws, &mut tamper_buffer, &mut out);
+            } else {
+                self.pending_chunks[slot] = pending;
             }
         }
         out
@@ -712,6 +841,7 @@ impl ShadowShard {
         slot: usize,
         key: u64,
         ctx: &ShadowRolloutCtx<'_>,
+        draws: &RolloutDraws,
         tamper_buffer: &mut TamperBuffer,
         out: &mut ShadowWaveOut,
     ) {
@@ -723,7 +853,7 @@ impl ShadowShard {
         };
         let verdict = if self.tampered[slot] {
             out.individually_verified_sites += 1;
-            verify_tampered(tamper_buffer.holding(old, bytes), key, ctx)
+            tamper_buffer.verify(old, bytes, key, ctx, draws)
         } else {
             out.batch_verified_sites += 1;
             self.shared_verdict(old, bytes, ctx, out)
@@ -790,13 +920,14 @@ impl ShadowShard {
             Some(at) => at,
             None => {
                 let seed = self.seed;
+                let level = latency_level(class);
                 let mut packed: Vec<u32> = self
                     .site_index
                     .iter()
                     .enumerate()
                     .map(|(slot, &site)| {
                         let offset =
-                            detection_latency_ms(site_key(seed, site), class) - LATENCY_MIN_MS;
+                            detection_latency_ms(site_key(seed, site), level) - LATENCY_MIN_MS;
                         ((offset as u32) << SLOT_BITS) | slot as u32
                     })
                     .collect();
@@ -875,13 +1006,16 @@ impl ShadowShard {
                 }
             })
             .collect();
+        if self.poisoned.is_empty() {
+            return alerts;
+        }
+        let poison_levels = POISON_CLASSES.map(latency_level);
         for &(slot, start_ms) in &self.poisoned {
             let site = self.site_index[slot as usize];
             let key = site_key(self.seed, site);
-            for class in POISON_CLASSES {
+            for (class, level) in POISON_CLASSES.into_iter().zip(poison_levels) {
                 alerts_in_tick(
-                    key,
-                    class,
+                    detection_latency_ms(key, level),
                     start_ms,
                     start_ms + POISON_DURATION_MS,
                     prev_ms,
@@ -912,34 +1046,6 @@ fn bundle_verdict(bytes: &[u8], ctx: &ShadowRolloutCtx<'_>) -> Result<u32, u8> {
         .verify_shared(ctx.store, ctx.now_ms, ctx.crls, crate::FLEET_COMPONENT)
         .map_err(|e| reject_code(e.reason()))?;
     Ok(bundle.manifest.version)
-}
-
-/// XORs a tampered delivery's corruption into `bundle`: three
-/// deterministic flips per chunk body, mirroring the full transport's
-/// MITM. XOR undoes itself, so a second call restores the bytes.
-fn flip_tampered_bytes(bundle: &mut [u8], key: u64, chunk_bytes: usize) {
-    for chunk in 0..chunk_count(bundle.len(), chunk_bytes) {
-        let start = chunk * chunk_bytes;
-        let span = chunk_bytes.min(bundle.len() - start) as u64;
-        if span == 0 {
-            continue;
-        }
-        for flip in 0..3u64 {
-            let at = start + (hash3(key ^ SALT_TAMPER, chunk as u64, flip) % span) as usize;
-            bundle[at] ^= 0x41;
-        }
-    }
-}
-
-/// Verifies a tampered delivery individually, in place: flips the
-/// site's corruption into `bundle` (the delivered bytes), runs the
-/// complete verification on it and flips it back out. Per-site
-/// corruption cannot share a verdict.
-fn verify_tampered(bundle: &mut [u8], key: u64, ctx: &ShadowRolloutCtx<'_>) -> Result<u32, u8> {
-    flip_tampered_bytes(bundle, key, ctx.chunk_bytes);
-    let verdict = bundle_verdict(bundle, ctx);
-    flip_tampered_bytes(bundle, key, ctx.chunk_bytes);
-    verdict
 }
 
 // ---------------------------------------------------------------------
@@ -1039,15 +1145,17 @@ impl ShadowPopulation {
     /// Steps every shard's distribution tick for the wave range
     /// `[lo, hi)` and returns the per-shard outputs in shard order —
     /// identical whether the shards ran on the sweep pool or
-    /// sequentially.
+    /// sequentially. The tick's shared draw levels are built once, here,
+    /// for all shards.
     pub fn rollout_sweep(
         &mut self,
         lo: u32,
         hi: u32,
         ctx: &ShadowRolloutCtx<'_>,
     ) -> Vec<ShadowWaveOut> {
+        let draws = RolloutDraws::new(ctx);
         par_sweep_mut(&mut self.shards, self.workers, |_, s| {
-            s.rollout_tick(lo, hi, ctx)
+            s.rollout_tick(lo, hi, ctx, &draws)
         })
     }
 
@@ -1130,12 +1238,20 @@ mod tests {
         assert!((mean - 0.5).abs() < 0.05, "{mean}");
     }
 
+    /// A latency draw as its recipe states it, three `mix64` levels per
+    /// call: the definition the hoisted [`detection_latency_ms`] must
+    /// equal.
+    fn latency_by_recipe(key: u64, class: &str) -> u64 {
+        let draw = hash3(key, class_tag(class), SALT_LATENCY);
+        LATENCY_MIN_MS + (u01(draw) * LATENCY_SPAN_MS as f64) as u64
+    }
+
     #[test]
     fn alert_schedule_respects_window_latency_and_cooldown() {
-        let key = site_key(9, 5);
+        let latency = latency_by_recipe(site_key(9, 5), "deauth-flood");
         let mut fired = Vec::new();
         // Whole campaign in one evaluation window.
-        alerts_in_tick(key, "deauth-flood", 10_000, 100_000, 0, 200_000, |t| {
+        alerts_in_tick(latency, 10_000, 100_000, 0, 200_000, |t| {
             fired.push(t);
         });
         assert!(!fired.is_empty());
@@ -1147,7 +1263,7 @@ mod tests {
         let mut prev = 0u64;
         while prev < 200_000 {
             let now = prev + 500;
-            alerts_in_tick(key, "deauth-flood", 10_000, 100_000, prev, now, |t| {
+            alerts_in_tick(latency, 10_000, 100_000, prev, now, |t| {
                 stepped.push(t);
             });
             prev = now;
@@ -1156,7 +1272,8 @@ mod tests {
     }
 
     /// Slot-by-slot evaluation of `alerts_in_tick` for every campaign,
-    /// then the poisoned sites: the definition `alert_tick` must match.
+    /// then the poisoned sites, with latencies drawn by recipe: the
+    /// definition `alert_tick` must match.
     fn brute_force_alert_tick(
         shard: &mut ShadowShard,
         campaigns: &[ShadowCampaign],
@@ -1167,7 +1284,8 @@ mod tests {
         for slot in 0..shard.len() {
             let key = site_key(shard.seed, shard.site_index[slot]);
             for c in campaigns {
-                alerts_in_tick(key, c.class, c.start_ms, c.end_ms, prev_ms, now_ms, |t| {
+                let latency = latency_by_recipe(key, c.class);
+                alerts_in_tick(latency, c.start_ms, c.end_ms, prev_ms, now_ms, |t| {
                     fired.push((slot, c.class, t));
                 });
             }
@@ -1176,7 +1294,8 @@ mod tests {
             let key = site_key(shard.seed, shard.site_index[slot as usize]);
             for class in POISON_CLASSES {
                 let end_ms = start_ms + POISON_DURATION_MS;
-                alerts_in_tick(key, class, start_ms, end_ms, prev_ms, now_ms, |t| {
+                let latency = latency_by_recipe(key, class);
+                alerts_in_tick(latency, start_ms, end_ms, prev_ms, now_ms, |t| {
                     fired.push((slot as usize, class, t));
                 });
             }
@@ -1203,7 +1322,7 @@ mod tests {
         const EDGE_SEED: u64 = 7;
         let edge_sites: Vec<u32> = (0u32..)
             .filter(|&s| {
-                let latency = detection_latency_ms(site_key(EDGE_SEED, s), CLASSES[0]);
+                let latency = latency_by_recipe(site_key(EDGE_SEED, s), CLASSES[0]);
                 latency == LATENCY_MIN_MS || latency == LATENCY_MIN_MS + LATENCY_SPAN_MS - 1
             })
             .take(4)
@@ -1239,7 +1358,7 @@ mod tests {
                         // Ends exactly on one site's alert instant.
                         1 => {
                             let site = sites[draw(sites.len() as u64) as usize];
-                            let latency = detection_latency_ms(site_key(seed, site), class);
+                            let latency = latency_by_recipe(site_key(seed, site), class);
                             start_ms + latency + draw(3) * ALERT_COOLDOWN_MS
                         }
                         _ => start_ms + draw(150_000),
@@ -1320,7 +1439,8 @@ mod tests {
     }
 
     /// The copy-per-site tamper path the in-place buffer replaced: flip a
-    /// fresh copy of the delivered bytes.
+    /// fresh copy of the delivered bytes, each position drawn by its
+    /// recipe (one `hash3` per flip).
     fn flipped_copy(bytes: &[u8], key: u64, chunk_bytes: usize) -> Vec<u8> {
         let mut copy = bytes.to_vec();
         let total = chunk_count(copy.len(), chunk_bytes);
@@ -1392,22 +1512,56 @@ mod tests {
         let mut verdicts = 0;
         for chunk_bytes in [1, 768, misfit, new.len() + 5] {
             let ctx = rollout_ctx(&new, &old, &store, chunk_bytes);
+            let draws = RolloutDraws::new(&ctx);
             let mut buffer = TamperBuffer::default();
             for site in 0..24u32 {
                 let key = site_key(0xF1EE7, site);
                 for (old_bundle, delivered) in [(false, &new), (true, &old)] {
                     let want = copy_verdict(delivered, key, &ctx);
-                    let bytes = buffer.holding(old_bundle, delivered);
-                    flip_tampered_bytes(bytes, key, chunk_bytes);
-                    assert_eq!(*bytes, flipped_copy(delivered, key, chunk_bytes));
-                    flip_tampered_bytes(bytes, key, chunk_bytes);
-                    assert_eq!(verify_tampered(bytes, key, &ctx), want);
-                    assert_eq!(*bytes, **delivered, "the buffer is restored");
+                    assert_eq!(
+                        buffer.verify(old_bundle, delivered, key, &ctx, &draws),
+                        want
+                    );
+                    assert_eq!(buffer.bytes, **delivered, "the buffer is restored");
+                    // The positions the site drew, flipped in a fresh
+                    // copy, are the copy path's corruption.
+                    let mut flipped = delivered.to_vec();
+                    for &at in &buffer.flips {
+                        flipped[at] ^= 0x41;
+                    }
+                    assert_eq!(flipped, flipped_copy(delivered, key, chunk_bytes));
                     verdicts += 1;
                 }
             }
         }
         assert_eq!(verdicts, 4 * 24 * 2);
+    }
+
+    #[test]
+    fn rollout_draw_levels_match_their_recipes() {
+        let (old, new, store) = two_bundles();
+        let mut ctx = rollout_ctx(&new, &old, &store, 768);
+        ctx.budget = 5;
+        ctx.tick_index = 37;
+        let draws = RolloutDraws::new(&ctx);
+        let chunks = chunk_count(new.len().max(old.len()), 768);
+        assert_eq!(draws.chunk_loss.len(), chunks * ctx.budget);
+        let key = site_key(0xD7A5, 3);
+        for chunk in 0..chunks {
+            for attempt in 0..ctx.budget {
+                let c = ((chunk as u64) << 16) | attempt as u64;
+                assert_eq!(
+                    mix64(key ^ SALT_CHUNK ^ draws.chunk_loss(chunk, attempt)),
+                    hash3(key ^ SALT_CHUNK, ctx.tick_index, c)
+                );
+            }
+            for (flip, &level) in draws.tamper_flips(chunk).iter().enumerate() {
+                assert_eq!(
+                    mix64(key ^ SALT_TAMPER ^ level),
+                    hash3(key ^ SALT_TAMPER, chunk as u64, flip as u64)
+                );
+            }
+        }
     }
 
     #[test]
@@ -1418,8 +1572,9 @@ mod tests {
         // Tick 0: every other block of four sites starts receiving the
         // new bundle under tampering and cannot finish on one chunk.
         let mut ctx = rollout_ctx(&new, &old, &store, 768);
+        let draws = RolloutDraws::new(&ctx);
         for lo in (0..48).step_by(8) {
-            let out = shard.rollout_tick(lo, lo + 4, &ctx);
+            let out = shard.rollout_tick(lo, lo + 4, &ctx, &draws);
             assert_eq!(out.resolved(), 0);
         }
         let started_new: Vec<bool> = shard
@@ -1432,7 +1587,7 @@ mod tests {
         ctx.downgrade = true;
         ctx.budget = 256;
         ctx.tick_index = 1;
-        let out = shard.rollout_tick(0, 48, &ctx);
+        let out = shard.rollout_tick(0, 48, &ctx, &RolloutDraws::new(&ctx));
         assert_eq!(out.resolved(), 48, "every delivery completes");
         assert_eq!(out.individually_verified_sites, 48);
         assert_eq!(out.batch_verify_calls, 0);

@@ -457,7 +457,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_hit_still_enforces_time_checks() {
+    fn revalidation_still_enforces_time_checks() {
         let mut f = fixture();
         let end = issue_end(&mut f, Validity::new(0, 200));
         f.site.revoke(end.serial, 150);
@@ -485,7 +485,7 @@ mod tests {
     }
 
     #[test]
-    fn crl_revoking_cached_chains_issuer_invalidates() {
+    fn crl_revoking_the_issuer_rejects_a_validated_chain() {
         // A chain is validated, then a *new* CRL from the root revokes
         // its issuing intermediate: the next validation must report the
         // intermediate's revocation.
@@ -507,7 +507,7 @@ mod tests {
     }
 
     #[test]
-    fn replacing_a_root_invalidates_cached_verdicts() {
+    fn replacing_a_root_invalidates_earlier_verdicts() {
         // Same chain bytes, different trust anchor under the same id:
         // the earlier verdict must not carry over.
         let mut f = fixture();

@@ -338,7 +338,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_boot_records_one_event_per_stage() {
+    fn boot_records_one_event_per_stage() {
         // A clean boot records exactly one ok event per stage, a
         // tampered application records bootloader-ok then
         // application-reject.

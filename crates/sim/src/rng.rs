@@ -191,17 +191,35 @@ pub fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// The `(b, c)` level of [`hash3`]: `hash3(a, b, c)` is
+/// `mix64(a ^ hash2(b, c))`. A caller that draws for many `a` under one
+/// `(b, c)` (many sites, one tick) computes this level once and pays one
+/// [`mix64`] per draw.
+#[must_use]
+pub fn hash2(b: u64, c: u64) -> u64 {
+    mix64(b ^ mix64(c))
+}
+
 /// Hash of three counters, suitable as an independent uniform draw per
 /// `(a, b, c)` tuple.
 #[must_use]
 pub fn hash3(a: u64, b: u64, c: u64) -> u64 {
-    mix64(a ^ mix64(b ^ mix64(c)))
+    mix64(a ^ hash2(b, c))
 }
 
 /// Maps a hash to a uniform draw in `[0, 1)` (53 mantissa bits).
 #[must_use]
 pub fn u01(h: u64) -> f64 {
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// The integer form of the test `u01(h) < p`: for `p` in `[0, 1]` it
+/// holds exactly when `h >> 11 < u01_threshold(p)`. Both sides of the
+/// float test are exact (`h >> 11` has 53 bits, and scaling `p` by
+/// `2⁵³` only moves its exponent), so the cut is `ceil(p · 2⁵³)`.
+#[must_use]
+pub fn u01_threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
 }
 
 #[cfg(test)]

@@ -211,6 +211,33 @@ proptest! {
     }
 
     #[test]
+    fn hoisted_draws_match_hash3_and_u01(a in any::<u64>(), b in any::<u64>(), c in any::<u64>(),
+                                         h in any::<u64>(), pick in any::<u64>(),
+                                         k in 180_143_985_094_820u64..=(1 << 53)) {
+        use silvasec::sim::rng::{hash2, hash3, mix64, u01, u01_threshold};
+        // The shadow kernel computes the `(b, c)` level once and one
+        // outer mix64 per site.
+        prop_assert_eq!(mix64(a ^ hash2(b, c)), hash3(a, b, c));
+        // Its loss test `h >> 11 < u01_threshold(p)` is `u01(h) < p`
+        // for p in [0.02, 1]: both ends, a generic p (p · 2⁵³ mostly
+        // not an integer below 0.5) and k · 2⁻⁵³ (always an integer; k
+        // starts at ceil(0.02 · 2⁵³)).
+        let dyadic = k as f64 / (1u64 << 53) as f64;
+        prop_assert_eq!(u01_threshold(dyadic), k);
+        for p in [0.02, 1.0, 0.02 + 0.98 * u01(pick), dyadic] {
+            let cut = u01_threshold(p);
+            prop_assert_eq!(h >> 11 < cut, u01(h) < p, "h {:#x}, p {}", h, p);
+            // Draws whose top 53 bits sit just below and on the cut (no
+            // draw reaches the cut of p = 1).
+            let low = h & 0x7FF;
+            prop_assert!(u01(((cut - 1) << 11) | low) < p, "p {}", p);
+            if cut < 1 << 53 {
+                prop_assert!(u01((cut << 11) | low) >= p, "p {}", p);
+            }
+        }
+    }
+
+    #[test]
     fn terrain_height_bounded_and_symmetric_los(seed in any::<u64>()) {
         let terrain = silvasec::sim::terrain::Terrain::generate(
             &silvasec::sim::terrain::TerrainConfig {
