@@ -453,8 +453,88 @@ mod tests {
         );
     }
 
-    // RFC 7539 appendix A.3 test vector 11 exercises the wraparound edge:
-    // here we use vector 4 (Jabberwocky) instead for message padding.
+    /// Poly1305 from its definition over 32-bit-digit integers (least
+    /// significant first): for each block of `len` bytes
+    /// `h = (h + m + 2^(8·len)) · r mod 2¹³⁰ − 5`, tag `(h + s) mod 2¹²⁸`.
+    fn mac_from_definition(key: &[u8; KEY_LEN], msg: &[u8]) -> [u8; TAG_LEN] {
+        type Big = [u32; 9];
+        let from_le = |bytes: &[u8]| {
+            let mut out: Big = [0; 9];
+            for (i, &b) in bytes.iter().enumerate() {
+                out[i / 4] |= u32::from(b) << (8 * (i % 4));
+            }
+            out
+        };
+        let add = |a: &Big, b: &Big| {
+            let mut out: Big = [0; 9];
+            let mut carry = 0u64;
+            for i in 0..9 {
+                let t = u64::from(a[i]) + u64::from(b[i]) + carry;
+                out[i] = t as u32;
+                carry = t >> 32;
+            }
+            out
+        };
+        let mul = |a: &Big, b: &Big| {
+            let mut wide = [0u32; 18];
+            for i in 0..9 {
+                let mut carry = 0u64;
+                for j in 0..9 {
+                    let t = u64::from(a[i]) * u64::from(b[j]) + u64::from(wide[i + j]) + carry;
+                    wide[i + j] = t as u32;
+                    carry = t >> 32;
+                }
+                wide[i + 9] = carry as u32;
+            }
+            assert!(wide[9..].iter().all(|&d| d == 0));
+            let out: Big = wide[..9].try_into().unwrap();
+            out
+        };
+        // Binary long division by p = 2¹³⁰ − 5.
+        let p: Big = [0xffff_fffb, !0, !0, !0, 3, 0, 0, 0, 0];
+        let reduce = |x: &Big| {
+            let mut rem: Big = [0; 9];
+            for bit in (0..288).rev() {
+                for i in (1..9).rev() {
+                    rem[i] = (rem[i] << 1) | (rem[i - 1] >> 31);
+                }
+                rem[0] = (rem[0] << 1) | ((x[bit / 32] >> (bit % 32)) & 1);
+                if rem.iter().rev().ge(p.iter().rev()) {
+                    let mut borrow = 0i64;
+                    for i in 0..9 {
+                        let t = i64::from(rem[i]) - i64::from(p[i]) - borrow;
+                        rem[i] = t as u32;
+                        borrow = i64::from(t < 0);
+                    }
+                }
+            }
+            rem
+        };
+
+        let mut r_bytes: [u8; 16] = key[..16].try_into().unwrap();
+        for i in [3, 7, 11, 15] {
+            r_bytes[i] &= 0x0f;
+        }
+        for i in [4, 8, 12] {
+            r_bytes[i] &= 0xfc;
+        }
+        let r = from_le(&r_bytes);
+        let mut h: Big = [0; 9];
+        for block in msg.chunks(BLOCK_LEN) {
+            let mut padded = block.to_vec();
+            padded.push(1); // m + 2^(8·len)
+            h = reduce(&mul(&add(&h, &from_le(&padded)), &r));
+        }
+        let sum = add(&h, &from_le(&key[16..]));
+        let mut tag = [0u8; TAG_LEN];
+        for (i, digit) in sum[..4].iter().enumerate() {
+            tag[4 * i..4 * i + 4].copy_from_slice(&digit.to_le_bytes());
+        }
+        tag
+    }
+
+    // Two `update` calls split at the message start, around the first
+    // 16-byte block boundary and mid-message.
     #[test]
     fn incremental_matches_oneshot() {
         let key: [u8; 32] = (0u8..32).collect::<Vec<_>>().try_into().unwrap();
@@ -470,10 +550,13 @@ mod tests {
     #[test]
     fn partial_final_block() {
         let key: [u8; 32] = (1u8..33).collect::<Vec<_>>().try_into().unwrap();
-        for len in 0..40usize {
+        for len in 0..=40usize {
             let data = vec![0x5au8; len];
-            // Just ensure determinism and no panic across partial lengths.
-            assert_eq!(Poly1305::mac(&key, &data), Poly1305::mac(&key, &data));
+            assert_eq!(
+                Poly1305::mac(&key, &data),
+                mac_from_definition(&key, &data),
+                "len {len}"
+            );
         }
     }
 }

@@ -4,6 +4,7 @@ use proptest::prelude::*;
 use silvasec::crypto::aead::ChaCha20Poly1305;
 use silvasec::crypto::edwards::EdwardsPoint;
 use silvasec::crypto::field::FieldElement;
+use silvasec::crypto::poly1305::Poly1305;
 use silvasec::crypto::scalar::Scalar;
 use silvasec::crypto::schnorr::SigningKey;
 use silvasec::crypto::{chacha20, hkdf, sha256};
@@ -347,6 +348,164 @@ proptest! {
         }
         prop_assert!(case.check().is_empty());
         prop_assert_eq!(case.goal_coverage(), 1.0);
+    }
+}
+
+// ---------------- Poly1305 from its definition ----------------
+
+/// Digits of the oracle's integers: 32-bit, least significant first.
+/// Nine hold every value the definition forms, `(h + m) · r < 2²⁵⁶`.
+const BIG_DIGITS: usize = 9;
+type Big = [u32; BIG_DIGITS];
+
+fn big_from_le_bytes(bytes: &[u8]) -> Big {
+    let mut out = [0; BIG_DIGITS];
+    for (i, &b) in bytes.iter().enumerate() {
+        out[i / 4] |= u32::from(b) << (8 * (i % 4));
+    }
+    out
+}
+
+fn big_pow2(k: usize) -> Big {
+    let mut out = [0; BIG_DIGITS];
+    out[k / 32] = 1 << (k % 32);
+    out
+}
+
+fn big_add(a: &Big, b: &Big) -> Big {
+    let mut out = [0; BIG_DIGITS];
+    let mut carry = 0u64;
+    for i in 0..BIG_DIGITS {
+        let t = u64::from(a[i]) + u64::from(b[i]) + carry;
+        out[i] = t as u32;
+        carry = t >> 32;
+    }
+    assert_eq!(carry, 0, "sum overflows the oracle's width");
+    out
+}
+
+fn big_mul(a: &Big, b: &Big) -> Big {
+    let mut wide = [0u32; 2 * BIG_DIGITS];
+    for (i, &x) in a.iter().enumerate() {
+        let mut carry = 0u64;
+        for (j, &y) in b.iter().enumerate() {
+            let t = u64::from(x) * u64::from(y) + u64::from(wide[i + j]) + carry;
+            wide[i + j] = t as u32;
+            carry = t >> 32;
+        }
+        wide[i + BIG_DIGITS] = carry as u32;
+    }
+    assert!(
+        wide[BIG_DIGITS..].iter().all(|&d| d == 0),
+        "product overflows the oracle's width"
+    );
+    wide[..BIG_DIGITS].try_into().unwrap()
+}
+
+/// `x mod 2¹³⁰ − 5` by binary long division.
+fn big_mod_p(x: &Big) -> Big {
+    let p: Big = [0xffff_fffb, !0, !0, !0, 3, 0, 0, 0, 0];
+    let mut rem = [0u32; BIG_DIGITS];
+    for bit in (0..32 * BIG_DIGITS).rev() {
+        // rem ← 2·rem + bit, then subtract p once if rem ≥ p.
+        for i in (1..BIG_DIGITS).rev() {
+            rem[i] = (rem[i] << 1) | (rem[i - 1] >> 31);
+        }
+        rem[0] = (rem[0] << 1) | ((x[bit / 32] >> (bit % 32)) & 1);
+        if rem.iter().rev().ge(p.iter().rev()) {
+            let mut borrow = 0i64;
+            for i in 0..BIG_DIGITS {
+                let t = i64::from(rem[i]) - i64::from(p[i]) - borrow;
+                rem[i] = t as u32;
+                borrow = i64::from(t < 0);
+            }
+        }
+    }
+    rem
+}
+
+/// Poly1305 as RFC 7539 defines it: clamp r, then for each block of
+/// `len` bytes `h = (h + m + 2^(8·len)) · r mod 2¹³⁰ − 5`; the tag is
+/// `(h + s) mod 2¹²⁸`. Shares no limb code with `Poly1305`.
+fn poly1305_from_definition(key: &[u8; 32], msg: &[u8]) -> [u8; 16] {
+    let mut r_bytes: [u8; 16] = key[..16].try_into().unwrap();
+    for i in [3, 7, 11, 15] {
+        r_bytes[i] &= 0x0f;
+    }
+    for i in [4, 8, 12] {
+        r_bytes[i] &= 0xfc;
+    }
+    let r = big_from_le_bytes(&r_bytes);
+    let s = big_from_le_bytes(&key[16..]);
+    let mut h = [0; BIG_DIGITS];
+    for block in msg.chunks(16) {
+        let m = big_add(&big_from_le_bytes(block), &big_pow2(8 * block.len()));
+        h = big_mod_p(&big_mul(&big_add(&h, &m), &r));
+    }
+    let sum = big_add(&h, &s);
+    let mut tag = [0u8; 16];
+    for (i, digit) in sum[..4].iter().enumerate() {
+        tag[4 * i..4 * i + 4].copy_from_slice(&digit.to_le_bytes());
+    }
+    tag
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn poly1305_matches_its_definition(
+        key in any::<[u8; 32]>(),
+        r_shape in 0u8..4,
+        s_ff in any::<bool>(),
+        msg_shape in 0u8..4,
+        msg in proptest::collection::vec(any::<u8>(), 0..301),
+        cuts in proptest::collection::vec(any::<usize>(), 0..6),
+    ) {
+        // Besides random keys and messages: r bytes all 0xff before
+        // clamping, s all 0xff (`h + s` wraps past 2¹²⁸) and all-0xff
+        // messages. r = 2 over one all-0xff block and r = 1 over two
+        // leave h = 2¹³⁰ − 2 ≥ p for the final subtraction (RFC 7539
+        // A.3 vectors 5 and 7 build on the same edge).
+        let mut key = key;
+        match r_shape {
+            0 => {}
+            1 => key[..16].fill(0xff),
+            small => {
+                key[..16].fill(0);
+                key[0] = small - 1;
+            }
+        }
+        if s_ff {
+            key[16..].fill(0xff);
+        }
+        let mut msg = msg;
+        match msg_shape {
+            2 => msg.fill(0xff),
+            3 => msg = vec![0xff; 16 * (1 + msg.len() % 2)],
+            _ => {}
+        }
+        let expected = poly1305_from_definition(&key, &msg);
+        prop_assert_eq!(Poly1305::mac(&key, &msg), expected);
+
+        // The same message in `update` calls split at random points…
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (msg.len() + 1)).collect();
+        cuts.sort_unstable();
+        let mut mac = Poly1305::new(&key);
+        let mut at = 0;
+        for cut in cuts {
+            mac.update(&msg[at..cut]);
+            at = cut;
+        }
+        mac.update(&msg[at..]);
+        prop_assert_eq!(mac.finalize(), expected);
+
+        // …and one byte at a time.
+        let mut mac = Poly1305::new(&key);
+        for byte in &msg {
+            mac.update(std::slice::from_ref(byte));
+        }
+        prop_assert_eq!(mac.finalize(), expected);
     }
 }
 
