@@ -1,9 +1,13 @@
 //! The Poly1305 one-time authenticator (RFC 7539).
 //!
-//! State is held in 26-bit limbs (the widely used "donna-32" radix),
-//! which keeps every intermediate product inside `u64`; full-block runs
-//! are absorbed in the 44-bit "donna-64" radix with `u128` products,
-//! which cuts the wide multiplies per block from 25 to 9.
+//! State lives in one radix from [`Poly1305::new`] to
+//! [`Poly1305::finalize`]: the "donna-64" split of a 130-bit value into
+//! limbs of 44, 44 and 42 bits, whose products fit `u128` (9 wide
+//! multiplies per block). `new` splits `r`, `r²` and the pad `s` once.
+//! Every block is one step `h = (h + m) · r`, the padded final block
+//! included; runs of full blocks go two at a time through the Horner
+//! split `h = (h + m₁) · r² + m₂ · r`, which halves the serial
+//! multiply-reduce chain.
 
 /// Key length in bytes (r || s).
 pub const KEY_LEN: usize = 32;
@@ -11,6 +15,68 @@ pub const KEY_LEN: usize = 32;
 pub const TAG_LEN: usize = 16;
 /// Internal block length in bytes.
 pub const BLOCK_LEN: usize = 16;
+
+const MASK44: u64 = (1 << 44) - 1;
+const MASK42: u64 = (1 << 42) - 1;
+/// 2¹²⁸, bit 40 of the top limb: the `0x01` byte above every full
+/// block. The padded final block carries its `0x01` among its bytes.
+const HIBIT: u64 = 1 << 40;
+
+/// A value mod 2¹³⁰ − 5 in limbs of 44, 44 and 42 bits, least
+/// significant first. Partially reduced values may carry a few bits
+/// above limb 1's 44.
+type Limbs = [u64; 3];
+
+/// Splits 16 little-endian bytes into limbs and adds `hibit` on top.
+fn limbs(block: &[u8], hibit: u64) -> Limbs {
+    let t0 = u64::from_le_bytes(block[0..8].try_into().expect("16-byte block"));
+    let t1 = u64::from_le_bytes(block[8..16].try_into().expect("16-byte block"));
+    [
+        t0 & MASK44,
+        ((t0 >> 44) | (t1 << 20)) & MASK44,
+        (t1 >> 24) | hibit,
+    ]
+}
+
+/// `[20·x₁, 20·x₂]`: a limb product at or above 2¹³² folds back in
+/// times 20, since 2¹³² = 4 · 2¹³⁰ ≡ 4 · 5 (mod 2¹³⁰ − 5).
+fn times20(x: Limbs) -> [u64; 2] {
+    [x[1] * 20, x[2] * 20]
+}
+
+/// The three column sums of `a · b` mod 2¹³⁰ − 5, `b20 = times20(b)`.
+fn product(a: Limbs, b: Limbs, b20: [u64; 2]) -> [u128; 3] {
+    let wide = |x: u64, y: u64| u128::from(x) * u128::from(y);
+    let [a0, a1, a2] = a;
+    let [b0, b1, b2] = b;
+    let [s1, s2] = b20;
+    [
+        wide(a0, b0) + wide(a1, s2) + wide(a2, s1),
+        wide(a0, b1) + wide(a1, b0) + wide(a2, s2),
+        wide(a0, b2) + wide(a1, b1) + wide(a2, b0),
+    ]
+}
+
+/// One partial carry pass over column sums; the carry out of the top
+/// limb folds back into limb 0 times 5.
+fn carry(d: [u128; 3]) -> Limbs {
+    let [d0, d1, d2] = d;
+    let d1 = d1 + (d0 >> 44);
+    let d2 = d2 + (d1 >> 44);
+    let h0 = (d0 as u64 & MASK44) + (d2 >> 42) as u64 * 5;
+    [
+        h0 & MASK44,
+        (d1 as u64 & MASK44) + (h0 >> 44),
+        d2 as u64 & MASK42,
+    ]
+}
+
+/// One block: `h = (h + m) · r`, with `hibit` = [`HIBIT`] for a full
+/// block and 0 for the padded final one.
+fn step(h: Limbs, r: Limbs, block: &[u8], hibit: u64) -> Limbs {
+    let [m0, m1, m2] = limbs(block, hibit);
+    carry(product([h[0] + m0, h[1] + m1, h[2] + m2], r, times20(r)))
+}
 
 /// An incremental Poly1305 computation.
 ///
@@ -29,9 +95,14 @@ pub const BLOCK_LEN: usize = 16;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Poly1305 {
-    r: [u32; 5],
-    s: [u32; 4],
-    h: [u32; 5],
+    /// Clamped r.
+    r: Limbs,
+    /// r² mod 2¹³⁰ − 5, the multiplier of a block pair's first block.
+    rr: Limbs,
+    /// The accumulator.
+    h: Limbs,
+    /// s, added by `finalize`.
+    pad: Limbs,
     buf: [u8; BLOCK_LEN],
     buf_len: usize,
 }
@@ -40,258 +111,44 @@ impl Poly1305 {
     /// Creates an authenticator from a 32-byte one-time key.
     #[must_use]
     pub fn new(key: &[u8; KEY_LEN]) -> Self {
-        let t0 = u32::from_le_bytes([key[0], key[1], key[2], key[3]]);
-        let t1 = u32::from_le_bytes([key[4], key[5], key[6], key[7]]);
-        let t2 = u32::from_le_bytes([key[8], key[9], key[10], key[11]]);
-        let t3 = u32::from_le_bytes([key[12], key[13], key[14], key[15]]);
-        // Clamp r and split into 26-bit limbs.
+        // Clamp r (RFC 7539 §2.5), limb by limb.
+        let [r0, r1, r2] = limbs(&key[..16], 0);
         let r = [
-            t0 & 0x03ff_ffff,
-            ((t0 >> 26) | (t1 << 6)) & 0x03ff_ff03,
-            ((t1 >> 20) | (t2 << 12)) & 0x03ff_c0ff,
-            ((t2 >> 14) | (t3 << 18)) & 0x03f0_3fff,
-            (t3 >> 8) & 0x000f_ffff,
-        ];
-        let s = [
-            u32::from_le_bytes([key[16], key[17], key[18], key[19]]),
-            u32::from_le_bytes([key[20], key[21], key[22], key[23]]),
-            u32::from_le_bytes([key[24], key[25], key[26], key[27]]),
-            u32::from_le_bytes([key[28], key[29], key[30], key[31]]),
+            r0 & 0xffc_0fff_ffff,
+            r1 & 0xfff_ffc0_ffff,
+            r2 & 0x00f_ffff_fc0f,
         ];
         Poly1305 {
             r,
-            s,
-            h: [0; 5],
+            rr: carry(product(r, r, times20(r))),
+            h: [0; 3],
+            pad: limbs(&key[16..], 0),
             buf: [0; BLOCK_LEN],
             buf_len: 0,
         }
     }
 
-    /// Absorbs a run of full blocks without copying: each 16-byte chunk
-    /// is viewed in place and `h` stays in locals across the whole run.
-    ///
-    /// The run loop works in the "donna-64" radix — three limbs of
-    /// 44/44/42 bits with `u128` products — which needs 9 wide
-    /// multiplies per block against the 25 of the 26-bit schedule in
-    /// [`process_block`]. State converts between the radices at the run
-    /// boundaries; the conversions are exact bit-slicings of the same
-    /// integer, so while the partially-reduced representative can
-    /// differ from the one the 26-bit schedule would produce, it stays
-    /// congruent mod 2^130 - 5 and within the bound the final reduction
-    /// in [`finalize`] handles — the tag is identical for any update
-    /// chunking (asserted by the incremental-vs-oneshot tests and the
-    /// AEAD in-place-vs-naive cross-checks).
-    ///
-    /// [`process_block`]: Poly1305::process_block
-    /// [`finalize`]: Poly1305::finalize
+    /// Absorbs a run of full blocks in place, two per iteration through
+    /// `h = (h + m₁) · r² + m₂ · r`: the serial h → multiply → reduce
+    /// chain advances once per 32 bytes, and the two products are
+    /// independent work for the multiplier. An odd last block takes the
+    /// one-block [`step`].
     fn process_blocks(&mut self, blocks: &[u8]) {
         debug_assert_eq!(blocks.len() % BLOCK_LEN, 0);
-        const MASK44: u64 = (1 << 44) - 1;
-        const MASK42: u64 = (1 << 42) - 1;
-
-        // Repack clamped r (an exactly 26-bit-sliced value < 2^124)
-        // into the 44-bit radix. The `* 20` multiples fold the limb
-        // overhang through 2^132 = 4 * 2^130 ≡ 4 * 5 (mod 2^130 - 5);
-        // clamping keeps them well inside u64.
-        let [ra, rb, rc, rd, re] = self.r.map(u128::from);
-        let rv = ra | (rb << 26) | (rc << 52) | (rd << 78) | (re << 104);
-        let r0 = (rv as u64) & MASK44;
-        let r1 = ((rv >> 44) as u64) & MASK44;
-        let r2 = (rv >> 88) as u64;
-        let s1 = r1 * 20;
-        let s2 = r2 * 20;
-
-        // Repack h. The 26-bit limbs may carry a few bits of excess, so
-        // the positional sum is additive, not an OR — and h is a
-        // 130-bit value, so it is sliced in stages rather than packed
-        // into one (128-bit) integer.
-        let [ha, hb, hc, hd, he] = self.h.map(u128::from);
-        let ht = ha + (hb << 26) + (hc << 52) + (hd << 78);
-        let mut h0 = (ht as u64) & MASK44;
-        let ht = (ht >> 44) + (he << 60);
-        let mut h1 = (ht as u64) & MASK44;
-        let mut h2 = (ht >> 44) as u64;
-
-        let wide = |x: u64, y: u64| u128::from(x) * u128::from(y);
-
-        // Message limbs of one block, hibit (2^128 = bit 40 of limb 2)
-        // included.
-        let limbs = |block: &[u8]| {
-            let t0 = u64::from_le_bytes(block[0..8].try_into().expect("exact chunk"));
-            let t1 = u64::from_le_bytes(block[8..16].try_into().expect("exact chunk"));
-            [
-                t0 & MASK44,
-                ((t0 >> 44) | (t1 << 20)) & MASK44,
-                (t1 >> 24) | (1 << 40),
-            ]
-        };
-
-        // r^2 mod 2^130 - 5, for the two-way Horner split below.
-        let q = {
-            let d0 = wide(r0, r0) + wide(r1, s2) + wide(r2, s1);
-            let d1 = wide(r0, r1) + wide(r1, r0) + wide(r2, s2);
-            let d2 = wide(r0, r2) + wide(r1, r1) + wide(r2, r0);
-            let mut c = (d0 >> 44) as u64;
-            let q0 = (d0 as u64) & MASK44;
-            let d1 = d1 + u128::from(c);
-            c = (d1 >> 44) as u64;
-            let q1 = (d1 as u64) & MASK44;
-            let d2 = d2 + u128::from(c);
-            c = (d2 >> 42) as u64;
-            let q2 = (d2 as u64) & MASK42;
-            let mut q0 = q0 + c * 5;
-            c = q0 >> 44;
-            q0 &= MASK44;
-            [q0, q1 + c, q2]
-        };
-        let [q0, q1, q2] = q;
-        let sq1 = q1 * 20;
-        let sq2 = q2 * 20;
-
-        // Two blocks per iteration via the Horner split
-        // `h = (h + m1) * r^2 + m2 * r`: the serial h -> multiply ->
-        // reduce -> h dependency advances once per 32 bytes instead of
-        // once per 16, and the two products are independent work for
-        // the multiplier. One partial carry pass per pair.
+        let (r, r20) = (self.r, times20(self.r));
+        let (rr, rr20) = (self.rr, times20(self.rr));
+        let mut h = self.h;
         let mut pairs = blocks.chunks_exact(2 * BLOCK_LEN);
         for pair in &mut pairs {
-            let [m0, m1, m2] = limbs(&pair[..BLOCK_LEN]);
-            let [n0, n1, n2] = limbs(&pair[BLOCK_LEN..]);
-            let a0 = h0 + m0;
-            let a1 = h1 + m1;
-            let a2 = h2 + m2;
-
-            let d0 = wide(a0, q0)
-                + wide(a1, sq2)
-                + wide(a2, sq1)
-                + wide(n0, r0)
-                + wide(n1, s2)
-                + wide(n2, s1);
-            let d1 = wide(a0, q1)
-                + wide(a1, q0)
-                + wide(a2, sq2)
-                + wide(n0, r1)
-                + wide(n1, r0)
-                + wide(n2, s2);
-            let d2 = wide(a0, q2)
-                + wide(a1, q1)
-                + wide(a2, q0)
-                + wide(n0, r2)
-                + wide(n1, r1)
-                + wide(n2, r0);
-
-            let mut c = (d0 >> 44) as u64;
-            h0 = (d0 as u64) & MASK44;
-            let d1 = d1 + u128::from(c);
-            c = (d1 >> 44) as u64;
-            h1 = (d1 as u64) & MASK44;
-            let d2 = d2 + u128::from(c);
-            c = (d2 >> 42) as u64;
-            h2 = (d2 as u64) & MASK42;
-            h0 += c * 5;
-            c = h0 >> 44;
-            h0 &= MASK44;
-            h1 += c;
+            let [m0, m1, m2] = limbs(&pair[..BLOCK_LEN], HIBIT);
+            let [x0, x1, x2] = product([h[0] + m0, h[1] + m1, h[2] + m2], rr, rr20);
+            let [y0, y1, y2] = product(limbs(&pair[BLOCK_LEN..], HIBIT), r, r20);
+            h = carry([x0 + y0, x1 + y1, x2 + y2]);
         }
-
-        // At most one trailing block: plain `h = (h + m) * r`.
-        for block in pairs.remainder().chunks_exact(BLOCK_LEN) {
-            let [m0, m1, m2] = limbs(block);
-            h0 += m0;
-            h1 += m1;
-            h2 += m2;
-
-            let d0 = wide(h0, r0) + wide(h1, s2) + wide(h2, s1);
-            let d1 = wide(h0, r1) + wide(h1, r0) + wide(h2, s2);
-            let d2 = wide(h0, r2) + wide(h1, r1) + wide(h2, r0);
-
-            let mut c = (d0 >> 44) as u64;
-            h0 = (d0 as u64) & MASK44;
-            let d1 = d1 + u128::from(c);
-            c = (d1 >> 44) as u64;
-            h1 = (d1 as u64) & MASK44;
-            let d2 = d2 + u128::from(c);
-            c = (d2 >> 42) as u64;
-            h2 = (d2 as u64) & MASK42;
-            h0 += c * 5;
-            c = h0 >> 44;
-            h0 &= MASK44;
-            h1 += c;
+        if let Some(block) = pairs.remainder().chunks_exact(BLOCK_LEN).next() {
+            h = step(h, r, block, HIBIT);
         }
-
-        // Slice h (< 2^130 + ε after the partial carries, so again too
-        // wide for one u128) back into the 26-bit radix in stages; the
-        // top limb may exceed 26 bits by a hair, which both
-        // `process_block` and `finalize` tolerate.
-        const MASK26: u32 = 0x03ff_ffff;
-        let mut ht = u128::from(h0) + (u128::from(h1) << 44);
-        let l0 = (ht as u32) & MASK26;
-        ht >>= 26;
-        let l1 = (ht as u32) & MASK26;
-        ht >>= 26;
-        let ht = ht + (u128::from(h2) << 36);
-        let l2 = (ht as u32) & MASK26;
-        let ht = ht >> 26;
-        let l3 = (ht as u32) & MASK26;
-        let l4 = (ht >> 26) as u32;
-        self.h = [l0, l1, l2, l3, l4];
-    }
-
-    fn process_block(&mut self, block: &[u8; BLOCK_LEN], final_partial: bool) {
-        let hibit: u32 = if final_partial { 0 } else { 1 << 24 };
-        let t0 = u32::from_le_bytes([block[0], block[1], block[2], block[3]]);
-        let t1 = u32::from_le_bytes([block[4], block[5], block[6], block[7]]);
-        let t2 = u32::from_le_bytes([block[8], block[9], block[10], block[11]]);
-        let t3 = u32::from_le_bytes([block[12], block[13], block[14], block[15]]);
-
-        // h += m
-        self.h[0] = self.h[0].wrapping_add(t0 & 0x03ff_ffff);
-        self.h[1] = self.h[1].wrapping_add(((t0 >> 26) | (t1 << 6)) & 0x03ff_ffff);
-        self.h[2] = self.h[2].wrapping_add(((t1 >> 20) | (t2 << 12)) & 0x03ff_ffff);
-        self.h[3] = self.h[3].wrapping_add(((t2 >> 14) | (t3 << 18)) & 0x03ff_ffff);
-        self.h[4] = self.h[4].wrapping_add((t3 >> 8) | hibit);
-
-        // h *= r, with reduction mod 2^130 - 5.
-        let [r0, r1, r2, r3, r4] = self.r.map(u64::from);
-        let s1 = r1 * 5;
-        let s2 = r2 * 5;
-        let s3 = r3 * 5;
-        let s4 = r4 * 5;
-        let [h0, h1, h2, h3, h4] = self.h.map(u64::from);
-
-        let d0 = h0 * r0 + h1 * s4 + h2 * s3 + h3 * s2 + h4 * s1;
-        let d1 = h0 * r1 + h1 * r0 + h2 * s4 + h3 * s3 + h4 * s2;
-        let d2 = h0 * r2 + h1 * r1 + h2 * r0 + h3 * s4 + h4 * s3;
-        let d3 = h0 * r3 + h1 * r2 + h2 * r1 + h3 * r0 + h4 * s4;
-        let d4 = h0 * r4 + h1 * r3 + h2 * r2 + h3 * r1 + h4 * r0;
-
-        // Partial carry propagation.
-        let mut c: u64;
-        let mut d0 = d0;
-        let mut d1 = d1;
-        let mut d2 = d2;
-        let mut d3 = d3;
-        let mut d4 = d4;
-        c = d0 >> 26;
-        d0 &= 0x03ff_ffff;
-        d1 += c;
-        c = d1 >> 26;
-        d1 &= 0x03ff_ffff;
-        d2 += c;
-        c = d2 >> 26;
-        d2 &= 0x03ff_ffff;
-        d3 += c;
-        c = d3 >> 26;
-        d3 &= 0x03ff_ffff;
-        d4 += c;
-        c = d4 >> 26;
-        d4 &= 0x03ff_ffff;
-        d0 += c * 5;
-        c = d0 >> 26;
-        d0 &= 0x03ff_ffff;
-        d1 += c;
-
-        self.h = [d0 as u32, d1 as u32, d2 as u32, d3 as u32, d4 as u32];
+        self.h = h;
     }
 
     /// Absorbs message data.
@@ -303,8 +160,7 @@ impl Poly1305 {
             self.buf_len += take;
             data = &data[take..];
             if self.buf_len == BLOCK_LEN {
-                let block = self.buf;
-                self.process_block(&block, false);
+                self.h = step(self.h, self.r, &self.buf, HIBIT);
                 self.buf_len = 0;
             }
         }
@@ -323,63 +179,43 @@ impl Poly1305 {
     #[must_use]
     pub fn finalize(mut self) -> [u8; TAG_LEN] {
         if self.buf_len > 0 {
-            // Pad the final partial block: append 0x01 then zeros, clear hibit.
+            // Pad the final partial block: append 0x01 then zeros, no hibit.
             let mut block = [0u8; BLOCK_LEN];
             block[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
             block[self.buf_len] = 1;
-            self.process_block(&block, true);
+            self.h = step(self.h, self.r, &block, 0);
         }
 
-        // Full carry propagation.
-        let mut h = self.h;
-        let mut c: u32;
-        c = h[1] >> 26;
-        h[1] &= 0x03ff_ffff;
-        h[2] = h[2].wrapping_add(c);
-        c = h[2] >> 26;
-        h[2] &= 0x03ff_ffff;
-        h[3] = h[3].wrapping_add(c);
-        c = h[3] >> 26;
-        h[3] &= 0x03ff_ffff;
-        h[4] = h[4].wrapping_add(c);
-        c = h[4] >> 26;
-        h[4] &= 0x03ff_ffff;
-        h[0] = h[0].wrapping_add(c * 5);
-        c = h[0] >> 26;
-        h[0] &= 0x03ff_ffff;
-        h[1] = h[1].wrapping_add(c);
-
-        // Compute g = h + 5 - 2^130 and select it when h >= p.
-        let mut g = [0u32; 5];
-        let mut carry: u32 = 5;
-        for i in 0..4 {
-            let t = h[i].wrapping_add(carry);
-            carry = t >> 26;
-            g[i] = t & 0x03ff_ffff;
-        }
-        g[4] = h[4].wrapping_add(carry).wrapping_sub(1 << 26);
-
-        let mask = (g[4] >> 31).wrapping_sub(1); // all-ones when h >= p
-        for i in 0..5 {
-            h[i] = (h[i] & !mask) | (g[i] & mask);
+        // Two full carry passes leave every limb within its width and
+        // h below 2 · p.
+        let [mut h0, mut h1, mut h2] = self.h;
+        for _ in 0..2 {
+            h2 += h1 >> 44;
+            h1 &= MASK44;
+            h0 += (h2 >> 42) * 5;
+            h2 &= MASK42;
+            h1 += h0 >> 44;
+            h0 &= MASK44;
         }
 
-        // Serialize h to 128 bits and add s mod 2^128.
-        let h0 = h[0] | (h[1] << 26);
-        let h1 = (h[1] >> 6) | (h[2] << 20);
-        let h2 = (h[2] >> 12) | (h[3] << 14);
-        let h3 = (h[3] >> 18) | (h[4] << 8);
+        // g = h + 5 − 2¹³⁰ = h − p, selected when it does not borrow,
+        // that is when h ≥ p.
+        let g0 = h0 + 5;
+        let g1 = h1 + (g0 >> 44);
+        let g2 = (h2 + (g1 >> 44)).wrapping_sub(1 << 42);
+        let mask = (g2 >> 63).wrapping_sub(1); // all-ones when h >= p
+        let h0 = (h0 & !mask) | (g0 & MASK44 & mask);
+        let h1 = (h1 & !mask) | (g1 & MASK44 & mask);
+        let h2 = (h2 & !mask) | (g2 & mask);
 
-        let mut f: u64;
+        // tag = (h + s) mod 2¹²⁸.
+        let [s0, s1, s2] = self.pad;
+        let h0 = h0 + s0;
+        let h1 = h1 + s1 + (h0 >> 44);
+        let h2 = h2 + s2 + (h1 >> 44);
         let mut out = [0u8; TAG_LEN];
-        f = u64::from(h0) + u64::from(self.s[0]);
-        out[0..4].copy_from_slice(&(f as u32).to_le_bytes());
-        f = u64::from(h1) + u64::from(self.s[1]) + (f >> 32);
-        out[4..8].copy_from_slice(&(f as u32).to_le_bytes());
-        f = u64::from(h2) + u64::from(self.s[2]) + (f >> 32);
-        out[8..12].copy_from_slice(&(f as u32).to_le_bytes());
-        f = u64::from(h3) + u64::from(self.s[3]) + (f >> 32);
-        out[12..16].copy_from_slice(&(f as u32).to_le_bytes());
+        out[..8].copy_from_slice(&((h0 & MASK44) | (h1 << 44)).to_le_bytes());
+        out[8..].copy_from_slice(&(((h1 & MASK44) >> 20) | (h2 << 24)).to_le_bytes());
         out
     }
 
