@@ -6,29 +6,29 @@
 //! which keeps the implementation small. This is a documented deviation
 //! from the Ed25519 wire format (see DESIGN.md).
 //!
-//! # Scalar-multiplication strategy
+//! # Scalar multiplication
 //!
-//! Three paths replace the original MSB-first double-and-add (which is
-//! kept, frozen, as [`EdwardsPoint::scalar_mul_naive`] — the reference
-//! oracle for the proptests):
+//! Two paths run, one per operation the program performs. The original
+//! MSB-first double-and-add stays, frozen, as
+//! [`EdwardsPoint::scalar_mul_naive`] and
+//! [`EdwardsPoint::double_scalar_mul_naive`], the oracles of the
+//! proptests.
 //!
-//! * **Fixed-base, constant-time** ([`EdwardsPoint::mul_basepoint`]):
-//!   a lazily-built shared table of windowed multiples of B (8 cached
-//!   multiples per signed radix-16 digit position) turns k·B into 64
-//!   table lookups + 64 cached additions, with *zero* doublings. Table
-//!   scans touch every entry and mask with [`crate::ct`] helpers, so
-//!   the access pattern is independent of the secret scalar.
-//! * **Variable-base, constant-time** (the 4-bit fixed-window path
-//!   inside [`EdwardsPoint::scalar_mul`]): an on-the-fly table of 8
-//!   cached multiples, signed radix-16 digits, 4 doublings + 1 masked
-//!   lookup + 1 addition per digit.
-//! * **Straus/Shamir, variable-time** ([`EdwardsPoint::double_scalar_mul`],
-//!   the signature-verification equation): width-5 NAF for dynamic
-//!   points, width-9 NAF (`i16` digits, [`BASEPOINT_NAF_WINDOW`])
-//!   against a static affine table of 128 odd basepoint multiples, one
-//!   shared doubling chain for all scalars. This path is **not**
-//!   constant-time and must only see public inputs — it backs signature
-//!   *verification*, never signing.
+//! * **Fixed-base, constant-time** ([`EdwardsPoint::mul_basepoint`],
+//!   key generation and signing): a lazily-built shared table of
+//!   windowed multiples of B (8 cached multiples per signed radix-16
+//!   digit position) turns k·B into 64 table lookups + 64 cached
+//!   additions, with *zero* doublings. Table scans touch every entry and
+//!   mask with [`crate::ct`] helpers, so the access pattern is
+//!   independent of the secret scalar. Secret scalars meet no other
+//!   path.
+//! * **Straus/Shamir, variable-time**
+//!   ([`EdwardsPoint::vartime_double_scalar_mul_basepoint`], the
+//!   signature-verification equation k·A + s·B): width-5 NAF digits of k
+//!   against eight odd multiples of A, width-9 NAF digits of s
+//!   ([`BASEPOINT_NAF_WINDOW`]) against a static affine table of 128 odd
+//!   basepoint multiples, one doubling chain for both. This path is
+//!   **not** constant-time and must only see public inputs.
 
 use crate::ct;
 use crate::error::CryptoError;
@@ -77,7 +77,7 @@ fn d2() -> FieldElement {
 ///
 /// let b = EdwardsPoint::basepoint();
 /// let two_b = b.add(&b);
-/// assert_eq!(b.scalar_mul(&Scalar::from_u64(2)), two_b);
+/// assert_eq!(EdwardsPoint::mul_basepoint(&Scalar::from_u64(2)), two_b);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct EdwardsPoint {
@@ -177,7 +177,7 @@ impl AffineNielsPoint {
 }
 
 /// Eight cached multiples [P, 2P, …, 8P]: one signed radix-16 digit's
-/// worth of lookups for the constant-time fixed-window paths.
+/// worth of lookups, a row of the constant-time fixed-base table.
 struct WindowTable([CachedPoint; 8]);
 
 impl WindowTable {
@@ -207,8 +207,9 @@ impl WindowTable {
     }
 }
 
-/// Eight cached odd multiples [P, 3P, 5P, …, 15P]: the per-point table
-/// for width-5 NAF in the variable-time Straus loop.
+/// Eight cached odd multiples [P, 3P, 5P, …, 15P]: the table of the
+/// variable point's width-5 NAF digits in
+/// [`EdwardsPoint::vartime_double_scalar_mul_basepoint`].
 struct OddMultiples([CachedPoint; 8]);
 
 impl OddMultiples {
@@ -224,9 +225,9 @@ impl OddMultiples {
     }
 
     /// Returns `d`·P for odd `d` in 1..=15. Variable-time.
-    fn entry(&self, d: i8) -> &CachedPoint {
-        debug_assert!(d > 0 && d % 2 == 1 && d <= 15);
-        &self.0[(d / 2) as usize]
+    fn entry(&self, d: u16) -> &CachedPoint {
+        debug_assert!(d % 2 == 1 && d <= 15);
+        &self.0[usize::from(d / 2)]
     }
 }
 
@@ -513,43 +514,6 @@ impl EdwardsPoint {
         }
     }
 
-    /// Scalar multiplication.
-    ///
-    /// Dispatches on the (public) identity of the point: multiples of
-    /// the standard basepoint go through the shared precomputed table
-    /// ([`Self::mul_basepoint`] — the key-generation and signing hot
-    /// path); any other point takes the constant-time 4-bit fixed-window
-    /// ladder with an on-the-fly table of 8 cached multiples. Both paths
-    /// scan lookup tables with arithmetic masks, so timing is
-    /// independent of the *scalar* (the branch is on the point, which is
-    /// never secret in this system).
-    #[must_use]
-    pub fn scalar_mul(&self, scalar: &Scalar) -> Self {
-        if *self == Self::basepoint() {
-            return Self::mul_basepoint(scalar);
-        }
-        self.scalar_mul_windowed(scalar)
-    }
-
-    /// Constant-time fixed-window (4-bit) ladder for arbitrary points.
-    fn scalar_mul_windowed(&self, scalar: &Scalar) -> Self {
-        let table = WindowTable::new(self);
-        let digits = scalar.radix16_digits();
-        // Process digits most-significant first: acc ← 16·acc + dᵢ·P.
-        // Intermediate adds feed doublings, which never read T, so only
-        // the final add (digit 0) produces it.
-        let mut acc = Self::identity().add_cached_internal(&table.select(digits[63]), false);
-        for i in (0..63).rev() {
-            acc = acc.double_internal(false);
-            acc = acc.double_internal(false);
-            acc = acc.double_internal(false);
-            // The fourth doubling feeds an addition, which reads T.
-            acc = acc.double_internal(true);
-            acc = acc.add_cached_internal(&table.select(digits[i]), i == 0);
-        }
-        acc
-    }
-
     /// Constant-time fixed-base multiplication k·B through the shared
     /// precomputed basepoint table: 64 masked lookups + 64 cached
     /// additions, no doublings at all. Used by key generation and
@@ -565,80 +529,49 @@ impl EdwardsPoint {
         acc
     }
 
-    /// Computes `a·self + b·other` (the verification equation shape)
-    /// with one shared Straus/Shamir doubling chain.
+    /// Computes `k·a + s·B`, the verification equation, with one
+    /// Straus/Shamir doubling chain: the width-5 NAF digits of `k` add
+    /// odd multiples of `a` built per call, and the width-9 NAF digits of
+    /// `s` ([`BASEPOINT_NAF_WINDOW`]) add entries of the static affine
+    /// table of odd basepoint multiples. Fixed-size arrays only: nothing
+    /// allocates. Doublings that feed another doubling skip the T output.
     ///
-    /// **Variable-time**: digit positions leak through timing. All call
-    /// sites are signature *verification* over public inputs; never use
-    /// this with secret scalars. When either point is the standard
-    /// basepoint its share of the work runs against the static width-9
-    /// NAF table of odd basepoint multiples.
+    /// **Variable-time**: digit positions leak through timing. It backs
+    /// signature *verification* over public inputs; never use it with
+    /// secret scalars.
     #[must_use]
-    pub fn double_scalar_mul(&self, a: &Scalar, other: &Self, b: &Scalar) -> Self {
-        let bp = Self::basepoint();
-        if *self == bp {
-            Self::vartime_multiscalar_mul(&[(*other, *b)], Some(a))
-        } else if *other == bp {
-            Self::vartime_multiscalar_mul(&[(*self, *a)], Some(b))
-        } else {
-            Self::vartime_multiscalar_mul(&[(*self, *a), (*other, *b)], None)
-        }
-    }
-
-    /// Variable-time Straus multiscalar: Σ sᵢ·Pᵢ (+ s_B·B when
-    /// `base_scalar` is given). Dynamic points use width-5 NAF with
-    /// on-the-fly odd-multiple tables; the basepoint share uses
-    /// width-[`BASEPOINT_NAF_WINDOW`] NAF (`i16` digits) against the
-    /// static affine table. One doubling chain is shared by every
-    /// scalar; doublings that feed another doubling skip the T output.
-    pub(crate) fn vartime_multiscalar_mul(
-        pairs: &[(EdwardsPoint, Scalar)],
-        base_scalar: Option<&Scalar>,
-    ) -> Self {
-        let nafs: Vec<[i8; 256]> = pairs.iter().map(|(_, s)| s.non_adjacent_form(5)).collect();
-        let tables: Vec<OddMultiples> = pairs.iter().map(|(p, _)| OddMultiples::new(p)).collect();
-        let base_naf = base_scalar.map(|s| s.non_adjacent_form_i16(BASEPOINT_NAF_WINDOW));
-
-        let mut top = None;
-        for naf in &nafs {
-            top = top.max(naf.iter().rposition(|&d| d != 0));
-        }
-        if let Some(naf) = &base_naf {
-            top = top.max(naf.iter().rposition(|&d| d != 0));
-        }
-        let Some(top) = top else {
+    pub fn vartime_double_scalar_mul_basepoint(k: &Scalar, a: &Self, s: &Scalar) -> Self {
+        let k_naf = k.non_adjacent_form(5);
+        let s_naf = s.non_adjacent_form(BASEPOINT_NAF_WINDOW);
+        let Some(top) = (0..256).rev().find(|&i| k_naf[i] != 0 || s_naf[i] != 0) else {
             return Self::identity();
         };
+        let a_table = OddMultiples::new(a);
+        let b_table = &basepoint_tables().wnaf;
 
         let mut acc = Self::identity();
         for i in (0..=top).rev() {
-            let base_digit = base_naf.as_ref().map_or(0, |n| n[i]);
-            let digit_count =
-                nafs.iter().filter(|n| n[i] != 0).count() + usize::from(base_digit != 0);
+            let (kd, sd) = (k_naf[i], s_naf[i]);
             // T is read by the additions below and required on exit.
-            acc = acc.double_internal(digit_count > 0 || i == 0);
-            // An add's own T output is consumed only by a *later* add at
-            // this digit position (the next doubling ignores T), or by
-            // the caller when this is the final position.
-            let mut remaining = digit_count;
-            for (naf, table) in nafs.iter().zip(&tables) {
-                let d = naf[i];
-                if d != 0 {
-                    remaining -= 1;
-                    let need_t = remaining > 0 || i == 0;
-                    acc = if d > 0 {
-                        acc.add_cached_internal(table.entry(d), need_t)
-                    } else {
-                        acc.add_cached_internal(&table.entry(-d).neg(), need_t)
-                    };
-                }
-            }
-            if base_digit != 0 {
-                let wnaf = &basepoint_tables().wnaf;
-                acc = if base_digit > 0 {
-                    acc.add_affine_niels(&wnaf[(base_digit / 2) as usize], i == 0)
+            acc = acc.double_internal(kd != 0 || sd != 0 || i == 0);
+            // An add's own T output is consumed only by the basepoint
+            // add at this digit position (the next doubling ignores T),
+            // or by the caller when this is the final position.
+            if kd != 0 {
+                let entry = a_table.entry(kd.unsigned_abs());
+                let need_t = sd != 0 || i == 0;
+                acc = if kd > 0 {
+                    acc.add_cached_internal(entry, need_t)
                 } else {
-                    acc.add_affine_niels(&wnaf[((-base_digit) / 2) as usize].neg(), i == 0)
+                    acc.add_cached_internal(&entry.neg(), need_t)
+                };
+            }
+            if sd != 0 {
+                let entry = &b_table[usize::from(sd.unsigned_abs() / 2)];
+                acc = if sd > 0 {
+                    acc.add_affine_niels(entry, i == 0)
+                } else {
+                    acc.add_affine_niels(&entry.neg(), i == 0)
                 };
             }
         }
@@ -696,8 +629,8 @@ impl EdwardsPoint {
     }
 
     /// Frozen seed scalar multiplication: MSB-first double-and-add over
-    /// [`Scalar::bits_msb_first`]. Reference oracle for the windowed
-    /// paths (`scalar_mul_fast_paths_encode_identical_to_naive`).
+    /// [`Scalar::bits_msb_first`]. Reference oracle for both fast paths
+    /// (`scalar_mul_fast_paths_encode_identical_to_naive`).
     #[must_use]
     pub fn scalar_mul_naive(&self, scalar: &Scalar) -> Self {
         let mut acc = EdwardsPoint::identity();
@@ -710,9 +643,9 @@ impl EdwardsPoint {
         acc
     }
 
-    /// Frozen seed double-scalar multiplication: two independent naive
-    /// ladders plus one addition. Reference oracle / bench baseline for
-    /// [`Self::double_scalar_mul`].
+    /// Frozen seed double-scalar multiplication `a·self + b·other`: two
+    /// independent naive ladders plus one addition. Reference oracle for
+    /// [`Self::vartime_double_scalar_mul_basepoint`].
     #[must_use]
     pub fn double_scalar_mul_naive(&self, a: &Scalar, other: &Self, b: &Scalar) -> Self {
         self.scalar_mul_naive(a)
@@ -774,13 +707,11 @@ mod tests {
     #[test]
     fn scalar_mul_small() {
         let b = EdwardsPoint::basepoint();
-        assert!(b.scalar_mul(&Scalar::ZERO).is_identity());
-        assert_eq!(b.scalar_mul(&Scalar::ONE), b);
-        assert_eq!(b.scalar_mul(&Scalar::from_u64(2)), b.double());
-        assert_eq!(
-            b.scalar_mul(&Scalar::from_u64(5)),
-            b.double().double().add(&b)
-        );
+        let mul = EdwardsPoint::mul_basepoint;
+        assert!(mul(&Scalar::ZERO).is_identity());
+        assert_eq!(mul(&Scalar::ONE), b);
+        assert_eq!(mul(&Scalar::from_u64(2)), b.double());
+        assert_eq!(mul(&Scalar::from_u64(5)), b.double().double().add(&b));
     }
 
     #[test]
@@ -789,25 +720,22 @@ mod tests {
         let b = EdwardsPoint::basepoint();
         // ℓ = L limbs; build ℓ−1 then add B once more.
         let l_minus_1 = Scalar::from_u64(1).neg();
-        let almost = b.scalar_mul(&l_minus_1);
+        let almost = EdwardsPoint::mul_basepoint(&l_minus_1);
         assert!(almost.add(&b).is_identity());
     }
 
     #[test]
     fn scalar_mul_distributes() {
-        let b = EdwardsPoint::basepoint();
+        let mul = EdwardsPoint::mul_basepoint;
         let a = Scalar::from_u64(123);
         let c = Scalar::from_u64(456);
-        assert_eq!(
-            b.scalar_mul(&a.add(&c)),
-            b.scalar_mul(&a).add(&b.scalar_mul(&c))
-        );
-        assert_eq!(b.scalar_mul(&a.mul(&c)), b.scalar_mul(&a).scalar_mul(&c));
+        assert_eq!(mul(&a.add(&c)), mul(&a).add(&mul(&c)));
+        assert_eq!(mul(&a.mul(&c)), mul(&a).scalar_mul_naive(&c));
     }
 
     #[test]
     fn encode_decode_roundtrip() {
-        let p = EdwardsPoint::basepoint().scalar_mul(&Scalar::from_u64(777));
+        let p = EdwardsPoint::mul_basepoint(&Scalar::from_u64(777));
         let enc = p.encode();
         let q = EdwardsPoint::decode(&enc).unwrap();
         assert_eq!(p, q);
@@ -838,13 +766,12 @@ mod tests {
 
     #[test]
     fn double_scalar_mul_matches() {
-        let b = EdwardsPoint::basepoint();
-        let p = b.scalar_mul(&Scalar::from_u64(31337));
-        let a = Scalar::from_u64(17);
-        let c = Scalar::from_u64(99);
+        let p = EdwardsPoint::mul_basepoint(&Scalar::from_u64(31337));
+        let k = Scalar::from_u64(99);
+        let s = Scalar::from_u64(17);
         assert_eq!(
-            b.double_scalar_mul(&a, &p, &c),
-            b.scalar_mul(&a).add(&p.scalar_mul(&c))
+            EdwardsPoint::vartime_double_scalar_mul_basepoint(&k, &p, &s),
+            p.scalar_mul_naive(&k).add(&EdwardsPoint::mul_basepoint(&s))
         );
     }
 
@@ -863,11 +790,13 @@ mod tests {
 
     #[test]
     fn windowed_matches_naive_on_arbitrary_points() {
+        // The width-5 window over odd multiples of an arbitrary point,
+        // with no basepoint share.
         for seed in 0..8u64 {
-            let s = test_scalar(seed);
+            let k = test_scalar(seed);
             let p = EdwardsPoint::basepoint().scalar_mul_naive(&test_scalar(seed + 100));
-            let fast = p.scalar_mul(&s);
-            let slow = p.scalar_mul_naive(&s);
+            let fast = EdwardsPoint::vartime_double_scalar_mul_basepoint(&k, &p, &Scalar::ZERO);
+            let slow = p.scalar_mul_naive(&k);
             assert_eq!(fast, slow, "seed {seed}");
             assert_eq!(fast.encode(), slow.encode(), "seed {seed}");
         }
@@ -902,35 +831,31 @@ mod tests {
     fn straus_matches_naive() {
         let b = EdwardsPoint::basepoint();
         for seed in 0..6u64 {
-            let a = test_scalar(seed);
-            let c = test_scalar(seed + 50);
+            let k = test_scalar(seed);
+            let s = test_scalar(seed + 50);
             let p = b.scalar_mul_naive(&test_scalar(seed + 200));
-            // Basepoint on the left (the verification shape)…
-            assert_eq!(
-                b.double_scalar_mul(&a, &p, &c).encode(),
-                b.double_scalar_mul_naive(&a, &p, &c).encode(),
-                "seed {seed}"
-            );
-            // …and two arbitrary points (generic Straus path).
-            let q = b.scalar_mul_naive(&test_scalar(seed + 300));
-            assert_eq!(
-                p.double_scalar_mul(&a, &q, &c).encode(),
-                p.double_scalar_mul_naive(&a, &q, &c).encode(),
-                "seed {seed}"
-            );
+            // An arbitrary A, A = B and A = −B.
+            for a in [p, b, b.neg()] {
+                assert_eq!(
+                    EdwardsPoint::vartime_double_scalar_mul_basepoint(&k, &a, &s).encode(),
+                    b.double_scalar_mul_naive(&s, &a, &k).encode(),
+                    "seed {seed}"
+                );
+            }
         }
     }
 
     #[test]
     fn straus_handles_zero_scalars() {
         let b = EdwardsPoint::basepoint();
-        let p = b.scalar_mul(&Scalar::from_u64(7));
+        let p = EdwardsPoint::mul_basepoint(&Scalar::from_u64(7));
         let s = Scalar::from_u64(42);
-        assert!(b
-            .double_scalar_mul(&Scalar::ZERO, &p, &Scalar::ZERO)
-            .is_identity());
-        assert_eq!(b.double_scalar_mul(&s, &p, &Scalar::ZERO), b.scalar_mul(&s));
-        assert_eq!(b.double_scalar_mul(&Scalar::ZERO, &p, &s), p.scalar_mul(&s));
+        let mul = EdwardsPoint::vartime_double_scalar_mul_basepoint;
+        assert!(mul(&Scalar::ZERO, &p, &Scalar::ZERO).is_identity());
+        assert_eq!(mul(&Scalar::ZERO, &p, &s), EdwardsPoint::mul_basepoint(&s));
+        assert_eq!(mul(&s, &p, &Scalar::ZERO), p.scalar_mul_naive(&s));
+        // k·B − k·B: A = −B cancels the basepoint share exactly.
+        assert!(mul(&s, &b.neg(), &s).is_identity());
     }
 
     #[test]
@@ -940,35 +865,14 @@ mod tests {
         // [+1, 0…0, −255] — both must agree with the naive ladder.
         let b = EdwardsPoint::basepoint();
         let p = b.scalar_mul_naive(&test_scalar(7));
-        let c = Scalar::from_u64(3);
-        for k in [255u64, 257, 511, 0xffff_ffff] {
-            let s = Scalar::from_u64(k);
+        let k = Scalar::from_u64(3);
+        for v in [255u64, 257, 511, 0xffff_ffff] {
+            let s = Scalar::from_u64(v);
             assert_eq!(
-                b.double_scalar_mul(&s, &p, &c).encode(),
-                b.double_scalar_mul_naive(&s, &p, &c).encode(),
-                "k = {k}"
+                EdwardsPoint::vartime_double_scalar_mul_basepoint(&k, &p, &s).encode(),
+                b.double_scalar_mul_naive(&s, &p, &k).encode(),
+                "s = {v}"
             );
         }
-    }
-
-    #[test]
-    fn multiscalar_matches_sum_of_naive() {
-        let b = EdwardsPoint::basepoint();
-        let points: Vec<EdwardsPoint> = (0..4)
-            .map(|i| b.scalar_mul_naive(&test_scalar(400 + i)))
-            .collect();
-        let scalars: Vec<Scalar> = (0..4).map(|i| test_scalar(500 + i)).collect();
-        let base = test_scalar(999);
-        let pairs: Vec<(EdwardsPoint, Scalar)> = points
-            .iter()
-            .copied()
-            .zip(scalars.iter().copied())
-            .collect();
-        let fast = EdwardsPoint::vartime_multiscalar_mul(&pairs, Some(&base));
-        let mut slow = b.scalar_mul_naive(&base);
-        for (p, s) in &pairs {
-            slow = slow.add_naive(&p.scalar_mul_naive(s));
-        }
-        assert_eq!(fast.encode(), slow.encode());
     }
 }

@@ -228,8 +228,9 @@ impl Scalar {
     ///
     /// Σ dᵢ·16^i equals the scalar; since reduced scalars are below
     /// 2^253, the carry out of the top digit is absorbed there (d₆₃ stays
-    /// in `[0, 8]`). This is the digit form consumed by the fixed-window
-    /// constant-time multiplication paths in [`crate::edwards`].
+    /// in `[0, 8]`). This is the digit form the constant-time fixed-base
+    /// multiplication [`crate::edwards::EdwardsPoint::mul_basepoint`]
+    /// consumes.
     #[must_use]
     pub(crate) fn radix16_digits(&self) -> [i8; 64] {
         let bytes = self.to_bytes();
@@ -247,17 +248,17 @@ impl Scalar {
         digits
     }
 
-    /// Recodes the scalar in width-`w` non-adjacent form: at most one of
-    /// any `w` consecutive digits is nonzero, and nonzero digits are odd
-    /// and in `(-2^(w-1), 2^(w-1))`.
+    /// Recodes the scalar in width-`w` non-adjacent form, least
+    /// significant digit first: at most one of any `w` consecutive
+    /// digits is nonzero, and nonzero digits are odd and in
+    /// `(-2^(w-1), 2^(w-1))`. `w` must be in `2..=12`.
     ///
     /// Variable-time: digit positions depend on the scalar value, so
     /// this must only be fed public scalars (verification-side use).
-    /// `w` must be in `2..=8`.
     #[must_use]
-    pub(crate) fn non_adjacent_form(&self, w: u32) -> [i8; 256] {
-        debug_assert!((2..=8).contains(&w));
-        let mut naf = [0i8; 256];
+    pub(crate) fn non_adjacent_form(&self, w: u32) -> [i16; 256] {
+        debug_assert!((2..=12).contains(&w));
+        let mut naf = [0i16; 256];
         // Working copy with one spare limb: the "add back |digit|" step
         // for negative digits can briefly push the value past 2^253.
         let mut x = [self.0[0], self.0[1], self.0[2], self.0[3], 0u64];
@@ -290,63 +291,9 @@ impl Scalar {
                         }
                     }
                 }
-                naf[pos] = digit as i8;
-            }
-            // x >>= 1
-            for i in 0..4 {
-                x[i] = (x[i] >> 1) | (x[i + 1] << 63);
-            }
-            x[4] >>= 1;
-            pos += 1;
-        }
-        naf
-    }
-
-    /// Width-`w` non-adjacent form with `i16` digits, for windows past
-    /// the `i8` limit of [`Self::non_adjacent_form`] (`w` in `2..=12`;
-    /// nonzero digits are odd and in `(-2^(w-1), 2^(w-1))`).
-    ///
-    /// Same recoding, wider digit carrier: width-9 digits reach ±255,
-    /// which overflows `i8`. This feeds the static basepoint table in
-    /// [`crate::edwards`], where the one-off precomputation cost of the
-    /// bigger window is shared by every verification.
-    ///
-    /// Variable-time — public scalars only, like the `i8` form.
-    #[must_use]
-    pub(crate) fn non_adjacent_form_i16(&self, w: u32) -> [i16; 256] {
-        debug_assert!((2..=12).contains(&w));
-        let mut naf = [0i16; 256];
-        let mut x = [self.0[0], self.0[1], self.0[2], self.0[3], 0u64];
-        let width = 1u64 << w;
-        let mut pos = 0usize;
-        while x != [0; 5] {
-            debug_assert!(pos < 256);
-            if x[0] & 1 == 1 {
-                let mut digit = (x[0] % width) as i64;
-                if digit >= (width as i64) / 2 {
-                    digit -= width as i64;
-                    let mut carry = digit.unsigned_abs();
-                    for limb in x.iter_mut() {
-                        let (sum, overflow) = limb.overflowing_add(carry);
-                        *limb = sum;
-                        carry = u64::from(overflow);
-                        if carry == 0 {
-                            break;
-                        }
-                    }
-                } else {
-                    let mut borrow = digit as u64;
-                    for limb in x.iter_mut() {
-                        let (diff, underflow) = limb.overflowing_sub(borrow);
-                        *limb = diff;
-                        borrow = u64::from(underflow);
-                        if borrow == 0 {
-                            break;
-                        }
-                    }
-                }
                 naf[pos] = digit as i16;
             }
+            // x >>= 1
             for i in 0..4 {
                 x[i] = (x[i] >> 1) | (x[i + 1] << 63);
             }
@@ -479,7 +426,9 @@ mod tests {
 
     #[test]
     fn naf_recompose_and_shape() {
-        for w in [5u32, 8] {
+        // Width 5 recodes the variable point's scalar, width 9 (digits
+        // up to ±255, past `i8`) the basepoint's.
+        for w in [5u32, 9] {
             for s in [
                 Scalar::ZERO,
                 Scalar::ONE,
@@ -500,56 +449,12 @@ mod tests {
                 for (i, &d) in naf.iter().enumerate() {
                     if d != 0 {
                         assert!(d % 2 != 0, "digit at {i} even");
-                        assert!((i16::from(d)) < half && i16::from(d) > -half);
+                        assert!(d < half && d > -half);
                         // Non-adjacency: next w−1 digits are zero.
                         for k in 1..w as usize {
                             if i + k < 256 {
                                 assert_eq!(naf[i + k], 0, "w={w} adjacency at {i}");
                             }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn naf_i16_matches_i8_and_extends_past_it() {
-        let samples = [
-            Scalar::ZERO,
-            Scalar::ONE,
-            Scalar::from_u64(0x1234_5678_9abc_def0),
-            Scalar::from_bytes_mod_order(&[0x5c; 32]),
-            Scalar::from_u64(1).neg(),
-        ];
-        // In the shared range the i16 recoding is digit-for-digit the
-        // i8 one.
-        for w in [5u32, 8] {
-            for s in samples {
-                let narrow = s.non_adjacent_form(w);
-                let wide = s.non_adjacent_form_i16(w);
-                for i in 0..256 {
-                    assert_eq!(i16::from(narrow[i]), wide[i], "w={w} pos={i} {s:?}");
-                }
-            }
-        }
-        // Width 9 (beyond i8): recompose and check shape.
-        for s in samples {
-            let naf = s.non_adjacent_form_i16(9);
-            let two = Scalar::from_u64(2);
-            let mut acc = Scalar::ZERO;
-            for &d in naf.iter().rev() {
-                acc = acc.mul(&two);
-                let mag = Scalar::from_u64(d.unsigned_abs().into());
-                acc = if d < 0 { acc.sub(&mag) } else { acc.add(&mag) };
-            }
-            assert_eq!(acc, s, "{s:?}");
-            for (i, &d) in naf.iter().enumerate() {
-                if d != 0 {
-                    assert!(d % 2 != 0 && d.abs() < 256, "digit {d} at {i}");
-                    for k in 1..9usize {
-                        if i + k < 256 {
-                            assert_eq!(naf[i + k], 0, "adjacency at {i}");
                         }
                     }
                 }

@@ -123,10 +123,10 @@ impl VerifyingKey {
             return Err(CryptoError::VerificationFailed);
         }
         let e = challenge(&signature.r_bytes, &self.encoded, message);
-        // s·B == R + e·A, checked as s·B − e·A == R so both scalar
+        // s·B == R + e·A, checked as −e·A + s·B == R so both scalar
         // multiplications share one Straus/Shamir doubling chain (all
         // inputs here are public, so the variable-time path is fine).
-        let v = EdwardsPoint::basepoint().double_scalar_mul(&s, &self.point, &e.neg());
+        let v = EdwardsPoint::vartime_double_scalar_mul_basepoint(&e.neg(), &self.point, &s);
         if v == r {
             Ok(())
         } else {

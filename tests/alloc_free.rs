@@ -8,12 +8,15 @@
 //!   either;
 //! * a site reset into a world with a larger roster sizes its scratch
 //!   as a fresh build of that world does, so its ticks allocate no
-//!   more than the fresh build's.
+//!   more than the fresh build's;
+//! * a warm `VerifyingKey::verify` makes no heap allocation, whether
+//!   it accepts or rejects.
 //!
 //! The allocator counts per thread, so the tests of this binary can run
 //! in parallel without disturbing each other's windows.
 
 use silvasec::attacks::AttackKind;
+use silvasec::crypto::schnorr::SigningKey;
 use silvasec::experiments::{compact_config, run_episode_pooled, standard_config, EpisodeSpec};
 use silvasec::sim::time::SimDuration;
 use silvasec::sos::{SecurityPosture, Worksite};
@@ -156,5 +159,27 @@ fn reset_into_a_larger_roster_allocates_no_more_than_a_fresh_build() {
         after_reset <= after_build,
         "{after_reset} heap allocations across {TICKS} ticks after the reset, \
          {after_build} after a fresh build"
+    );
+}
+
+#[test]
+fn warm_verify_does_not_allocate() {
+    // The warm-up call builds the shared basepoint tables; the window
+    // then verifies one valid signature and rejects one over another
+    // message, ten times each.
+    const ROUNDS: u64 = 10;
+    let key = SigningKey::from_seed(&[7u8; 32]);
+    let vk = key.verifying_key();
+    let sig = key.sign(b"bundle manifest");
+    assert!(vk.verify(b"bundle manifest", &sig).is_ok());
+    let before = allocations();
+    for _ in 0..ROUNDS {
+        assert!(vk.verify(b"bundle manifest", &sig).is_ok());
+        assert!(vk.verify(b"other manifest", &sig).is_err());
+    }
+    let made = allocations() - before;
+    assert_eq!(
+        made, 0,
+        "{made} heap allocations across {ROUNDS} warm accepting and rejecting verifies"
     );
 }

@@ -49,8 +49,9 @@ proptest! {
         // scalar; it must still fail verification.
         let sk = silvasec::crypto::schnorr::SigningKey::from_seed(&seed);
         let vk = sk.verifying_key();
-        let r_point = EdwardsPoint::basepoint()
-            .scalar_mul(&silvasec::crypto::scalar::Scalar::from_bytes_mod_order(&sig_bytes));
+        let r_point = EdwardsPoint::mul_basepoint(
+            &silvasec::crypto::scalar::Scalar::from_bytes_mod_order(&sig_bytes),
+        );
         let forged = Signature {
             r_bytes: r_point.encode(),
             s_bytes: silvasec::crypto::scalar::Scalar::from_bytes_mod_order(&sig_bytes).to_bytes(),

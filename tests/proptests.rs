@@ -153,13 +153,10 @@ proptest! {
 
     #[test]
     fn edwards_group_homomorphism(a in any::<u64>(), b in any::<u64>()) {
-        let base = EdwardsPoint::basepoint();
+        let mul = EdwardsPoint::mul_basepoint;
         let sa = Scalar::from_u64(a);
         let sb = Scalar::from_u64(b);
-        prop_assert_eq!(
-            base.scalar_mul(&sa.add(&sb)),
-            base.scalar_mul(&sa).add(&base.scalar_mul(&sb))
-        );
+        prop_assert_eq!(mul(&sa.add(&sb)), mul(&sa).add(&mul(&sb)));
     }
 
     #[test]
@@ -762,40 +759,42 @@ proptest! {
     ) {
         let s = Scalar::from_bytes_mod_order(&s_bytes);
         let base = EdwardsPoint::basepoint();
-        // Basepoint dispatch (shared precomputed table)...
-        prop_assert_eq!(base.scalar_mul(&s).encode(), base.scalar_mul_naive(&s).encode());
-        // ...and the constant-time fixed-window ladder on an arbitrary
-        // point (p_seed = 0 exercises the identity).
+        // The constant-time basepoint table...
+        prop_assert_eq!(
+            EdwardsPoint::mul_basepoint(&s).encode(),
+            base.scalar_mul_naive(&s).encode()
+        );
+        // ...and the variable-time width-5 window on an arbitrary point
+        // with no basepoint share (p_seed = 0 exercises the identity).
         let p = base.scalar_mul_naive(&Scalar::from_u64(p_seed));
-        prop_assert_eq!(p.scalar_mul(&s).encode(), p.scalar_mul_naive(&s).encode());
+        prop_assert_eq!(
+            EdwardsPoint::vartime_double_scalar_mul_basepoint(&s, &p, &Scalar::ZERO).encode(),
+            p.scalar_mul_naive(&s).encode()
+        );
     }
 
     #[test]
     fn double_scalar_mul_encodes_identical_to_naive(
-        a_bytes in any::<[u8; 32]>(),
-        b_bytes in any::<[u8; 32]>(),
+        k_bytes in any::<[u8; 32]>(),
+        s_bytes in any::<[u8; 32]>(),
         p_seed in any::<u64>(),
-        q_seed in any::<u64>(),
+        zeros in 0u8..4,
     ) {
-        let a = Scalar::from_bytes_mod_order(&a_bytes);
-        let b = Scalar::from_bytes_mod_order(&b_bytes);
+        // k·A + s·B against two naive ladders, for an arbitrary A, A = B
+        // and A = −B; `zeros` zeroes k (bit 0) and s (bit 1).
+        let pick = |bytes: &[u8; 32], zero: bool| {
+            if zero { Scalar::ZERO } else { Scalar::from_bytes_mod_order(bytes) }
+        };
+        let k = pick(&k_bytes, zeros & 1 != 0);
+        let s = pick(&s_bytes, zeros & 2 != 0);
         let base = EdwardsPoint::basepoint();
         let p = base.scalar_mul_naive(&Scalar::from_u64(p_seed));
-        let q = base.scalar_mul_naive(&Scalar::from_u64(q_seed));
-        // All three dispatch shapes: basepoint first (the verification
-        // equation), basepoint second, and fully generic.
-        prop_assert_eq!(
-            base.double_scalar_mul(&a, &p, &b).encode(),
-            base.double_scalar_mul_naive(&a, &p, &b).encode()
-        );
-        prop_assert_eq!(
-            p.double_scalar_mul(&a, &base, &b).encode(),
-            p.double_scalar_mul_naive(&a, &base, &b).encode()
-        );
-        prop_assert_eq!(
-            p.double_scalar_mul(&a, &q, &b).encode(),
-            p.double_scalar_mul_naive(&a, &q, &b).encode()
-        );
+        for a in [p, base, base.neg()] {
+            prop_assert_eq!(
+                EdwardsPoint::vartime_double_scalar_mul_basepoint(&k, &a, &s).encode(),
+                base.double_scalar_mul_naive(&s, &a, &k).encode()
+            );
+        }
     }
 
     #[test]
