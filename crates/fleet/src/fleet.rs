@@ -933,7 +933,6 @@ impl Fleet {
                         .map_or(0.0, |c| c.intensity);
                     let poison_at_ms = poisoning.then(|| (now + self.config.site.tick).as_millis());
                     let ctx = ShadowRolloutCtx {
-                        version,
                         update_id,
                         encoded: &encoded,
                         old_encoded: old_encoded.as_deref(),

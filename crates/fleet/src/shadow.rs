@@ -400,8 +400,6 @@ fn alerts_in_tick(
 /// read-only across the worker pool.
 #[derive(Debug, Clone, Copy)]
 pub struct ShadowRolloutCtx<'a> {
-    /// Target firmware version being distributed.
-    pub version: u32,
     /// Update id, part of the per-rollout verdict cache key.
     pub update_id: u32,
     /// The encoded bundle on the wire.
@@ -1482,7 +1480,6 @@ mod tests {
         chunk_bytes: usize,
     ) -> ShadowRolloutCtx<'a> {
         ShadowRolloutCtx {
-            version: 2,
             update_id: 2,
             encoded: new,
             old_encoded: Some(old),

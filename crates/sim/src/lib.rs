@@ -1,4 +1,4 @@
-//! Deterministic discrete-event simulation kernel and forest world model.
+//! Deterministic fixed-tick simulation kernel and forest world model.
 //!
 //! The reproduced paper (Sec. III-D) argues that simulation is the primary
 //! development and validation substrate for autonomous forestry machines —
@@ -12,7 +12,6 @@
 //! * [`rng`] — the seeded [`SimRng`] (ChaCha20-based) with stream forking
 //!   and the distributions the world model needs.
 //! * [`geom`] — 2-D/3-D vectors and geometry helpers.
-//! * [`event`] — a deterministic event queue with stable tie-breaking.
 //! * [`sweep`] — the deterministic parallel sweep engine (order-preserving
 //!   worker pool; re-exported as `silvasec::sweep`).
 //! * [`terrain`] — procedurally generated heightmaps with slope queries.
@@ -41,7 +40,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod event;
 pub mod geom;
 pub mod grid;
 pub mod humans;
@@ -60,7 +58,6 @@ pub use world::{World, WorldConfig};
 
 /// Convenient glob import of the crate's primary types.
 pub mod prelude {
-    pub use crate::event::EventQueue;
     pub use crate::geom::{Vec2, Vec3};
     pub use crate::humans::{Human, HumanId};
     pub use crate::rng::SimRng;

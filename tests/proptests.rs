@@ -196,19 +196,6 @@ proptest! {
     // ---------------- sim ----------------
 
     #[test]
-    fn event_queue_pops_sorted(times in proptest::collection::vec(0u64..10_000, 1..100)) {
-        let mut q = EventQueue::new();
-        for (i, t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_millis(*t), i);
-        }
-        let mut last = SimTime::ZERO;
-        while let Some((at, _)) = q.pop() {
-            prop_assert!(at >= last);
-            last = at;
-        }
-    }
-
-    #[test]
     fn hoisted_draws_match_hash3_and_u01(a in any::<u64>(), b in any::<u64>(), c in any::<u64>(),
                                          h in any::<u64>(), pick in any::<u64>(),
                                          k in 180_143_985_094_820u64..=(1 << 53)) {
