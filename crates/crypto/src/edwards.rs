@@ -406,8 +406,8 @@ impl EdwardsPoint {
     /// additions *read* T (the `self.t · 2d·T'` term) but their own T
     /// output is only ever consumed by a *following* addition — a
     /// doubling reads X, Y, Z alone. An add whose result feeds a
-    /// doubling (every intermediate add in the ladders below) can
-    /// therefore skip the E·H multiplication. Callers must ensure
+    /// doubling (most adds of the Straus loop below) can therefore skip
+    /// the E·H multiplication. Callers must ensure
     /// `need_t` is true whenever the result is added to something or
     /// escapes this module.
     fn add_cached_internal(&self, rhs: &CachedPoint, need_t: bool) -> Self {

@@ -3,8 +3,8 @@
 //! State lives in one radix from [`Poly1305::new`] to
 //! [`Poly1305::finalize`]: the "donna-64" split of a 130-bit value into
 //! limbs of 44, 44 and 42 bits, whose products fit `u128` (9 wide
-//! multiplies per block). `new` splits `r`, `r²` and the pad `s` once.
-//! Every block is one step `h = (h + m) · r`, the padded final block
+//! multiplies per block). `new` splits `r` and the pad `s` and computes
+//! `r²`, once per key. Every block is one step `h = (h + m) · r`, the padded final block
 //! included; runs of full blocks go two at a time through the Horner
 //! split `h = (h + m₁) · r² + m₂ · r`, which halves the serial
 //! multiply-reduce chain.
