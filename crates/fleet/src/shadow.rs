@@ -46,11 +46,22 @@
 //! *per-site* bytes, so they fall off the shared path and are decoded +
 //! verified individually — exactly the precedence the full path has.
 //! They share one scratch copy of the delivered bundle per shard tick.
-//! Each site draws its flip positions once into the tick's scratch
-//! list, XORs them into the copy, verifies, and XORs the same list back
-//! out. The JSON decoder's structural pre-scan stops at the first broken
-//! token without building anything, so a tampered site costs a scan of
-//! its bundle's intact prefix, not a copy and a tree.
+//!
+//! Most tampered sites are decided by their first chunk. `serde_json`
+//! pre-scans a bundle's structure before it builds anything, and three
+//! flips in the first chunk almost always break it there. So each
+//! distributing tick with tampering active records, once for all
+//! shards, the pre-scan of each bundle variant's first chunk
+//! ([`serde_json::PrescanRecord`]): its state at every value boundary
+//! and which bytes are plain string content. A site draws its three
+//! first-chunk flips and skips those the scan cannot see (plain string
+//! content that stays plain). It XORs the three in and resumes the scan
+//! from the last recorded state strictly before the first flip it can
+//! see. If that scan rejects without reading a byte of the second
+//! chunk, the verdict is `decode`, as the complete verification would
+//! find whatever the later chunks' flips are. Every other site (about
+//! 1 % at 768-byte chunks) draws the rest of its flips, XORs them into
+//! the copy, decodes and verifies, and XORs the same list back out.
 //!
 //! Every shadow draw is `hash3(key ^ salt, b, c)` for the site's
 //! [`site_key`], and `hash3(a, b, c)` is `mix64(a ^ hash2(b, c))`. The
@@ -61,7 +72,7 @@
 //! | draw | `(b, c)` | level computed once per |
 //! |---|---|---|
 //! | chunk loss | `(tick, chunk << 16 \| attempt)` | distributing tick, for every chunk of the longer bundle variant × the chunk budget; every shard reads it |
-//! | tamper flip | `(chunk, flip)` | distributing tick, three flips per chunk of the longer variant |
+//! | tamper flip | `(chunk, flip)` | distributing tick, three flips per chunk of the longer variant; a site draws chunks past the first only when its first chunk does not decide it |
 //! | detection latency | `(class_tag(class), SALT_LATENCY)` | detector class: alert-calendar build, or a poisoned-site sweep |
 //! | link quality, session slot | `(SALT_LINK, 0)`, `(SALT_SESSION, 0)` | shard commissioning |
 //!
@@ -77,6 +88,7 @@
 
 use crate::bundle::UpdateBundle;
 use crate::transport::{chunk_count, chunk_wire_len};
+use serde_json::PrescanRecord;
 use silvasec_attacks::AttackKind;
 use silvasec_pki::{CertificateRevocationList, TrustStore};
 use silvasec_sim::sweep::{par_sweep_mut, worker_count};
@@ -493,6 +505,9 @@ const NO_DELIVERY: u16 = u16::MAX;
 /// transport's MITM.
 const FLIPS_PER_CHUNK: usize = 3;
 
+/// What a tampering MITM XORs into each byte it flips.
+const FLIP_MASK: u8 = 0x41;
+
 /// The site-independent levels of one distributing tick's draws, built
 /// once per tick before the shards run and read by every shard. A shadow
 /// draw `hash3(key ^ salt, b, c)` is `mix64(key ^ salt ^ hash2(b, c))`,
@@ -508,6 +523,10 @@ struct RolloutDraws {
     /// Tamper-flip levels `hash2(chunk, flip)`, [`FLIPS_PER_CHUNK`] per
     /// chunk of the longer bundle variant.
     tamper_flips: Vec<u64>,
+    /// The JSON pre-scan's record of each bundle variant's first chunk,
+    /// new then old, on ticks with tampering active
+    /// ([`first_chunk_rejects`]).
+    first_chunks: [Option<PrescanRecord>; 2],
 }
 
 impl RolloutDraws {
@@ -526,10 +545,18 @@ impl RolloutDraws {
                 tamper_flips.push(hash2(chunk, flip));
             }
         }
+        let first_chunk =
+            |bundle: &[u8]| PrescanRecord::new(bundle, ctx.chunk_bytes.min(bundle.len())).ok();
+        let first_chunks = if ctx.tamper {
+            [Some(ctx.encoded), ctx.old_encoded].map(|bundle| bundle.and_then(first_chunk))
+        } else {
+            [None, None]
+        };
         RolloutDraws {
             budget: ctx.budget,
             chunk_loss,
             tamper_flips,
+            first_chunks,
         }
     }
 
@@ -542,6 +569,63 @@ impl RolloutDraws {
     fn tamper_flips(&self, chunk: usize) -> &[u64] {
         &self.tamper_flips[chunk * FLIPS_PER_CHUNK..(chunk + 1) * FLIPS_PER_CHUNK]
     }
+
+    /// The positions a tampering MITM flips in `chunk` of a `len`-byte
+    /// bundle sent in `chunk_bytes` chunks, for the site whose tamper
+    /// key is `tamper_key`: [`FLIPS_PER_CHUNK`] draws, each uniform over
+    /// the chunk's body (none in an empty bundle).
+    fn chunk_flips(
+        &self,
+        tamper_key: u64,
+        len: usize,
+        chunk_bytes: usize,
+        chunk: usize,
+    ) -> impl Iterator<Item = usize> + '_ {
+        let start = chunk * chunk_bytes;
+        let span = chunk_bytes.min(len - start) as u64;
+        let levels = if span == 0 {
+            &[][..]
+        } else {
+            self.tamper_flips(chunk)
+        };
+        levels
+            .iter()
+            .map(move |&level| start + (mix64(tamper_key ^ level) % span) as usize)
+    }
+}
+
+/// Whether `flips`, a tampered delivery's flip positions in its first
+/// chunk, make the JSON pre-scan reject the bundle before it reads past
+/// that chunk. `bytes` holds the delivered variant unflipped, and is
+/// left so; `record` is the pre-scan's record of its first chunk.
+///
+/// When it does, [`UpdateBundle::decode`] rejects the bundle whatever
+/// the later chunks' flips are, since `serde_json` pre-scans before it
+/// builds. The scan resumes from the record's last state strictly
+/// before the first flip it can see: the flips before that point leave
+/// plain string content plain, so the scan reaches that state as the
+/// record did. Only that choice reads byte classes. The scan itself runs
+/// on the flipped bytes, so two flips that cancel on one byte cost
+/// nothing but an earlier start.
+fn first_chunk_rejects(record: &PrescanRecord, bytes: &mut [u8], flips: &[usize]) -> bool {
+    let Some(first_seen) = flips
+        .iter()
+        .copied()
+        .filter(|&at| record.sees(at, bytes[at] ^ FLIP_MASK))
+        .min()
+    else {
+        // Nothing the scan sees changed in this chunk: it cannot reject
+        // here.
+        return false;
+    };
+    for &at in flips {
+        bytes[at] ^= FLIP_MASK;
+    }
+    let scanned = record.resume(bytes, first_seen);
+    for &at in flips {
+        bytes[at] ^= FLIP_MASK;
+    }
+    scanned.is_err_and(|reach| reach <= record.limit())
 }
 
 /// One shard tick's scratch for tampered deliveries: a copy of the
@@ -559,11 +643,15 @@ struct TamperBuffer {
 
 impl TamperBuffer {
     /// Verifies a tampered delivery of `bundle` (the variant
-    /// `old_bundle` names) individually, in place. It draws the site's
-    /// corruption once, [`FLIPS_PER_CHUNK`] positions per chunk body,
-    /// XORs it into the held copy, runs the complete verification and
-    /// XORs the same positions back out. Per-site corruption cannot
-    /// share a verdict.
+    /// `old_bundle` names) individually, in place. Per-site corruption
+    /// cannot share a verdict.
+    ///
+    /// It draws the first chunk's [`FLIPS_PER_CHUNK`] flips. When the
+    /// tick holds the variant's first-chunk record and
+    /// [`first_chunk_rejects`], the verdict is `decode`, as the complete
+    /// verification would find. Otherwise it draws the other chunks'
+    /// flips, XORs all of them into the held copy, runs the complete
+    /// verification and XORs the same positions back out.
     fn verify(
         &mut self,
         old_bundle: bool,
@@ -580,25 +668,23 @@ impl TamperBuffer {
         let len = self.bytes.len();
         let tamper_key = key ^ SALT_TAMPER;
         self.flips.clear();
-        for chunk in 0..chunk_count(len, ctx.chunk_bytes) {
-            let start = chunk * ctx.chunk_bytes;
-            let span = ctx.chunk_bytes.min(len - start) as u64;
-            if span == 0 {
-                continue;
+        self.flips
+            .extend(draws.chunk_flips(tamper_key, len, ctx.chunk_bytes, 0));
+        if let Some(record) = &draws.first_chunks[usize::from(old_bundle)] {
+            if first_chunk_rejects(record, &mut self.bytes, &self.flips) {
+                return Err(reject_code("decode"));
             }
-            self.flips.extend(
-                draws
-                    .tamper_flips(chunk)
-                    .iter()
-                    .map(|&level| start + (mix64(tamper_key ^ level) % span) as usize),
-            );
+        }
+        for chunk in 1..chunk_count(len, ctx.chunk_bytes) {
+            self.flips
+                .extend(draws.chunk_flips(tamper_key, len, ctx.chunk_bytes, chunk));
         }
         for &at in &self.flips {
-            self.bytes[at] ^= 0x41;
+            self.bytes[at] ^= FLIP_MASK;
         }
         let verdict = bundle_verdict(&self.bytes, ctx);
         for &at in &self.flips {
-            self.bytes[at] ^= 0x41;
+            self.bytes[at] ^= FLIP_MASK;
         }
         verdict
     }
@@ -1506,32 +1592,134 @@ mod tests {
         );
         let misfit = 1_000;
         assert_ne!(new.len() % misfit, 0, "{misfit} must not divide the length");
-        let mut verdicts = 0;
-        for chunk_bytes in [1, 768, misfit, new.len() + 5] {
+        // Sites decided from their first chunk, and sites that took the
+        // complete verification, per chunk size.
+        let (mut early, mut complete) = ([0; 4], [0; 4]);
+        for (size, chunk_bytes) in [1, 768, misfit, new.len() + 5].into_iter().enumerate() {
             let ctx = rollout_ctx(&new, &old, &store, chunk_bytes);
             let draws = RolloutDraws::new(&ctx);
             let mut buffer = TamperBuffer::default();
-            for site in 0..24u32 {
+            for site in 0..2_000u32 {
                 let key = site_key(0xF1EE7, site);
+                let tamper_key = key ^ SALT_TAMPER;
                 for (old_bundle, delivered) in [(false, &new), (true, &old)] {
-                    let want = copy_verdict(delivered, key, &ctx);
+                    let len = delivered.len();
+                    let flipped = flipped_copy(delivered, key, chunk_bytes);
+                    // The one flip-drawing function draws the copy
+                    // path's corruption.
+                    let mut drawn = delivered.to_vec();
+                    for chunk in 0..chunk_count(len, chunk_bytes) {
+                        for at in draws.chunk_flips(tamper_key, len, chunk_bytes, chunk) {
+                            drawn[at] ^= FLIP_MASK;
+                        }
+                    }
+                    assert_eq!(drawn, flipped, "site {site}, {chunk_bytes}-byte chunks");
+                    let want = bundle_verdict(&flipped, &ctx);
                     assert_eq!(
                         buffer.verify(old_bundle, delivered, key, &ctx, &draws),
                         want
                     );
                     assert_eq!(buffer.bytes, **delivered, "the buffer is restored");
-                    // The positions the site drew, flipped in a fresh
-                    // copy, are the copy path's corruption.
-                    let mut flipped = delivered.to_vec();
-                    for &at in &buffer.flips {
-                        flipped[at] ^= 0x41;
+                    let record = draws.first_chunks[usize::from(old_bundle)]
+                        .as_ref()
+                        .expect("tampering is active");
+                    let first: Vec<usize> =
+                        draws.chunk_flips(tamper_key, len, chunk_bytes, 0).collect();
+                    if first_chunk_rejects(record, &mut buffer.bytes, &first) {
+                        early[size] += 1;
+                    } else {
+                        complete[size] += 1;
                     }
-                    assert_eq!(flipped, flipped_copy(delivered, key, chunk_bytes));
-                    verdicts += 1;
                 }
             }
         }
-        assert_eq!(verdicts, 4 * 24 * 2);
+        // One-byte chunks flip byte 0 (`{`) three times: every site is
+        // decided early. Both paths run at the chunk sizes in between.
+        assert_eq!(early[0], 4_000);
+        for size in 1..3 {
+            assert!(
+                early[size] > 3_000 && complete[size] > 0,
+                "{early:?} {complete:?}"
+            );
+        }
+        assert!(early[3] > 3_000, "{early:?}");
+    }
+
+    #[test]
+    fn first_chunk_decisions_match_the_copy_path() {
+        let (old, new, store) = two_bundles();
+        let chunk_bytes = 768;
+        let ctx = rollout_ctx(&new, &old, &store, chunk_bytes);
+        let draws = RolloutDraws::new(&ctx);
+        let record = draws.first_chunks[0].as_ref().expect("tampering is active");
+        assert_eq!(record.limit(), chunk_bytes);
+        let find = |needle: &[u8]| {
+            new.windows(needle.len())
+                .position(|w| w == needle)
+                .expect("the bundle names it")
+        };
+        // The `c` opening the first key `"component_id"`, the first
+        // letter of its value `"forwarder-fw"` (plain string content
+        // that stays plain under the flip), and the quote closing the
+        // key `"payload"`, before the bundle's first byte array.
+        let key_c = find(br#""component_id""#) + 1;
+        let plain = find(br#""forwarder-fw""#) + 1;
+        let quote = find(br#""payload""#) + 8;
+        assert_eq!(new[key_c] ^ FLIP_MASK, b'"');
+        assert!(quote < chunk_bytes);
+        let decode = Err(reject_code("decode"));
+        let signature = Err(reject_code("signature"));
+        // Chunk 0's flips; whether they decide the site; the verdict on
+        // a copy flipped there.
+        let cases: [([usize; 3], bool, Result<u32, u8>); 6] = [
+            // `{` becomes `:`.
+            ([0, plain, plain + 1], true, decode),
+            // `c` becomes `"`: the key ends early. Resuming at a state
+            // past it would miss it, the invisible flips around it change
+            // nothing the scan sees, and the rest of chunk 0 is intact.
+            ([plain, key_c, plain + 1], true, decode),
+            // The first visible flip decides, not the later one whose
+            // scan runs into chunk 1 (below).
+            ([quote, key_c, plain], true, decode),
+            // All three invisible: the manifest's component changes and
+            // the bundle signature no longer verifies.
+            ([plain, plain + 1, plain + 2], false, signature),
+            // The two flips at `key_c` cancel. The scan runs on the real
+            // bytes, finds nothing wrong in chunk 0 and leaves the site
+            // to the complete verification.
+            ([key_c, key_c, plain], false, signature),
+            // The key `"payload"` no longer ends: its string runs on into
+            // chunk 1, whose flips the early path does not apply.
+            ([quote, plain, plain + 1], false, decode),
+        ];
+        let mut bytes = new.clone();
+        let copy_verdict = |flips: &[usize]| {
+            let mut copy = new.clone();
+            for &at in flips {
+                copy[at] ^= FLIP_MASK;
+            }
+            bundle_verdict(&copy, &ctx)
+        };
+        for (flips, decides, verdict) in cases {
+            assert_eq!(
+                first_chunk_rejects(record, &mut bytes, &flips),
+                decides,
+                "{flips:?}"
+            );
+            assert_eq!(bytes, new, "the bytes are restored");
+            assert_eq!(copy_verdict(&flips), verdict, "{flips:?}");
+        }
+        // A flip at the last byte of chunk 0 or within 8 bytes of it:
+        // decided early only when its scan reads nothing of chunk 1.
+        let mut decided = 0;
+        for at in chunk_bytes - 9..chunk_bytes {
+            let flips = [at, plain, plain + 1];
+            if first_chunk_rejects(record, &mut bytes, &flips) {
+                assert_eq!(copy_verdict(&flips), decode, "{flips:?}");
+                decided += 1;
+            }
+        }
+        assert!((1..9).contains(&decided), "{decided} of 9 decided");
     }
 
     #[test]
