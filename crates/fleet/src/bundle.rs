@@ -218,8 +218,9 @@ impl UpdateBundle {
     /// monotone version rule.
     ///
     /// Every site in a fleet shares the same trust store and component
-    /// id, so this verdict can be computed once per rollout shard and
-    /// reused across thousands of shadow sites; only
+    /// id, so the shadow population decides this verdict once per
+    /// bundle variant per rollout (again when the CRL list changes) and
+    /// reuses it across every untampered shadow site; only
     /// [`UpdateBundle::check_version`] remains per-site. Composing the
     /// two checks in order is exactly [`UpdateBundle::verify`].
     ///
@@ -486,8 +487,8 @@ mod tests {
 
     #[test]
     fn split_verify_composes_to_full_verify() {
-        // verify == verify_shared ∘ check_version, so a shared verdict
-        // computed once per shard plus the per-site version rule decides
+        // verify == verify_shared ∘ check_version, so one shared verdict
+        // per bundle variant plus the per-site version rule decides
         // exactly what the per-site verify would.
         let (bundle, store) = fixture();
         bundle

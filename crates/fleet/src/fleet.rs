@@ -798,7 +798,6 @@ impl Fleet {
             released_at,
             &mut self.rng,
         );
-        let encoded = bundle.encode();
         // The rollback candidate a downgrade attacker would replay: the
         // oldest published bundle (the genuinely signed baseline).
         let old_encoded = self.backend.published.first().map(UpdateBundle::encode);
@@ -807,7 +806,8 @@ impl Fleet {
             fs.delivery = None;
             fs.outcome = None;
         }
-        self.shadows.reset_rollout();
+        self.shadows
+            .reset_rollout(bundle.encode(), old_encoded, self.config.chunk_bytes);
 
         let started = self.now;
         let mut wave = 0usize;
@@ -857,13 +857,9 @@ impl Fleet {
                         let delivery = fs.delivery.get_or_insert_with(|| {
                             // A downgrade MITM substitutes the old but
                             // genuinely signed bundle on the wire.
-                            let bytes = match (&old_encoded, downgrade) {
-                                (Some(old), true) => old.as_slice(),
-                                _ => encoded.as_slice(),
-                            };
                             Delivery::new(
                                 update_id,
-                                bytes,
+                                self.shadows.delivered(downgrade),
                                 chunk_bytes,
                                 self.rng.fork(&format!("tamper-{update_id}-{idx}")),
                             )
@@ -924,8 +920,9 @@ impl Fleet {
                     }
 
                     // Shadow members of the wave: sharded distribution,
-                    // one shared bundle verification per shard, merged
-                    // in shard order.
+                    // merged in shard order. Untampered sites read one
+                    // shared verdict per bundle variant, decided under
+                    // this tick's CRLs.
                     let jam = self
                         .campaigns
                         .iter()
@@ -933,12 +930,8 @@ impl Fleet {
                         .map_or(0.0, |c| c.intensity);
                     let poison_at_ms = poisoning.then(|| (now + self.config.site.tick).as_millis());
                     let ctx = ShadowRolloutCtx {
-                        update_id,
-                        encoded: &encoded,
-                        old_encoded: old_encoded.as_deref(),
                         store: &self.backend.store,
                         crls: &self.backend.crls,
-                        chunk_bytes: self.config.chunk_bytes,
                         budget,
                         now_ms: now.as_millis(),
                         tick_index: self.tick_index,
@@ -1004,7 +997,7 @@ impl Fleet {
                         }
                     }
                 }
-                RolloutPhase::Halted | RolloutPhase::Complete => {}
+                RolloutPhase::Complete => {}
             }
 
             if phase == RolloutPhase::Complete {

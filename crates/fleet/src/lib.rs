@@ -24,9 +24,10 @@
 //!   of sites runs as full [`Worksite`] simulations while the rest live
 //!   as a compact struct-of-arrays shadow population ([`shadow`]),
 //!   sharded across the deterministic sweep worker pool with an
-//!   order-preserving merge and one shared bundle verification per
-//!   shard, so a million-site control plane stays tractable and
-//!   byte-identical to a sequential reference. This is the fleet's one
+//!   order-preserving merge and one shared bundle verdict per bundle
+//!   variant per rollout (decided again when the CRL list changes), so
+//!   a million-site control plane stays tractable and byte-identical to
+//!   a sequential reference. This is the fleet's one
 //!   layout: without [`FleetConfig::shadow`] every site is full and the
 //!   population has no shards. Rollout waves are contiguous index
 //!   ranges ([`RolloutPolicy::waves`]).

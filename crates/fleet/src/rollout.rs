@@ -62,8 +62,6 @@ pub enum RolloutPhase {
     Distributing,
     /// Soaking: watching the current wave's IDS output.
     Observing,
-    /// Halted by the alert-spike rule.
-    Halted,
     /// Every wave completed.
     Complete,
 }
@@ -118,14 +116,15 @@ pub struct RolloutReport {
     /// kept out of the serialized form so the report JSON schema is
     /// unchanged — read it off the struct directly.
     pub transfer_tampered_sites: u32,
-    /// Shared bundle verifications performed across shadow shards (one
-    /// chain walk and one bundle-signature check per shard per rollout
-    /// variant, not one per site). Like
+    /// Shared bundle verdicts decided for shadow sites: one chain walk
+    /// and one bundle-signature check per distributed bundle variant,
+    /// whatever the shard count, decided again for the sites that
+    /// complete after the CRL list changes. Like
     /// [`transfer_tampered_sites`](RolloutReport::transfer_tampered_sites),
     /// deterministic but kept out of the serialized report JSON.
     pub batch_verify_calls: u64,
     /// Shadow sites whose bundle acceptance was resolved from a shared
-    /// per-shard verification verdict. Not serialized.
+    /// verdict. Not serialized.
     pub batch_verified_sites: u64,
     /// Shadow sites that had to be verified individually (their received
     /// bytes were tampered, so no shared verdict applies). Not serialized.

@@ -352,12 +352,6 @@ impl Delivery {
     pub fn transfer_intact(&self) -> Option<bool> {
         self.received_digest.map(|d| d == self.sent_digest)
     }
-
-    /// Chunks not yet confirmed delivered.
-    #[must_use]
-    pub fn pending_chunks(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 #[cfg(test)]

@@ -1,19 +1,24 @@
 //! Fleet-scale two-fidelity control plane: decision equivalence,
-//! tamper parity through the per-shard shared verify (one chain walk
-//! and one bundle-signature check per shard, its verdict shared by the
-//! shard's batch of untampered sites), and shard determinism.
+//! tamper parity through the shared verify (one chain walk and one
+//! bundle-signature check per bundle variant per rollout, its verdict
+//! shared by every shard's untampered sites), one shared decision at
+//! any shard count, a signer revoked mid-rollout refused whatever the
+//! shard size, and shard determinism.
 //!
 //! Small populations keep these affordable in debug mode. The 16k-site
-//! scenario and the 64-site shadowless trace are pinned in
-//! `tests/golden.rs`; throughput and peak memory at 524 288 sites are
-//! the pathway benchmark's `fleet_scale` workload.
+//! scenario, the 64-site shadowless trace and the mid-rollout
+//! revocation are pinned in `tests/golden.rs`; throughput and peak
+//! memory at 524 288 sites are the pathway benchmark's `fleet_scale`
+//! workload.
 
 use proptest::prelude::*;
+use silvasec::attacks::AttackKind;
 use silvasec::experiments::{
-    fleet_config, fleet_decisions, fleet_scale_config, run_fleet_scale_point,
-    run_fleet_scale_scenario, FleetScenario,
+    campaign_for, fleet_config, fleet_decisions, fleet_scale_config, ops_config,
+    run_fleet_scale_point, run_fleet_scale_scenario, FleetScenario,
 };
-use silvasec::fleet::{Fleet, ShadowConfig, SiteSlot};
+use silvasec::fleet::{Fleet, RolloutReport, ShadowConfig, SiteSlot};
+use silvasec::sim::time::{SimDuration, SimTime};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
@@ -48,7 +53,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
 
     /// A tampered bundle must be rejected by every site even though
-    /// shadow shards share one verification verdict — tampered sites
+    /// shadow sites share one verification verdict — tampered sites
     /// fall off the shared-verdict fast path and are verified
     /// individually.
     #[test]
@@ -135,21 +140,86 @@ fn sharded_traces_match_sequential_reference_byte_for_byte() {
     );
 }
 
-/// A clean shadow rollout amortizes signature verification: far fewer
-/// shared verifications than sites, and no per-site fallback verifies.
+/// A clean shadow rollout decides its shared bundle verdict once, at
+/// any shard count and on either sweep schedule, and no per-site
+/// fallback verifies.
 #[test]
 fn batched_verify_amortizes_across_shadow_sites() {
-    let (report, fleet) = run_fleet_scale_point(128, 7, FleetScenario::Clean, false);
-    assert!(report.completed, "{report:?}");
-    let shadow_sites = fleet.shadows().layout.shadow_count() as u64;
-    assert_eq!(report.batch_verified_sites, shadow_sites);
-    assert_eq!(report.individually_verified_sites, 0);
-    assert!(
-        report.batch_verify_calls < shadow_sites / 4,
-        "shared verify must amortize: {} calls for {} shadow sites",
-        report.batch_verify_calls,
-        shadow_sites
-    );
+    for sequential in [false, true] {
+        let mut config = fleet_scale_config(128, sequential);
+        config.shadow = Some(ShadowConfig {
+            full_sites: 4,
+            shard_sites: 16,
+            sequential,
+        });
+        let mut fleet = Fleet::new(config, 7);
+        let report = fleet.run_rollout(2);
+        assert!(report.completed, "{report:?}");
+        assert_eq!(fleet.shadows().shard_count(), 8);
+        let shadow_sites = fleet.shadows().layout.shadow_count() as u64;
+        assert_eq!(report.batch_verified_sites, shadow_sites);
+        assert_eq!(report.individually_verified_sites, 0);
+        assert_eq!(
+            report.batch_verify_calls, 1,
+            "one shared decision serves every shard (sequential: {sequential})"
+        );
+    }
+}
+
+/// A 64-site two-fidelity fleet with ops rolls out version 2 while a
+/// fleet-wide replay storm runs from 10 s to 70 s. Ops contains the
+/// correlated `auth-failure-storm` campaign by revoking the firmware
+/// signer, so the bundle, signed under the revoked leaf, must be
+/// refused by every site whose delivery completes after the CRL is out.
+/// The alert-spike halt is off so the rollout runs to the end.
+fn rollout_with_signer_revoked_midway(shard_sites: usize, seed: u64) -> (RolloutReport, Fleet) {
+    let mut config = fleet_scale_config(64, false);
+    config.ops = Some(ops_config());
+    config.policy.halt_alert_threshold = u32::MAX;
+    config.shadow = Some(ShadowConfig {
+        full_sites: 4,
+        shard_sites,
+        sequential: false,
+    });
+    let mut fleet = Fleet::new(config, seed);
+    fleet.schedule_fleet_attack(campaign_for(
+        AttackKind::Replay,
+        SimTime::from_secs(10),
+        SimDuration::from_secs(60),
+    ));
+    let report = fleet.run_rollout(2);
+    (report, fleet)
+}
+
+/// Every shadow site is judged under the CRLs of the tick its delivery
+/// completes in, as full sites are, so the shard layout cannot change
+/// who installs a bundle whose signer was revoked mid-rollout: fifteen
+/// 4-site shards and one 60-site shard give the same per-site versions
+/// and the same report.
+#[test]
+fn a_signer_revoked_mid_rollout_is_refused_at_any_shard_size() {
+    let versions = |fleet: &Fleet| -> Vec<u32> {
+        (0..fleet.len())
+            .map(|s| fleet.installed_version(s))
+            .collect()
+    };
+    let json = |r: &RolloutReport| serde_json::to_string(r).expect("report serializes");
+    for seed in [11, 29] {
+        let (small, small_fleet) = rollout_with_signer_revoked_midway(4, seed);
+        let (one, one_fleet) = rollout_with_signer_revoked_midway(60, seed);
+        assert_eq!(small_fleet.shadows().shard_count(), 15);
+        assert_eq!(one_fleet.shadows().shard_count(), 1);
+        for fleet in [&small_fleet, &one_fleet] {
+            assert_eq!(fleet.backend().crls().len(), 1, "seed {seed}");
+        }
+        assert_eq!(versions(&small_fleet), versions(&one_fleet), "seed {seed}");
+        assert_eq!(json(&small), json(&one), "seed {seed}");
+        let chain = small.reject_reasons.get("chain").copied().unwrap_or(0);
+        assert!(
+            small.applied_sites > 0 && chain > 0,
+            "seed {seed}: both sides of the revocation must occur: {small:?}"
+        );
+    }
 }
 
 /// The security snapshot surfaces the population split, the shadow

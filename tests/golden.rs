@@ -17,11 +17,11 @@
 use silvasec::attacks::{AttackCampaign, AttackKind, AttackTarget};
 use silvasec::crypto::sha256::{self, Sha256};
 use silvasec::experiments::{
-    campaign_for, figure1_trace, fleet_scale_config, occlusion_sweep, run_fleet_rollout,
-    run_fleet_scale_point, run_pathway_scenario, sotif_evidence, standard_config, EpisodeRunner,
-    EpisodeSpec, FleetScenario,
+    campaign_for, figure1_trace, fleet_scale_config, occlusion_sweep, ops_config,
+    run_fleet_rollout, run_fleet_scale_point, run_pathway_scenario, sotif_evidence,
+    standard_config, EpisodeRunner, EpisodeSpec, FleetScenario,
 };
-use silvasec::fleet::{Fleet, RolloutReport};
+use silvasec::fleet::{Fleet, RolloutReport, ShadowConfig};
 use silvasec::machines::sensors::{PeopleSensor, SensorKind};
 use silvasec::machines::validation::measure_detection_curve;
 use silvasec::risk::catalog::worksite_model;
@@ -54,6 +54,20 @@ const FLEET_SCALE_4K_SEED11_POISONED: &str =
     "5b30df2eb8209c15889361b8679f82fa294b4dfc107e228102042590938ef9bd";
 const FLEET_SCALE_4K_SEED11_JAMMED: &str =
     "275a07acd9f95546513e71ec5b8c815a7e4b8c60706b1ee904c8ceb55568bf02";
+
+/// A 64-site two-fidelity fleet with ops (4 full sites, fifteen 4-site
+/// shadow shards) at seed 11 rolling out version 2 through a fleet-wide
+/// replay storm from 10 s to 70 s, the alert-spike halt off: ops
+/// revokes the firmware signer at 10.5 s, 9 sites apply and 55 reject
+/// with `chain`. Fleet trace JSONL, then the `RolloutReport` JSON. The
+/// only pin of a CRL published mid-rollout, recorded once shadow
+/// verdicts followed the CRL list. Per-shard cached verdicts printed
+/// this digest too, since each of these shards first decided after the
+/// CRL was out, but applied the bundle on 61 sites with one 60-site
+/// shard; `a_signer_revoked_mid_rollout_is_refused_at_any_shard_size`
+/// (`tests/fleet_scale.rs`) holds the two layouts to one outcome.
+const FLEET_REVOKED_MIDWAY_SEED11: &str =
+    "790f373cfff957e47a61f5939e3802077c0098fe5d8c101983fd6097a983da6d";
 
 /// The Figure-1 security trace: one secure standard-config worksite at
 /// seed 11 for 3 600 sim-s (7 200 ticks) under the five back-to-back
@@ -205,6 +219,31 @@ fn fleet_scale_jammed_rollout_matches_its_pin() {
         fleet_scale_4k_digest(FleetScenario::Jammed),
         FLEET_SCALE_4K_SEED11_JAMMED,
         "4k-site seed-11 jammed rollout moved (re-pin procedure: module doc)"
+    );
+}
+
+#[test]
+fn fleet_signer_revoked_midway_matches_its_pin() {
+    let mut config = fleet_scale_config(64, false);
+    config.ops = Some(ops_config());
+    config.policy.halt_alert_threshold = u32::MAX;
+    config.shadow = Some(ShadowConfig {
+        full_sites: 4,
+        shard_sites: 4,
+        sequential: false,
+    });
+    let mut fleet = Fleet::new(config, 11);
+    fleet.schedule_fleet_attack(campaign_for(
+        AttackKind::Replay,
+        SimTime::from_secs(10),
+        SimDuration::from_secs(60),
+    ));
+    let report = fleet.run_rollout(2);
+    let report = serde_json::to_string(&report).expect("report serializes");
+    assert_eq!(
+        digest(&[fleet.export_trace_jsonl().as_bytes(), report.as_bytes()]),
+        FLEET_REVOKED_MIDWAY_SEED11,
+        "64-site seed-11 mid-rollout revocation moved (re-pin procedure: module doc)"
     );
 }
 
