@@ -150,8 +150,9 @@ pub fn measure_recorder_overhead(seed: u64, sim_secs: u64, rounds: u32) -> Recor
     let events = site.recorder().events_recorded();
     let jsonl = site.export_flight_jsonl();
     let lines = jsonl.lines().count();
-    let snapshot = site.telemetry_snapshot();
-    let pushed = snapshot.total_pushed();
+    let stats = site.recorder().stats();
+    let pushed: u64 = stats.iter().map(|s| s.pushed).sum();
+    let dropped: u64 = stats.iter().map(|s| s.dropped).sum();
     RecorderOverhead {
         sim_secs,
         rounds,
@@ -166,7 +167,7 @@ pub fn measure_recorder_overhead(seed: u64, sim_secs: u64, rounds: u32) -> Recor
         drop_rate: if pushed == 0 {
             0.0
         } else {
-            snapshot.total_dropped() as f64 / pushed as f64
+            dropped as f64 / pushed as f64
         },
     }
 }

@@ -6,8 +6,8 @@ use crate::shadow::{
     campaign_class, ShadowCampaign, ShadowConfig, ShadowPopulation, ShadowRolloutCtx, SiteSlot,
     REJECT_REASONS,
 };
-use crate::siem::{FleetSiem, SiemConfig};
-use crate::transport::{Delivery, Uplink};
+use crate::siem::FleetSiem;
+use crate::transport::{Delivery, Uplink, CHUNKS_PER_TICK, CHUNK_BYTES, UPLINK_RANGE_M};
 use serde::Serialize;
 use silvasec_attacks::{AttackCampaign, AttackKind, AttackTarget};
 use silvasec_crypto::schnorr::SigningKey;
@@ -39,6 +39,14 @@ pub const FLEET_COMPONENT: &str = "forwarder-fw";
 /// PKI validity horizon for fleet credentials, milliseconds.
 const VALIDITY_HORIZON_MS: u64 = 365 * 24 * 3600 * 1000;
 
+/// Application image payload size of every published bundle, bytes
+/// (the bootloader image carries a quarter of it).
+const IMAGE_PAYLOAD_BYTES: usize = 2048;
+
+/// Upper bound on rollout duration, ticks: a stuck rollout ends with
+/// `completed: false` instead of spinning forever.
+const MAX_ROLLOUT_TICKS: u32 = 4_000;
+
 /// Fleet scenario configuration.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
@@ -48,20 +56,6 @@ pub struct FleetConfig {
     pub site: WorksiteConfig,
     /// Staged-rollout policy.
     pub policy: RolloutPolicy,
-    /// SIEM correlation tuning.
-    pub siem: SiemConfig,
-    /// OTA chunk payload size, bytes.
-    pub chunk_bytes: usize,
-    /// Chunks transmitted per site per tick.
-    pub chunks_per_tick: usize,
-    /// Nominal backend↔gateway distance, metres (per-site jitter of
-    /// ±20% is applied at commissioning).
-    pub uplink_range_m: f64,
-    /// Firmware image payload size, bytes.
-    pub image_payload_bytes: usize,
-    /// Upper bound on rollout duration, ticks (a stuck rollout ends with
-    /// `completed: false` instead of spinning forever).
-    pub max_rollout_ticks: u32,
     /// Two-fidelity split: when set, only a deterministically-sampled
     /// subset of sites runs the full `Worksite` simulation and the rest
     /// live in the compact sharded shadow population. `None` (the
@@ -110,12 +104,6 @@ impl Default for FleetConfig {
             sites: 4,
             site: WorksiteConfig::default(),
             policy: RolloutPolicy::default(),
-            siem: SiemConfig::default(),
-            chunk_bytes: 768,
-            chunks_per_tick: 16,
-            uplink_range_m: 140.0,
-            image_payload_bytes: 2048,
-            max_rollout_ticks: 4_000,
             shadow: None,
             ops: None,
             tara: None,
@@ -194,13 +182,7 @@ impl FleetBackend {
     }
 
     /// Builds, signs and records a new update bundle.
-    pub fn publish(
-        &mut self,
-        version: u32,
-        payload_bytes: usize,
-        released_at_ms: u64,
-        rng: &mut SimRng,
-    ) -> UpdateBundle {
+    pub fn publish(&mut self, version: u32, released_at_ms: u64, rng: &mut SimRng) -> UpdateBundle {
         let mut make_payload = |len: usize| {
             let mut payload = vec![0u8; len];
             rng.fill_bytes(&mut payload);
@@ -211,14 +193,14 @@ impl FleetBackend {
                 FLEET_COMPONENT,
                 FirmwareStage::Bootloader,
                 version,
-                make_payload(payload_bytes / 4),
+                make_payload(IMAGE_PAYLOAD_BYTES / 4),
             )
             .sign(&self.signer),
             FirmwareImage::new(
                 FLEET_COMPONENT,
                 FirmwareStage::Application,
                 version,
-                make_payload(payload_bytes),
+                make_payload(IMAGE_PAYLOAD_BYTES),
             )
             .sign(&self.signer),
         ];
@@ -375,7 +357,7 @@ impl Fleet {
         let root_rng = SimRng::from_seed(seed);
         let mut rng = root_rng.fork("fleet");
         let mut backend = FleetBackend::commission(&mut root_rng.fork("backend"));
-        let baseline = backend.publish(1, config.image_payload_bytes, 0, &mut rng);
+        let baseline = backend.publish(1, 0, &mut rng);
 
         let recorder = Recorder::new();
         let trace_sub = recorder.subscribe_filtered("fleet", 65_536, EventFilter::security());
@@ -415,7 +397,7 @@ impl Fleet {
                 1_024,
                 EventFilter::none().with(EventKind::IdsAlert),
             );
-            let range = config.uplink_range_m * (0.8 + 0.4 * site_rng.uniform());
+            let range = UPLINK_RANGE_M * (0.8 + 0.4 * site_rng.uniform());
             let uplink = Uplink::new(range, site_rng.fork("uplink"));
             let mut device = Device::new(FLEET_COMPONENT, backend.signer_key());
             let report = device.boot(&baseline.images);
@@ -444,7 +426,7 @@ impl Fleet {
         });
 
         Fleet {
-            siem: FleetSiem::new(config.siem),
+            siem: FleetSiem::default(),
             config,
             backend,
             sites,
@@ -769,9 +751,7 @@ impl Fleet {
             frames_sent: 0,
             detect_to_halt_ms: None,
             verify_wall_us: 0,
-            verify_wall_us_max: 0,
             verify_calls: 0,
-            transfer_tampered_sites: 0,
             batch_verify_calls: 0,
             batch_verified_sites: 0,
             individually_verified_sites: 0,
@@ -792,12 +772,7 @@ impl Fleet {
         }
         let update_id = self.backend.next_update_id;
         let released_at = self.now.as_millis();
-        let bundle = self.backend.publish(
-            version,
-            self.config.image_payload_bytes,
-            released_at,
-            &mut self.rng,
-        );
+        let bundle = self.backend.publish(version, released_at, &mut self.rng);
         // The rollback candidate a downgrade attacker would replay: the
         // oldest published bundle (the genuinely signed baseline).
         let old_encoded = self.backend.published.first().map(UpdateBundle::encode);
@@ -806,8 +781,7 @@ impl Fleet {
             fs.delivery = None;
             fs.outcome = None;
         }
-        self.shadows
-            .reset_rollout(bundle.encode(), old_encoded, self.config.chunk_bytes);
+        self.shadows.reset_rollout(bundle.encode(), old_encoded);
 
         let started = self.now;
         let mut wave = 0usize;
@@ -818,7 +792,7 @@ impl Fleet {
         let mut shadow_resolved_in_wave = 0usize;
         self.record_wave(wave, "start");
 
-        for _ in 0..self.config.max_rollout_ticks {
+        for _ in 0..MAX_ROLLOUT_TICKS {
             let alerts = self.tick();
             for &(site, at_ms) in &alerts {
                 // Only alerts from machines running the new firmware
@@ -843,12 +817,11 @@ impl Fleet {
                     let downgrade = self.kind_active(AttackKind::Downgrade);
                     let poisoning = self.kind_active(AttackKind::RolloutPoisoning);
                     let now = self.now;
-                    let budget = self.config.chunks_per_tick;
+                    let budget = CHUNKS_PER_TICK;
                     let wave_sites = waves[wave].clone();
                     let full = self.shadows.layout.full_within(&wave_sites);
                     let mut applied_sites = Vec::new();
                     for pos in full.clone() {
-                        let chunk_bytes = self.config.chunk_bytes;
                         let fs = &mut self.sites[pos];
                         if fs.outcome.is_some() {
                             continue;
@@ -860,7 +833,7 @@ impl Fleet {
                             Delivery::new(
                                 update_id,
                                 self.shadows.delivered(downgrade),
-                                chunk_bytes,
+                                CHUNK_BYTES,
                                 self.rng.fork(&format!("tamper-{update_id}-{idx}")),
                             )
                         });
@@ -869,9 +842,6 @@ impl Fleet {
                         };
                         report.bytes_on_air += delivery.bytes_on_air;
                         report.frames_sent += delivery.frames_sent;
-                        if delivery.transfer_intact() == Some(false) {
-                            report.transfer_tampered_sites += 1;
-                        }
                         fs.delivery = None;
                         let (outcome, verify_us) = fs.apply(
                             &bytes,
@@ -881,7 +851,6 @@ impl Fleet {
                         );
                         if let Some(us) = verify_us {
                             report.verify_wall_us += us;
-                            report.verify_wall_us_max = report.verify_wall_us_max.max(us);
                             report.verify_calls += 1;
                         }
                         let (ok, reason) = match &outcome {
@@ -1328,7 +1297,6 @@ mod tests {
                 observe_ticks: 6,
                 halt_alert_threshold: 3,
             },
-            image_payload_bytes: 512,
             ..FleetConfig::default()
         }
     }
@@ -1462,7 +1430,7 @@ mod tests {
     fn backend_signs_verifiable_bundles() {
         let mut rng = SimRng::from_seed(7);
         let mut backend = FleetBackend::commission(&mut rng);
-        let bundle = backend.publish(3, 256, 0, &mut rng);
+        let bundle = backend.publish(3, 0, &mut rng);
         bundle
             .verify(backend.trust_store(), 100, &[], FLEET_COMPONENT, 1)
             .unwrap();
@@ -1472,7 +1440,7 @@ mod tests {
     fn revoking_the_signer_rejects_old_chain_but_not_new_bundles() {
         let mut rng = SimRng::from_seed(7);
         let mut backend = FleetBackend::commission(&mut rng);
-        let old = backend.publish(2, 256, 0, &mut rng);
+        let old = backend.publish(2, 0, &mut rng);
         backend.revoke_signer(500);
         assert_eq!(backend.crls().len(), 1);
         // The pre-revocation bundle fails chain validation once the CRL
@@ -1493,7 +1461,7 @@ mod tests {
         // A bundle published after rotation carries the fresh leaf for
         // the same pinned signing key: it verifies under the CRLs and
         // still boots on a device pinned at commissioning.
-        let fresh = backend.publish(3, 256, 1_500, &mut rng);
+        let fresh = backend.publish(3, 1_500, &mut rng);
         fresh
             .verify(
                 backend.trust_store(),

@@ -68,7 +68,7 @@ pub use fleet::{
 };
 pub use rollout::{RolloutPhase, RolloutPolicy, RolloutReport};
 pub use shadow::{ShadowConfig, ShadowLayout, ShadowPopulation, SiteSlot};
-pub use siem::{CorrelatedCampaign, FleetSiem, SiemConfig};
+pub use siem::{CorrelatedCampaign, FleetSiem};
 pub use transport::{chunk_payloads, ChunkHeader, Delivery, Reassembly, Uplink};
 
 /// Convenient glob import for fleet scenarios.
@@ -79,5 +79,5 @@ pub mod prelude {
     };
     pub use crate::rollout::{RolloutPolicy, RolloutReport};
     pub use crate::shadow::{ShadowConfig, ShadowLayout, ShadowPopulation, SiteSlot};
-    pub use crate::siem::{CorrelatedCampaign, FleetSiem, SiemConfig};
+    pub use crate::siem::{CorrelatedCampaign, FleetSiem};
 }

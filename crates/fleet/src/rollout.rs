@@ -70,9 +70,9 @@ pub enum RolloutPhase {
 ///
 /// Serialization covers only the deterministic fields: same fleet size,
 /// seed, and scenario must produce byte-identical report JSON (that
-/// contract is tested), so the host wall-clock verification timings are
-/// deliberately left out of the serialized form — read them off the
-/// struct directly.
+/// contract is tested), so the host wall-clock verification time and
+/// the shadow verification counts are left out of the serialized form —
+/// read them off the struct directly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RolloutReport {
     /// Number of sites in the fleet.
@@ -105,23 +105,14 @@ pub struct RolloutReport {
     /// site, total. Host time, not fleet time: it never feeds the
     /// simulation or the security trace, only the performance report.
     pub verify_wall_us: u64,
-    /// Slowest single bundle verification, host wall-clock microseconds.
-    pub verify_wall_us_max: u64,
     /// Bundle verifications measured (applied and rejected sites both
     /// count; sites whose bundle failed to decode do not).
     pub verify_calls: u32,
-    /// Sites whose received chunk stream failed the transfer-digest
-    /// cross-check (the streaming SHA-256 computed over ordered chunk
-    /// slots vs the digest of what the backend sent). Deterministic, but
-    /// kept out of the serialized form so the report JSON schema is
-    /// unchanged — read it off the struct directly.
-    pub transfer_tampered_sites: u32,
     /// Shared bundle verdicts decided for shadow sites: one chain walk
     /// and one bundle-signature check per distributed bundle variant,
     /// whatever the shard count, decided again for the sites that
-    /// complete after the CRL list changes. Like
-    /// [`transfer_tampered_sites`](RolloutReport::transfer_tampered_sites),
-    /// deterministic but kept out of the serialized report JSON.
+    /// complete after the CRL list changes. Deterministic, but kept out
+    /// of the serialized report JSON.
     pub batch_verify_calls: u64,
     /// Shadow sites whose bundle acceptance was resolved from a shared
     /// verdict. Not serialized.
@@ -133,9 +124,9 @@ pub struct RolloutReport {
 
 impl Serialize for RolloutReport {
     fn serialize(&self) -> serde::Value {
-        // Deterministic fields only — `verify_wall_us` and
-        // `verify_wall_us_max` are host wall-clock measurements and would
-        // break the same-seed byte-identity contract on the report JSON.
+        // Deterministic fields only — `verify_wall_us` is a host
+        // wall-clock measurement and would break the same-seed
+        // byte-identity contract on the report JSON.
         serde::Value::Object(vec![
             ("fleet_size".to_string(), self.fleet_size.serialize()),
             (

@@ -92,7 +92,7 @@
 //! [`Worksite`]: silvasec_sos::Worksite
 
 use crate::bundle::UpdateBundle;
-use crate::transport::{chunk_count, chunk_wire_len};
+use crate::transport::{chunk_count, chunk_wire_len, CHUNK_BYTES};
 use serde_json::PrescanRecord;
 use silvasec_attacks::AttackKind;
 use silvasec_pki::{CertificateRevocationList, TrustStore};
@@ -1191,21 +1191,16 @@ impl ShadowPopulation {
         self.shards.iter().map(ShadowShard::calendar_bytes).sum()
     }
 
-    /// Starts a rollout of the encoded bundle `encoded`, sent in
-    /// `chunk_bytes`-byte chunks, with `old_encoded` the genuinely signed
+    /// Starts a rollout of the encoded bundle `encoded`, sent in the
+    /// fleet's 768-byte chunks, with `old_encoded` the genuinely signed
     /// bundle a downgrade MITM substitutes: clears every shard's
     /// per-rollout state and builds, once for all shards, what they
     /// share about the two bundles.
-    pub fn reset_rollout(
-        &mut self,
-        encoded: Vec<u8>,
-        old_encoded: Option<Vec<u8>>,
-        chunk_bytes: usize,
-    ) {
+    pub fn reset_rollout(&mut self, encoded: Vec<u8>, old_encoded: Option<Vec<u8>>) {
         for shard in &mut self.shards {
             shard.reset_rollout();
         }
-        self.bundles = RolloutBundles::new(encoded, old_encoded, chunk_bytes);
+        self.bundles = RolloutBundles::new(encoded, old_encoded, CHUNK_BYTES);
     }
 
     /// The bundle a delivery starting now carries: the old one while a
@@ -1541,14 +1536,12 @@ mod tests {
     }
 
     /// A backend's baseline (version 1, the downgrade bundle) and
-    /// version-2 bundles at the fleet's default image size, and its
-    /// trust store.
+    /// version-2 bundles at the fleet's image size, and its trust store.
     fn two_bundles() -> (Vec<u8>, Vec<u8>, TrustStore) {
         let mut rng = silvasec_sim::rng::SimRng::from_seed(5);
         let mut backend = crate::FleetBackend::commission(&mut rng);
-        let payload = crate::FleetConfig::default().image_payload_bytes;
-        let old = backend.publish(1, payload, 0, &mut rng).encode();
-        let new = backend.publish(2, payload, 1_000, &mut rng).encode();
+        let old = backend.publish(1, 0, &mut rng).encode();
+        let new = backend.publish(2, 1_000, &mut rng).encode();
         (old, new, backend.trust_store().clone())
     }
 

@@ -11,43 +11,33 @@
 //! # Memory model
 //!
 //! The correlator is *streaming*: each alert class keeps one bounded
-//! sliding window ([`SiemConfig::window_capacity`] observations) instead
-//! of an unbounded per-class alert vector, so correlator memory is
-//! `O(classes × window)` no matter how many alerts a million-site fleet
-//! produces. When a window overflows, the oldest observation is evicted
-//! and counted in [`FleetSiem::window_drops`] — loss is observable,
-//! never silent. As long as no window overflows (every fleet of the
-//! sizes the tier-1 tests cover), correlation decisions are *identical*
-//! to the unbounded reference the correlator replaced, which is what
-//! keeps the historical 64-site fleet traces byte-stable.
+//! sliding window of 4 096 observations instead of an unbounded
+//! per-class alert vector, so correlator memory is `O(classes × window)`
+//! no matter how many alerts a million-site fleet produces. When a
+//! window overflows, the oldest observation is evicted and counted in
+//! [`FleetSiem::window_drops`] — loss is observable, never silent. As
+//! long as no window overflows (every fleet of the sizes the tier-1
+//! tests cover), correlation decisions are *identical* to the unbounded
+//! reference the correlator replaced, which is what keeps the
+//! historical 64-site fleet traces byte-stable.
+//!
+//! The window is 30 s, and a campaign needs `k = 3` distinct sites.
 
 use silvasec_telemetry::{Event, Record};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
-/// Correlation tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SiemConfig {
-    /// Sliding correlation window in milliseconds.
-    pub window_ms: u64,
-    /// Distinct sites reporting the same class within the window that
-    /// constitute a coordinated campaign.
-    pub k_sites: usize,
-    /// Maximum observations held per alert class. The oldest observation
-    /// is evicted (and counted as a drop) when a class window is full,
-    /// bounding correlator memory at fleet scale.
-    pub window_capacity: usize,
-}
+/// Sliding correlation window in milliseconds.
+const WINDOW_MS: u64 = 30_000;
 
-impl Default for SiemConfig {
-    fn default() -> Self {
-        SiemConfig {
-            window_ms: 30_000,
-            k_sites: 3,
-            window_capacity: 4_096,
-        }
-    }
-}
+/// Distinct sites reporting the same class within the window that
+/// constitute a coordinated campaign.
+const K_SITES: usize = 3;
+
+/// Observations held per alert class. The oldest observation is
+/// evicted (and counted as a drop) when a class window is full,
+/// bounding correlator memory at fleet scale.
+const WINDOW_CAPACITY: usize = 4_096;
 
 /// A correlated fleet-level campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,9 +63,8 @@ struct ClassWindow {
 }
 
 /// The fleet-level streaming aggregator.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct FleetSiem {
-    config: SiemConfig,
     windows: BTreeMap<String, ClassWindow>,
     campaigns: Vec<CorrelatedCampaign>,
     ingested: u64,
@@ -86,24 +75,6 @@ pub struct FleetSiem {
 }
 
 impl FleetSiem {
-    /// Creates an aggregator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.window_capacity` is zero — a correlator that
-    /// can hold no observations is a configuration bug.
-    #[must_use]
-    pub fn new(config: SiemConfig) -> Self {
-        assert!(config.window_capacity > 0, "window capacity must be > 0");
-        FleetSiem {
-            config,
-            windows: BTreeMap::new(),
-            campaigns: Vec::new(),
-            ingested: 0,
-            scratch: Vec::new(),
-        }
-    }
-
     /// Ingests one security record drained from `site`'s ring. Only IDS
     /// alerts participate in correlation; everything else is counted and
     /// dropped. Returns the alert class when the record was an alert.
@@ -127,7 +98,7 @@ impl FleetSiem {
             Some(window) => window,
             None => self.windows.entry(class.to_string()).or_default(),
         };
-        if window.ring.len() >= self.config.window_capacity {
+        if window.ring.len() >= WINDOW_CAPACITY {
             window.ring.pop_front();
             window.dropped += 1;
         }
@@ -136,13 +107,13 @@ impl FleetSiem {
 
     /// Runs correlation at `now_ms`: ages observations older than the
     /// window out of each class ring and fires a campaign per class seen
-    /// on at least [`SiemConfig::k_sites`] distinct sites.
+    /// on at least three distinct sites.
     pub fn correlate(&mut self, now_ms: u64) -> Vec<CorrelatedCampaign> {
-        let horizon = now_ms.saturating_sub(self.config.window_ms);
+        let horizon = now_ms.saturating_sub(WINDOW_MS);
         let mut fired = Vec::new();
         for (class, window) in &mut self.windows {
             window.ring.retain(|&(_, at)| at >= horizon);
-            if window.ring.len() < self.config.k_sites {
+            if window.ring.len() < K_SITES {
                 continue;
             }
             self.scratch.clear();
@@ -150,12 +121,10 @@ impl FleetSiem {
                 .extend(window.ring.iter().map(|&(site, _)| site));
             self.scratch.sort_unstable();
             self.scratch.dedup();
-            if self.scratch.len() < self.config.k_sites {
+            if self.scratch.len() < K_SITES {
                 continue;
             }
-            let cooled = window
-                .last_fired
-                .is_none_or(|at| now_ms >= at + self.config.window_ms);
+            let cooled = window.last_fired.is_none_or(|at| now_ms >= at + WINDOW_MS);
             if !cooled {
                 continue;
             }
@@ -200,7 +169,7 @@ impl FleetSiem {
     }
 
     /// Observations currently held across every class window — bounded
-    /// by `classes × window_capacity` by construction.
+    /// by `classes × 4 096` by construction.
     #[must_use]
     pub fn observations_held(&self) -> usize {
         self.windows.values().map(|w| w.ring.len()).sum()
@@ -253,11 +222,7 @@ mod tests {
 
     #[test]
     fn k_distinct_sites_in_window_fire_once() {
-        let mut siem = FleetSiem::new(SiemConfig {
-            window_ms: 10_000,
-            k_sites: 3,
-            ..SiemConfig::default()
-        });
+        let mut siem = FleetSiem::default();
         for (site, rec) in [
             alert(0, 1_000, "jamming"),
             alert(1, 2_000, "jamming"),
@@ -277,34 +242,32 @@ mod tests {
         // ... but does after the window has passed, if still active on
         // enough sites.
         for (site, rec) in [
-            alert(3, 14_600, "jamming"),
-            alert(4, 14_600, "jamming"),
-            alert(5, 14_600, "jamming"),
+            alert(3, 34_600, "jamming"),
+            alert(4, 34_600, "jamming"),
+            alert(5, 34_600, "jamming"),
         ] {
             siem.ingest(site, &rec);
         }
-        assert_eq!(siem.correlate(14_600).len(), 1);
+        assert_eq!(siem.correlate(34_600).len(), 1);
     }
 
     #[test]
     fn stale_observations_age_out() {
-        let mut siem = FleetSiem::new(SiemConfig {
-            window_ms: 5_000,
-            k_sites: 2,
-            ..SiemConfig::default()
-        });
-        let (site, rec) = alert(0, 1_000, "replay");
-        siem.ingest(site, &rec);
-        let (site, rec) = alert(1, 9_000, "replay");
-        siem.ingest(site, &rec);
-        // Site 0's alert is out of the window by now.
-        assert!(siem.correlate(9_000).is_empty());
-        assert_eq!(siem.observations_held(), 1);
+        let mut siem = FleetSiem::default();
+        siem.ingest_alert(0, "replay", 1_000);
+        for site in [1, 2] {
+            let (site, rec) = alert(site, 40_000, "replay");
+            siem.ingest(site, &rec);
+        }
+        // Site 0's alert is out of the window by now, so two sites are
+        // left of the three a campaign needs.
+        assert!(siem.correlate(40_000).is_empty());
+        assert_eq!(siem.observations_held(), 2);
     }
 
     #[test]
     fn non_alert_records_are_counted_not_correlated() {
-        let mut siem = FleetSiem::new(SiemConfig::default());
+        let mut siem = FleetSiem::default();
         let rec = Record {
             at: SimTime::from_millis(10),
             seq: 1,
@@ -319,33 +282,28 @@ mod tests {
 
     #[test]
     fn bounded_window_evicts_oldest_and_counts_drops() {
-        let mut siem = FleetSiem::new(SiemConfig {
-            window_ms: 60_000,
-            k_sites: 3,
-            window_capacity: 4,
-        });
-        // Eight distinct sites flood one class: the window holds the
-        // last four, and the four evictions are accounted.
-        for site in 0..8u32 {
+        let mut siem = FleetSiem::default();
+        // Four more distinct sites than the window holds flood one
+        // class: the window holds the last 4 096, and the four
+        // evictions are accounted.
+        let sites = WINDOW_CAPACITY as u32 + 4;
+        for site in 0..sites {
             siem.ingest_alert(site, "jamming", 1_000 + u64::from(site));
         }
         assert_eq!(siem.window_drops(), 4);
-        assert_eq!(siem.observations_held(), 4);
+        assert_eq!(siem.observations_held(), WINDOW_CAPACITY);
+        assert_eq!(siem.sites_reporting("jamming")[0], 4, "oldest evicted");
         // Correlation still fires off the surviving window...
-        let fired = siem.correlate(2_000);
+        let fired = siem.correlate(u64::from(sites) + 1_000);
         assert_eq!(fired.len(), 1);
         // ...and reports only the sites the bounded window retained.
-        assert_eq!(fired[0].sites, 4);
+        assert_eq!(fired[0].sites, WINDOW_CAPACITY as u32);
         assert_eq!(siem.window_drops_by_class(), vec![("jamming".into(), 4)]);
     }
 
     #[test]
     fn reporting_and_last_seen_queries_track_the_window() {
-        let mut siem = FleetSiem::new(SiemConfig {
-            window_ms: 5_000,
-            k_sites: 2,
-            ..SiemConfig::default()
-        });
+        let mut siem = FleetSiem::default();
         assert!(siem.sites_reporting("jamming").is_empty());
         assert_eq!(siem.last_alert_at("jamming"), None);
         siem.ingest_alert(3, "jamming", 1_000);
@@ -355,23 +313,19 @@ mod tests {
         assert_eq!(siem.last_alert_at("jamming"), Some(2_500));
         // Ageing happens at correlation time: once the window passes,
         // both queries see an empty window again.
-        siem.correlate(10_000);
+        siem.correlate(40_000);
         assert!(siem.sites_reporting("jamming").is_empty());
         assert_eq!(siem.last_alert_at("jamming"), None);
     }
 
     #[test]
     fn memory_is_bounded_by_capacity_not_alert_volume() {
-        let mut siem = FleetSiem::new(SiemConfig {
-            window_ms: 60_000,
-            k_sites: 3,
-            window_capacity: 128,
-        });
+        let mut siem = FleetSiem::default();
         for i in 0..100_000u64 {
             siem.ingest_alert((i % 50_000) as u32, "deauth-flood", i);
         }
-        assert_eq!(siem.observations_held(), 128);
-        assert_eq!(siem.window_drops(), 100_000 - 128);
+        assert_eq!(siem.observations_held(), WINDOW_CAPACITY);
+        assert_eq!(siem.window_drops(), 100_000 - WINDOW_CAPACITY as u64);
         assert_eq!(siem.records_ingested(), 100_000);
     }
 }

@@ -8,11 +8,14 @@
 //! airtime, never as corruption. Corruption is the *attack* case: an
 //! in-window update-tampering campaign flips bytes in delivered chunks,
 //! and the reassembled bundle then fails decode or signature
-//! verification at the site.
+//! verification at the site, which is where a corrupted transfer is
+//! judged.
+//!
+//! Every fleet distributes 768-byte chunks, 16 a site per tick, over
+//! uplinks of 140 m nominal range.
 
 use silvasec_comms::medium::InterfererId;
 use silvasec_comms::{Frame, Medium, MediumConfig, NodeId};
-use silvasec_crypto::sha256::Sha256;
 use silvasec_sim::geom::Vec3;
 use silvasec_sim::rng::SimRng;
 use silvasec_sim::time::SimTime;
@@ -20,6 +23,16 @@ use std::collections::VecDeque;
 
 /// Magic bytes identifying an OTA chunk frame.
 const CHUNK_MAGIC: [u8; 2] = [0x0A, 0x7A];
+
+/// OTA chunk payload size, bytes.
+pub(crate) const CHUNK_BYTES: usize = 768;
+
+/// Chunks transmitted per site per tick.
+pub(crate) const CHUNKS_PER_TICK: usize = 16;
+
+/// Nominal backend↔gateway distance, metres (per-site jitter of ±20 %
+/// is applied at commissioning).
+pub(crate) const UPLINK_RANGE_M: f64 = 140.0;
 
 /// Fixed header prepended to every chunk payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -174,23 +187,6 @@ impl Reassembly {
         }
         Some(out)
     }
-
-    /// SHA-256 of the reassembled stream, streamed chunk slot by chunk
-    /// slot through an incremental hasher — the concatenated buffer is
-    /// never materialized. Returns `None` until [`complete`].
-    ///
-    /// [`complete`]: Reassembly::complete
-    #[must_use]
-    pub fn content_digest(&self) -> Option<[u8; 32]> {
-        if !self.complete() {
-            return None;
-        }
-        let mut h = Sha256::new();
-        for slot in &self.slots {
-            h.update(slot.as_deref().unwrap_or_default());
-        }
-        Some(h.finalize())
-    }
 }
 
 /// One site's dedicated backend↔gateway radio uplink.
@@ -266,8 +262,6 @@ pub struct Delivery {
     reassembly: Reassembly,
     tamper_rng: SimRng,
     seq: u64,
-    sent_digest: [u8; 32],
-    received_digest: Option<[u8; 32]>,
     /// Total bytes put on the air, retransmissions included.
     pub bytes_on_air: u64,
     /// Total frames transmitted.
@@ -280,21 +274,12 @@ impl Delivery {
     pub fn new(update_id: u32, bytes: &[u8], chunk_bytes: usize, tamper_rng: SimRng) -> Self {
         let chunks = chunk_payloads(update_id, bytes, chunk_bytes);
         let count = chunks.len() as u16;
-        // Digest of the stream as sent, hashed incrementally off the
-        // chunk bodies so the transfer integrity check shares bytes with
-        // the chunking pass.
-        let mut h = Sha256::new();
-        for chunk in &chunks {
-            h.update(&chunk[ChunkHeader::LEN..]);
-        }
         Delivery {
             pending: (0..chunks.len()).collect(),
             chunks,
             reassembly: Reassembly::new(update_id, count),
             tamper_rng,
             seq: 0,
-            sent_digest: h.finalize(),
-            received_digest: None,
             bytes_on_air: 0,
             frames_sent: 0,
         }
@@ -336,21 +321,7 @@ impl Delivery {
                 self.reassembly.accept(header, data);
             }
         }
-        let assembled = self.reassembly.assemble();
-        if assembled.is_some() && self.received_digest.is_none() {
-            self.received_digest = self.reassembly.content_digest();
-        }
-        assembled
-    }
-
-    /// Whether the stream arrived byte-identical to what the backend
-    /// sent, judged by comparing the streaming transfer digests. `None`
-    /// until the transfer completes. Purely observational — corruption
-    /// is still caught (and attributed) by bundle decode/signature
-    /// verification at the site.
-    #[must_use]
-    pub fn transfer_intact(&self) -> Option<bool> {
-        self.received_digest.map(|d| d == self.sent_digest)
+        self.reassembly.assemble()
     }
 }
 
@@ -425,13 +396,11 @@ mod tests {
         let data: Vec<u8> = (0u16..4096).map(|i| (i % 256) as u8).collect();
         let mut delivery = Delivery::new(1, &data, 512, rng.fork("tamper"));
         let mut now = SimTime::ZERO;
-        assert_eq!(delivery.transfer_intact(), None);
         for _ in 0..200 {
             if let Some(got) = delivery.step(&mut uplink, 8, false, now) {
                 assert_eq!(got, data);
                 assert!(delivery.frames_sent >= 8);
                 assert!(delivery.bytes_on_air > data.len() as u64);
-                assert_eq!(delivery.transfer_intact(), Some(true));
                 return;
             }
             now += silvasec_sim::time::SimDuration::from_millis(500);
@@ -450,7 +419,6 @@ mod tests {
             if let Some(got) = delivery.step(&mut uplink, 8, true, now) {
                 assert_eq!(got.len(), data.len());
                 assert_ne!(got, data, "tampering must corrupt the stream");
-                assert_eq!(delivery.transfer_intact(), Some(false));
                 return;
             }
             now += silvasec_sim::time::SimDuration::from_millis(500);

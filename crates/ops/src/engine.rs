@@ -186,7 +186,8 @@ pub struct OpsEngine {
     store: RunStore,
     recorder: Recorder,
     ctl: BTreeMap<u64, RunCtl>,
-    /// Outstanding command id → owning run.
+    /// Outstanding command id → owning run: exactly the live runs'
+    /// [`RunCtl::pending`] ids.
     outstanding: BTreeMap<u64, u64>,
     next_cmd: u64,
 }
@@ -251,9 +252,10 @@ impl OpsEngine {
         }
         for &(run, _) in &qt.expired {
             // The abandoned attempt's commands can no longer complete.
-            self.outstanding.retain(|_, &mut owner| owner != run);
             if let Some(ctl) = self.ctl.get_mut(&run) {
-                ctl.pending.clear();
+                for id in ctl.pending.drain(..) {
+                    self.outstanding.remove(&id);
+                }
                 ctl.failed = false;
                 ctl.awaiting_review = false;
             }
@@ -693,10 +695,14 @@ impl OpsEngine {
         !self.ctl.contains_key(&run)
     }
 
-    /// Drops all live state for a settled or dead-lettered run.
+    /// Drops all live state for a settled or dead-lettered run. Its
+    /// outstanding commands are exactly its `pending` ids.
     fn forget(&mut self, run: u64) {
-        self.ctl.remove(&run);
-        self.outstanding.retain(|_, &mut owner| owner != run);
+        if let Some(ctl) = self.ctl.remove(&run) {
+            for id in ctl.pending {
+                self.outstanding.remove(&id);
+            }
+        }
     }
 }
 
@@ -704,6 +710,7 @@ impl OpsEngine {
 mod tests {
     use super::*;
     use crate::incident::IncidentScope;
+    use silvasec_sim::rng::hash3;
     use silvasec_telemetry::EventFilter;
 
     fn incident(class: &str, severity: Severity, scope: IncidentScope) -> Incident {
@@ -990,5 +997,91 @@ mod tests {
         let (d2, t2) = run_once();
         assert_eq!(d1, d2);
         assert_eq!(t1, t2);
+    }
+
+    /// `outstanding` holds exactly the live runs' `pending` ids.
+    fn assert_outstanding_is_pending(engine: &OpsEngine) {
+        let mut pending: Vec<(u64, u64)> = engine
+            .ctl
+            .iter()
+            .flat_map(|(&run, ctl)| ctl.pending.iter().map(move |&id| (id, run)))
+            .collect();
+        pending.sort_unstable();
+        let outstanding: Vec<(u64, u64)> = engine
+            .outstanding
+            .iter()
+            .map(|(&id, &run)| (id, run))
+            .collect();
+        assert_eq!(outstanding, pending);
+    }
+
+    #[test]
+    fn outstanding_commands_are_the_live_runs_pending_ids() {
+        let config = OpsConfig {
+            queue: QueueConfig {
+                visibility_timeout_ms: 1_500,
+                max_deliveries: 3,
+                backoff_base_ms: 100,
+                backoff_jitter_ms: 50,
+            },
+            ..OpsConfig::default()
+        };
+        let mut h = Harness::new(config);
+        for site in 0..24u32 {
+            h.engine.enqueue_incident(
+                &incident("jamming", Severity::High, IncidentScope::Site(site)),
+                0,
+            );
+        }
+        for class in ["replay", "gnss-spoofing"] {
+            h.engine.enqueue_incident(
+                &incident(class, Severity::High, IncidentScope::Fleet { sites: 4 }),
+                0,
+            );
+        }
+        // Flaky host: by a hash of the command id, a command fails, or
+        // is held back 1 to 4 ticks (past its 3-tick lease, or not),
+        // or succeeds at once.
+        let mut held: Vec<(u64, u64)> = Vec::new();
+        let (mut stale, mut tick) = (0u32, 0u64);
+        while !h.engine.idle() {
+            assert!(tick < 400, "engine not idle after 400 ticks");
+            let mut cmds = h.engine.tick(h.now);
+            assert_outstanding_is_pending(&h.engine);
+            let (due, later) = held.into_iter().partition(|&(at, _)| at <= tick);
+            held = later;
+            let mut done: Vec<(u64, bool)> = due.into_iter().map(|(_, id)| (id, true)).collect();
+            loop {
+                while let Some(cmd) = cmds.pop() {
+                    if matches!(cmd.action, Action::MitigateRisk { .. }) {
+                        continue;
+                    }
+                    match hash3(cmd.id, 0, 0x0f1a) % 6 {
+                        0 => done.push((cmd.id, false)),
+                        1 => held.push((tick + 1 + hash3(cmd.id, 1, 0x0f1a) % 4, cmd.id)),
+                        _ => done.push((cmd.id, true)),
+                    }
+                }
+                let Some((id, ok)) = done.pop() else {
+                    break;
+                };
+                stale += u32::from(!h.engine.outstanding.contains_key(&id));
+                cmds = h.engine.complete(id, ok, h.now);
+                assert_outstanding_is_pending(&h.engine);
+            }
+            h.now += 500;
+            tick += 1;
+        }
+        assert!(h.engine.outstanding.is_empty());
+        let (queue, store) = (h.engine.queue_counters(), h.engine.store().counters());
+        assert!(
+            queue.lease_expired > 0 && queue.dead_lettered > 0,
+            "{queue:?}"
+        );
+        assert!(store.closed > 0 && store.dead_lettered > 0, "{store:?}");
+        assert_eq!(store.settled(), store.opened);
+        assert!(stale > 0, "no completion arrived after its lease expired");
+        let replayed = RunStore::replay_from_jsonl(&h.trace()).unwrap();
+        assert_eq!(replayed.digest(), h.engine.store().digest());
     }
 }

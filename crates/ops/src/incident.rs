@@ -37,6 +37,28 @@ impl IncidentScope {
     }
 }
 
+/// The canonical identity of an incident of `class` at `site`
+/// ([`FLEET_SITE`] = fleet scope): the first eight little-endian bytes
+/// of a SHA-256 over a canonical byte encoding, so it is stable across
+/// processes and sessions. A run record's `class` and `site` give back
+/// the identity its run was opened under.
+#[must_use]
+pub(crate) fn identity_hash(class: &str, site: u32) -> u64 {
+    let mut bytes = Vec::with_capacity(class.len() + 16);
+    bytes.extend_from_slice(b"silvasec-ops-incident/1|");
+    bytes.extend_from_slice(class.as_bytes());
+    if site == FLEET_SITE {
+        // Site count is evidence strength, not identity: a campaign
+        // seen on 3 sites and re-reported on 5 is one campaign.
+        bytes.extend_from_slice(b"|fleet");
+    } else {
+        bytes.extend_from_slice(b"|site|");
+        bytes.extend_from_slice(&site.to_le_bytes());
+    }
+    let digest = sha256::digest(&bytes);
+    u64::from_le_bytes(digest[..8].try_into().expect("8-byte prefix"))
+}
+
 /// One security incident entering the response pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Incident {
@@ -54,28 +76,11 @@ impl Incident {
     /// The canonical identity hash: two incidents with the same class
     /// and scope are *the same incident* for dedup purposes, no matter
     /// when they were detected or how severe each report was. The hash
-    /// is the first eight little-endian bytes of a SHA-256 over a
-    /// canonical byte encoding, so it is stable across processes and
-    /// sessions.
+    /// covers the class and the flattened site, and is stable across
+    /// processes and sessions.
     #[must_use]
     pub fn canonical_hash(&self) -> u64 {
-        let mut bytes = Vec::with_capacity(self.class.len() + 16);
-        bytes.extend_from_slice(b"silvasec-ops-incident/1|");
-        bytes.extend_from_slice(self.class.as_bytes());
-        match self.scope {
-            IncidentScope::Site(site) => {
-                bytes.extend_from_slice(b"|site|");
-                bytes.extend_from_slice(&site.to_le_bytes());
-            }
-            IncidentScope::Fleet { .. } => {
-                // Site count is evidence strength, not identity: a
-                // campaign seen on 3 sites and re-reported on 5 is one
-                // campaign.
-                bytes.extend_from_slice(b"|fleet");
-            }
-        }
-        let digest = sha256::digest(&bytes);
-        u64::from_le_bytes(digest[..8].try_into().expect("8-byte prefix"))
+        identity_hash(&self.class, self.scope.flatten().0)
     }
 
     /// Derives the run id for the `occurrence`-th run opened for this

@@ -21,7 +21,7 @@
 //! debugging counterpart: the first canonical line where two stores
 //! disagree.
 
-use crate::incident::{Incident, IncidentScope, FLEET_SITE};
+use crate::incident::{identity_hash, Incident, IncidentScope, FLEET_SITE};
 use crate::workflow::Step;
 use silvasec_crypto::sha256;
 use silvasec_telemetry::{export::parse_jsonl_records, Event};
@@ -245,9 +245,14 @@ impl RunStore {
         self.release_identity(run);
     }
 
-    /// Frees the canonical identity so a recurrence opens a new run.
+    /// Frees the canonical identity so a recurrence opens a new run,
+    /// unless it already maps to a newer run of that identity.
     fn release_identity(&mut self, run: u64) {
-        self.open_by_identity.retain(|_, &mut open| open != run);
+        let record = &self.runs[&run];
+        let identity = identity_hash(&record.class, record.site);
+        if self.open_by_identity.get(&identity) == Some(&run) {
+            self.open_by_identity.remove(&identity);
+        }
     }
 
     /// The record for `run`, if any.
@@ -495,20 +500,30 @@ mod tests {
     #[test]
     fn open_fold_and_reopen() {
         let mut store = RunStore::new();
-        let inc = incident("jamming", 3);
-        let OpenOutcome::Opened(run) = store.open_or_fold(&inc, 100) else {
-            panic!("first report opens");
+        let site = incident("jamming", 3);
+        let fleet = Incident {
+            scope: IncidentScope::Fleet { sites: 3 },
+            ..incident("jamming", 3)
         };
-        assert_eq!(store.open_or_fold(&inc, 150), OpenOutcome::Folded(run, 1));
-        assert_eq!(store.open_or_fold(&inc, 160), OpenOutcome::Folded(run, 2));
-        assert_eq!(store.counters().duplicates_folded, 2);
-        // Close the run: the identity is free again.
-        store.record_transition(run, transition(Step::Triage, Step::Reject, 200, true));
-        let OpenOutcome::Opened(run2) = store.open_or_fold(&inc, 300) else {
-            panic!("recurrence reopens");
-        };
-        assert_ne!(run, run2, "occurrence index separates the runs");
-        assert_eq!(store.counters().opened, 2);
+        for (i, inc) in [site, fleet].into_iter().enumerate() {
+            let OpenOutcome::Opened(run) = store.open_or_fold(&inc, 100) else {
+                panic!("first report opens");
+            };
+            assert_eq!(store.open_or_fold(&inc, 150), OpenOutcome::Folded(run, 1));
+            assert_eq!(store.open_or_fold(&inc, 160), OpenOutcome::Folded(run, 2));
+            // Close the run: the identity is free again.
+            store.record_transition(run, transition(Step::Triage, Step::Reject, 200, true));
+            let OpenOutcome::Opened(run2) = store.open_or_fold(&inc, 300) else {
+                panic!("recurrence reopens");
+            };
+            assert_ne!(run, run2, "occurrence index separates the runs");
+            // A late dead letter of the closed run leaves the identity
+            // with the run that reopened it.
+            store.record_dead_letter(run, 3);
+            assert_eq!(store.open_or_fold(&inc, 400), OpenOutcome::Folded(run2, 1));
+            assert_eq!(store.counters().opened, 2 * (i as u64 + 1));
+        }
+        assert_eq!(store.counters().duplicates_folded, 6);
     }
 
     #[test]

@@ -53,28 +53,20 @@ impl Default for SecurityPosture {
 ///
 /// The worksite owns one [`silvasec_telemetry::Recorder`] and threads
 /// clones through every instrumented component. Two subscribers ride on
-/// it: an unfiltered "flight" ring (everything, including per-frame
-/// events) and a "security" ring holding only the security-relevant
-/// event classes — the latter is what the trace-divergence tooling
-/// compares across runs.
+/// it: an unfiltered "flight" ring of 16 384 records (everything,
+/// including per-frame events) and a "security" ring of 4 096 records
+/// holding only the security-relevant event classes — the latter is
+/// what the trace-divergence tooling compares across runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// When off, the worksite uses a disabled recorder and every record
     /// call is a single pointer check.
     pub enabled: bool,
-    /// Capacity of the unfiltered flight ring (records).
-    pub flight_capacity: usize,
-    /// Capacity of the security-event ring (records).
-    pub security_capacity: usize,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
-        TelemetryConfig {
-            enabled: true,
-            flight_capacity: 16_384,
-            security_capacity: 4_096,
-        }
+        TelemetryConfig { enabled: true }
     }
 }
 

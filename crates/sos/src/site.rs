@@ -1,6 +1,6 @@
 //! The worksite orchestrator.
 
-use crate::config::{TelemetryConfig, WorksiteConfig};
+use crate::config::WorksiteConfig;
 use crate::metrics::{SafetyIncident, WorksiteMetrics};
 use crate::pki_template::{LinkTemplate, SitePkiTemplate};
 use silvasec_attacks::{AttackEngine, SideEffect};
@@ -14,9 +14,7 @@ use silvasec_sim::geom::Vec2;
 use silvasec_sim::rng::SimRng;
 use silvasec_sim::time::{SimDuration, SimTime};
 use silvasec_sim::world::World;
-use silvasec_telemetry::{
-    CounterId, Event, EventFilter, Label, MetricsSnapshot, Record, Recorder, SubscriberId,
-};
+use silvasec_telemetry::{Event, EventFilter, Label, Record, Recorder, SubscriberId};
 use std::rc::Rc;
 
 /// Danger radius: a worker this close to a moving forwarder is a safety
@@ -26,6 +24,12 @@ pub const DANGER_RADIUS_M: f64 = 3.5;
 /// How many recovered frame-payload buffers the worksite keeps pooled
 /// for reuse by the next seal/send.
 const PAYLOAD_POOL_CAP: usize = 8;
+
+/// Capacity of the unfiltered flight ring (records).
+const FLIGHT_CAPACITY: usize = 16_384;
+
+/// Capacity of the security-event ring (records).
+const SECURITY_CAPACITY: usize = 4_096;
 
 // Hot-path labels, hoisted once: `Label` is a fixed-capacity inline
 // `Copy` type and `from_static` is `const`, so recording with these
@@ -138,7 +142,6 @@ pub struct Worksite {
     recorder: Recorder,
     flight_sub: SubscriberId,
     security_sub: SubscriberId,
-    tick_counter: CounterId,
     /// Ground-truth replay bookkeeping (measurement, not a defence):
     /// sequence numbers already accepted at each receiver.
     seen_at_fw: std::collections::HashSet<u64>,
@@ -189,8 +192,8 @@ impl Worksite {
     pub fn new(config: &WorksiteConfig, seed: u64) -> Self {
         let root_rng = SimRng::from_seed(seed);
         let world = World::generate(&config.world, root_rng.fork("world"));
-        let (recorder, flight_sub, security_sub, tick_counter) =
-            Self::telemetry_recorder(&config.telemetry);
+        let (recorder, flight_sub, security_sub) =
+            Self::telemetry_recorder(config.telemetry.enabled);
         // Pool buffers start at worst-case record size so a
         // later-than-ever-seen largest drone feed never reallocs
         // mid-window. The pool is sized here only: replayed frames hand
@@ -235,7 +238,6 @@ impl Worksite {
             recorder,
             flight_sub,
             security_sub,
-            tick_counter,
             // Pre-sized so the plaintext-posture replay log never
             // rehashes inside a measured steady-state window.
             seen_at_fw: std::collections::HashSet::with_capacity(8192),
@@ -257,29 +259,23 @@ impl Worksite {
         site
     }
 
-    /// A flight recorder shaped by `telemetry`, with the flight and
-    /// security subscribers and the tick counter every site exports.
+    /// A flight recorder, enabled or not, with the flight and security
+    /// subscribers every site exports.
     ///
     /// The recorder is threaded through every instrumented component
     /// exactly like `SimRng`: cloned handles, one shared core, no
     /// globals. Recording never draws randomness or touches control
     /// flow, so traces ride along without perturbing the run.
-    fn telemetry_recorder(
-        telemetry: &TelemetryConfig,
-    ) -> (Recorder, SubscriberId, SubscriberId, CounterId) {
-        let recorder = if telemetry.enabled {
+    fn telemetry_recorder(enabled: bool) -> (Recorder, SubscriberId, SubscriberId) {
+        let recorder = if enabled {
             Recorder::new()
         } else {
             Recorder::disabled()
         };
-        let flight = recorder.subscribe("flight", telemetry.flight_capacity);
-        let security = recorder.subscribe_filtered(
-            "security",
-            telemetry.security_capacity,
-            EventFilter::security(),
-        );
-        let ticks = recorder.counter("worksite_ticks");
-        (recorder, flight, security, ticks)
+        let flight = recorder.subscribe("flight", FLIGHT_CAPACITY);
+        let security =
+            recorder.subscribe_filtered("security", SECURITY_CAPACITY, EventFilter::security());
+        (recorder, flight, security)
     }
 
     /// Worst-case scratch sizes for `world`'s roster, as `(detections,
@@ -321,17 +317,13 @@ impl Worksite {
         let root_rng = SimRng::from_seed(seed);
         self.rng = root_rng.fork("site");
 
-        // Telemetry: reuse the recorder core when the subscriber shape
-        // is unchanged, otherwise build one for the new shape.
+        // Telemetry: reuse the recorder core when it stays enabled (or
+        // disabled), otherwise build one for the new setting.
         if config.telemetry == self.config.telemetry {
             self.recorder.reset();
         } else {
-            (
-                self.recorder,
-                self.flight_sub,
-                self.security_sub,
-                self.tick_counter,
-            ) = Self::telemetry_recorder(&config.telemetry);
+            (self.recorder, self.flight_sub, self.security_sub) =
+                Self::telemetry_recorder(config.telemetry.enabled);
         }
 
         // Worksite radios: elevated antennas and a modest power budget
@@ -501,13 +493,6 @@ impl Worksite {
         self.recorder.export_jsonl(self.flight_sub)
     }
 
-    /// Telemetry metrics snapshot (counters, gauges, histograms and ring
-    /// drop accounting).
-    #[must_use]
-    pub fn telemetry_snapshot(&self) -> MetricsSnapshot {
-        self.recorder.snapshot()
-    }
-
     /// Current sim time.
     #[must_use]
     pub fn now(&self) -> SimTime {
@@ -551,7 +536,6 @@ impl Worksite {
         self.world.step(tick);
         let now = self.world.now();
         self.recorder.advance(now);
-        self.recorder.inc(self.tick_counter, 1);
         self.auth_failures_tick = 0;
 
         // --- attacks act on the shared physics ---
@@ -1277,11 +1261,16 @@ mod tests {
         // Identical seeds export byte-identical security traces.
         assert_eq!(site.export_security_jsonl(), run(2).export_security_jsonl());
 
-        // The metrics registry saw every tick, and the flight ring's
-        // drop accounting is visible in the snapshot.
-        let snap = site.telemetry_snapshot();
-        assert_eq!(snap.counter("worksite_ticks"), Some(360));
-        assert_eq!(snap.subscribers.len(), 2);
+        // The site counted every tick, and both rings' drop accounting
+        // is visible in the recorder's stats.
+        assert_eq!(site.metrics().ticks, 360);
+        let rings: Vec<String> = site
+            .recorder()
+            .stats()
+            .into_iter()
+            .map(|s| s.name)
+            .collect();
+        assert_eq!(rings, ["flight", "security"]);
     }
 
     #[test]

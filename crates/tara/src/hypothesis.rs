@@ -13,8 +13,11 @@
 //! is terminal) and idempotent under duplicate evidence, and every
 //! transition is mirrored as an `Event::TaraHypothesis` record — the
 //! set's state is therefore a pure function of the JSONL trace, which
-//! [`HypothesisSet::replay_from_jsonl`] exploits and `trace_compare
-//! --tara` checks divergence with.
+//! [`HypothesisSet::replay_from_jsonl`] exploits. The replay is checked
+//! against the live set by the `experiments` unit test
+//! `tara_hypotheses_confirm_retire_and_replay_from_the_trace` and by the
+//! pathway benchmark every round, which requires
+//! [`HypothesisSet::first_divergence`] to find none.
 
 use crate::engine::ScoredScenario;
 use silvasec_sim::SimTime;

@@ -1,8 +1,8 @@
-//! # silvasec-telemetry — deterministic flight recorder and metrics
+//! # silvasec-telemetry — deterministic flight recorder
 //!
 //! The observability substrate of the SilvaSec stack: a structured,
-//! `SimTime`-stamped event recorder, a metrics registry and a trace
-//! export/diff toolkit, built for the simulator's two hard rules:
+//! `SimTime`-stamped event recorder and a trace export/diff toolkit,
+//! built for the simulator's two hard rules:
 //!
 //! 1. **Determinism.** No wall clock anywhere: events are stamped with
 //!    the simulation clock ([`Recorder::advance`]) and a monotonic
@@ -22,9 +22,9 @@
 //! Subscribers attach bounded rings with per-kind filters
 //! ([`EventFilter`]); the worksite uses an unfiltered "flight" ring for
 //! full traffic plus a low-volume [`EventFilter::security`] ring so the
-//! first IDS alerts of an episode survive frame-traffic churn. Drop
-//! accounting for every ring is part of [`MetricsSnapshot`], so silent
-//! event loss is always visible.
+//! first IDS alerts of an episode survive frame-traffic churn. Every
+//! ring's drop accounting is in [`Recorder::stats`], so silent event
+//! loss is always visible.
 //!
 //! ```
 //! use silvasec_sim::SimTime;
@@ -46,23 +46,18 @@
 
 pub mod event;
 pub mod export;
-pub mod metrics;
 pub mod recorder;
 pub mod ring;
 
 pub use event::{Event, EventFilter, EventKind, Label, Record, LABEL_CAPACITY};
 pub use export::{first_divergence, first_divergence_jsonl, Divergence};
-pub use metrics::{
-    CounterId, GaugeId, Histogram, HistogramId, MetricsRegistry, MetricsSnapshot, SubscriberStats,
-};
-pub use recorder::{Recorder, SubscriberId};
+pub use recorder::{Recorder, SubscriberId, SubscriberStats};
 pub use ring::RingBuffer;
 
 /// Convenience re-exports for `use silvasec_telemetry::prelude::*`.
 pub mod prelude {
     pub use crate::event::{Event, EventFilter, EventKind, Label, Record};
-    pub use crate::metrics::{MetricsRegistry, MetricsSnapshot, SubscriberStats};
-    pub use crate::recorder::{Recorder, SubscriberId};
+    pub use crate::recorder::{Recorder, SubscriberId, SubscriberStats};
 }
 
 #[cfg(test)]

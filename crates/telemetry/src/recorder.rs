@@ -2,9 +2,6 @@
 //! instrumented stack, mirroring how `SimRng` flows.
 
 use crate::event::{Event, EventFilter, Record};
-use crate::metrics::{
-    CounterId, GaugeId, HistogramId, MetricsRegistry, MetricsSnapshot, SubscriberStats,
-};
 use crate::ring::RingBuffer;
 use silvasec_sim::SimTime;
 use std::cell::RefCell;
@@ -13,6 +10,33 @@ use std::rc::Rc;
 /// Handle to a subscriber ring inside a [`Recorder`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SubscriberId(usize);
+
+/// Ring-buffer accounting for one recorder subscriber.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SubscriberStats {
+    /// Subscriber name.
+    pub name: String,
+    /// Ring capacity in records.
+    pub capacity: u64,
+    /// Records currently held.
+    pub len: u64,
+    /// Records ever pushed to this subscriber.
+    pub pushed: u64,
+    /// Records evicted by ring overwrites (event loss).
+    pub dropped: u64,
+}
+
+impl SubscriberStats {
+    /// Fraction of pushed records that were dropped (0 when none pushed).
+    #[must_use]
+    pub fn drop_rate(&self) -> f64 {
+        if self.pushed == 0 {
+            0.0
+        } else {
+            self.dropped as f64 / self.pushed as f64
+        }
+    }
+}
 
 #[derive(Debug)]
 struct Subscriber {
@@ -26,7 +50,6 @@ struct Core {
     now: SimTime,
     seq: u64,
     subscribers: Vec<Subscriber>,
-    metrics: MetricsRegistry,
 }
 
 /// A deterministic structured-event recorder.
@@ -67,7 +90,6 @@ impl Recorder {
                 now: SimTime::ZERO,
                 seq: 0,
                 subscribers: Vec::new(),
-                metrics: MetricsRegistry::new(),
             }))),
         }
     }
@@ -114,10 +136,9 @@ impl Recorder {
 
     /// Resets the shared core for a new episode: clock and sequence
     /// number to zero, every subscriber ring emptied with its counters
-    /// zeroed, every metric value zeroed. Subscriber ids, names, filters,
-    /// capacities and all allocations are preserved, so instrumented
-    /// components keep their handles across episodes. No-op when
-    /// disabled.
+    /// zeroed. Subscriber ids, names, filters, capacities and all
+    /// allocations are preserved, so instrumented components keep their
+    /// handles across episodes. No-op when disabled.
     pub fn reset(&self) {
         if let Some(core) = &self.core {
             let mut c = core.borrow_mut();
@@ -126,7 +147,6 @@ impl Recorder {
             for sub in &mut c.subscribers {
                 sub.ring.reset();
             }
-            c.metrics.reset_values();
         }
     }
 
@@ -213,7 +233,8 @@ impl Recorder {
         out
     }
 
-    /// Ring statistics for every subscriber.
+    /// Ring statistics for every subscriber, including drop counts, so
+    /// silent event loss is always visible.
     #[must_use]
     pub fn stats(&self) -> Vec<SubscriberStats> {
         match &self.core {
@@ -230,64 +251,6 @@ impl Recorder {
                 })
                 .collect(),
             None => Vec::new(),
-        }
-    }
-
-    /// Takes a snapshot of the embedded metrics registry, including the
-    /// per-subscriber ring drop accounting.
-    #[must_use]
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        match &self.core {
-            Some(core) => {
-                let stats = self.stats();
-                core.borrow().metrics.snapshot(stats)
-            }
-            None => MetricsSnapshot::default(),
-        }
-    }
-
-    /// Registers (or looks up) a counter. No-op id on a disabled handle.
-    pub fn counter(&self, name: &str) -> CounterId {
-        match &self.core {
-            Some(core) => core.borrow_mut().metrics.counter(name),
-            None => CounterId(usize::MAX),
-        }
-    }
-
-    /// Adds `by` to a counter.
-    pub fn inc(&self, id: CounterId, by: u64) {
-        if let Some(core) = &self.core {
-            core.borrow_mut().metrics.inc(id, by);
-        }
-    }
-
-    /// Registers (or looks up) a gauge. No-op id on a disabled handle.
-    pub fn gauge(&self, name: &str) -> GaugeId {
-        match &self.core {
-            Some(core) => core.borrow_mut().metrics.gauge(name),
-            None => GaugeId(usize::MAX),
-        }
-    }
-
-    /// Sets a gauge.
-    pub fn set_gauge(&self, id: GaugeId, value: f64) {
-        if let Some(core) = &self.core {
-            core.borrow_mut().metrics.set_gauge(id, value);
-        }
-    }
-
-    /// Registers (or looks up) a fixed-bucket histogram.
-    pub fn histogram(&self, name: &str, bounds: &[f64]) -> HistogramId {
-        match &self.core {
-            Some(core) => core.borrow_mut().metrics.histogram(name, bounds),
-            None => HistogramId(usize::MAX),
-        }
-    }
-
-    /// Records a histogram observation.
-    pub fn observe(&self, id: HistogramId, value: f64) {
-        if let Some(core) = &self.core {
-            core.borrow_mut().metrics.observe(id, value);
         }
     }
 }
@@ -342,11 +305,9 @@ mod tests {
         let sub = rec.subscribe("flight", 16);
         rec.advance(SimTime::from_secs(9));
         rec.record(custom(1));
-        let c = rec.counter("x");
-        rec.inc(c, 5);
         assert!(rec.records(sub).is_empty());
         assert_eq!(rec.events_recorded(), 0);
-        assert_eq!(rec.snapshot(), MetricsSnapshot::default());
+        assert!(rec.stats().is_empty());
         assert!(rec.export_jsonl(sub).is_empty());
     }
 
@@ -371,23 +332,19 @@ mod tests {
     }
 
     #[test]
-    fn overflow_drops_are_visible_in_metrics_snapshot() {
-        // Satellite fix: silent event loss can never masquerade as a
-        // clean trace — drops must show up in MetricsSnapshot.
+    fn overflow_drops_are_visible_in_stats() {
+        // Silent event loss can never masquerade as a clean trace:
+        // drops must show up in the ring statistics.
         let rec = Recorder::new();
         let _sub = rec.subscribe("tiny", 4);
         for i in 0..20 {
             rec.record(custom(i));
         }
-        let snap = rec.snapshot();
-        assert_eq!(snap.subscribers.len(), 1);
-        assert_eq!(snap.subscribers[0].pushed, 20);
-        assert!(
-            snap.subscribers[0].dropped > 0,
-            "overflow must be accounted as drops"
-        );
-        assert_eq!(snap.total_dropped(), 16);
-        assert!(snap.subscribers[0].drop_rate() > 0.0);
+        let stats = rec.stats();
+        assert_eq!(stats.len(), 1);
+        assert_eq!((stats[0].pushed, stats[0].dropped), (20, 16));
+        assert_eq!((stats[0].capacity, stats[0].len), (4, 4));
+        assert!((stats[0].drop_rate() - 0.8).abs() < 1e-12);
     }
 
     #[test]
@@ -406,24 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_through_recorder_handles() {
-        let rec = Recorder::new();
-        let c = rec.counter("frames_tx");
-        let c2 = rec.clone().counter("frames_tx");
-        assert_eq!(c, c2);
-        rec.inc(c, 3);
-        let g = rec.gauge("noise_dbm");
-        rec.set_gauge(g, -88.0);
-        let h = rec.histogram("lat", &[1.0]);
-        rec.observe(h, 0.5);
-        rec.observe(h, 2.0);
-        let snap = rec.snapshot();
-        assert_eq!(snap.counter("frames_tx"), Some(3));
-        assert_eq!(snap.gauges[0].1, -88.0);
-        assert_eq!(snap.histograms[0].1.counts, vec![1, 1]);
-    }
-
-    #[test]
     fn drain_empties_but_keeps_accounting() {
         let rec = Recorder::new();
         let sub = rec.subscribe("flight", 2);
@@ -433,8 +372,8 @@ mod tests {
         let drained = rec.drain(sub);
         assert_eq!(drained.len(), 2);
         assert!(rec.records(sub).is_empty());
-        let snap = rec.snapshot();
-        assert_eq!(snap.subscribers[0].pushed, 5);
-        assert_eq!(snap.subscribers[0].dropped, 3);
+        let stats = rec.stats();
+        assert_eq!(stats[0].pushed, 5);
+        assert_eq!(stats[0].dropped, 3);
     }
 }

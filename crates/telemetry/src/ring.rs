@@ -6,8 +6,8 @@ use crate::event::Record;
 /// when full (flight-recorder semantics).
 ///
 /// Every overwrite increments a `dropped` counter; `pushed` counts every
-/// record ever offered. Both are surfaced through the recorder's
-/// [`MetricsSnapshot`](crate::MetricsSnapshot) so silent event loss can
+/// record ever offered. Both are surfaced through
+/// [`Recorder::stats`](crate::Recorder::stats) so silent event loss can
 /// never masquerade as a clean trace.
 #[derive(Debug, Clone)]
 pub struct RingBuffer {

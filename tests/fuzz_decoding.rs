@@ -6,7 +6,9 @@ use proptest::prelude::*;
 use silvasec::channel::messages::{Finished, Hello, Reply};
 use silvasec::crypto::edwards::EdwardsPoint;
 use silvasec::crypto::schnorr::{Signature, VerifyingKey};
+use silvasec::fleet::{chunk_payloads, ChunkHeader, Reassembly};
 use silvasec::prelude::*;
+use silvasec::sim::rng::mix64;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
@@ -94,4 +96,130 @@ proptest! {
         bad[idx] ^= 1 << bit;
         prop_assert!(bad == reply || init.finish(&policy, &bad).is_err());
     }
+}
+
+/// The deterministic stream the structure-aware mutation loops draw
+/// from: the SplitMix64 finalizer over a counter.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 += 1;
+        mix64(self.0)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// Genuine chunk frames of bundles 0 to three chunks + 1 bytes long, in
+/// 1-, 7- and 768-byte chunks, delivered shuffled, with duplicates and
+/// with header mutations, through `ChunkHeader::decode` and
+/// `Reassembly::accept`. A chunk is accepted exactly when it belongs to
+/// the update, its count matches, its index is in range and new; the
+/// stream completes only once every index was accepted; and when every
+/// accepted frame was genuine, the stream reassembles to the bundle.
+#[test]
+fn chunk_frames_survive_mutation() {
+    const FLIP: usize = 0;
+    const SHORT: usize = 1;
+    const HEADER_ONLY: usize = 2;
+    const FOREIGN: usize = 3;
+    const OUT_OF_RANGE: usize = 4;
+    const WRONG_COUNT: usize = 5;
+    let mut rng = SplitMix(0xC4A9_0A7A);
+    let (mut intact, mut mutated_in, mut refused) = (0usize, 0usize, 0usize);
+    for case in 0..6_000 {
+        let chunk_bytes = [1, 7, 768][case % 3];
+        let bundle: Vec<u8> = (0..rng.below(3 * chunk_bytes + 2))
+            .map(|_| rng.next() as u8)
+            .collect();
+        let update_id = rng.next() as u32;
+        let frames = chunk_payloads(update_id, &bundle, chunk_bytes);
+        let count = frames.len();
+        let mut order: Vec<usize> = (0..count).collect();
+        for i in (1..count).rev() {
+            order.swap(i, rng.below(i + 1));
+        }
+        for _ in 0..rng.below(3) {
+            order.insert(rng.below(order.len() + 1), rng.below(count));
+        }
+
+        let mut reassembly = Reassembly::new(update_id, count as u16);
+        let mut accepted = vec![false; count];
+        let mut all_genuine = true;
+        for &index in &order {
+            let genuine = &frames[index];
+            let (header, body) = ChunkHeader::decode(genuine).expect("genuine frames decode");
+            let kind = rng.below(12);
+            let frame = match kind {
+                FLIP => {
+                    let mut frame = genuine.clone();
+                    frame[rng.below(ChunkHeader::LEN)] ^= 1 << rng.below(8);
+                    frame
+                }
+                SHORT => genuine[..rng.below(ChunkHeader::LEN)].to_vec(),
+                HEADER_ONLY => genuine[..ChunkHeader::LEN].to_vec(),
+                FOREIGN => ChunkHeader {
+                    update_id: update_id ^ (1 + rng.below(u32::MAX as usize) as u32),
+                    ..header
+                }
+                .encode(body),
+                OUT_OF_RANGE => ChunkHeader {
+                    index: (count + rng.below(usize::from(u16::MAX) + 1 - count)) as u16,
+                    ..header
+                }
+                .encode(body),
+                WRONG_COUNT => {
+                    let wrong = (count + 1 + rng.below(usize::from(u16::MAX))) as u16;
+                    ChunkHeader {
+                        count: wrong,
+                        ..header
+                    }
+                    .encode(body)
+                }
+                _ => genuine.clone(),
+            };
+            let Some((got, data)) = ChunkHeader::decode(&frame) else {
+                assert!(
+                    kind == FLIP || kind == SHORT,
+                    "kind {kind} failed to decode"
+                );
+                refused += 1;
+                continue;
+            };
+            assert_ne!(kind, SHORT, "a frame shorter than the header decoded");
+            assert_eq!(got.encode(data), frame, "decode then encode is the frame");
+            let slot = usize::from(got.index);
+            let fresh = got.update_id == update_id
+                && usize::from(got.count) == count
+                && slot < count
+                && !accepted[slot];
+            if matches!(kind, FOREIGN | OUT_OF_RANGE | WRONG_COUNT) {
+                assert!(!fresh, "kind {kind} built an acceptable header");
+            }
+            assert_eq!(reassembly.accept(got, data), fresh, "kind {kind}");
+            if fresh {
+                accepted[slot] = true;
+                all_genuine &= frame == frames[slot];
+            } else {
+                refused += 1;
+            }
+            assert_eq!(reassembly.complete(), accepted.iter().all(|&a| a));
+        }
+        match reassembly.assemble() {
+            None => assert!(!reassembly.complete()),
+            Some(stream) if all_genuine => {
+                assert_eq!(stream, bundle, "case {case}");
+                intact += 1;
+            }
+            Some(_) => mutated_in += 1,
+        }
+    }
+    // Every side of the property is exercised.
+    assert!(
+        intact > 1_000 && mutated_in > 200 && refused > 5_000,
+        "{intact} {mutated_in} {refused}"
+    );
 }
