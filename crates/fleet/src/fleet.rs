@@ -20,9 +20,7 @@ use silvasec_pki::{
     TrustStore, Validity,
 };
 use silvasec_risk::catalog::worksite_model;
-use silvasec_risk::continuous::{
-    alert_class_to_attack_class, ContinuousAssessment, IncidentReport,
-};
+use silvasec_risk::continuous::{alert_class_to_attack_class, ContinuousAssessment};
 use silvasec_secure_boot::{Device, FirmwareImage, FirmwareStage};
 use silvasec_sim::geom::Vec2;
 use silvasec_sim::rng::SimRng;
@@ -510,11 +508,32 @@ impl Fleet {
     /// fleet risk rises before any machine is attacked, which is exactly
     /// what motivates the next rollout.
     pub fn disclose_vulnerability(&mut self, attack_class: &str) {
-        let incident = IncidentReport {
-            attack_class: alert_class_to_attack_class(attack_class).to_string(),
-            at_ms: self.now.as_millis(),
-        };
-        self.risk.ingest(&incident);
+        self.risk.ingest(
+            alert_class_to_attack_class(attack_class),
+            self.now.as_millis(),
+        );
+    }
+
+    /// Correlated multi-site campaign evidence of alert class `class`:
+    /// escalates the continuous assessment and confirms every open TARA
+    /// hypothesis of the attack class.
+    fn campaign_evidence(&mut self, class: &str, sites: u32, at_ms: u64) {
+        let attack_class = alert_class_to_attack_class(class);
+        self.risk.ingest(attack_class, at_ms);
+        if let Some(tara) = &mut self.tara {
+            tara.confirm(attack_class, sites, at_ms);
+        }
+    }
+
+    /// A completed mitigation of alert class `class`: withdraws the
+    /// continuous assessment's escalation and retires the attack class's
+    /// TARA hypotheses.
+    fn mitigate(&mut self, class: &str, at_ms: u64) {
+        let attack_class = alert_class_to_attack_class(class);
+        self.risk.mitigate(attack_class, at_ms);
+        if let Some(tara) = &mut self.tara {
+            tara.retire(attack_class, at_ms);
+        }
     }
 
     fn kind_active(&self, kind: AttackKind) -> bool {
@@ -604,19 +623,7 @@ impl Fleet {
                     sites: campaign.sites,
                 },
             );
-            self.risk.ingest(&IncidentReport {
-                attack_class: alert_class_to_attack_class(&campaign.class).to_string(),
-                at_ms: campaign.at_ms,
-            });
-            if let Some(tara) = &mut self.tara {
-                // Correlated multi-site evidence confirms every open
-                // hypothesis of the campaign's attack class.
-                tara.confirm(
-                    alert_class_to_attack_class(&campaign.class),
-                    campaign.sites,
-                    campaign.at_ms,
-                );
-            }
+            self.campaign_evidence(&campaign.class, campaign.sites, campaign.at_ms);
             if ops_on {
                 // A correlated multi-site campaign is always critical:
                 // it passes no auto-approve gate without review.
@@ -696,11 +703,7 @@ impl Fleet {
                     .is_none_or(|at| at < *since_ms),
             ),
             Action::MitigateRisk { class } => {
-                let attack_class = alert_class_to_attack_class(class);
-                self.risk.mitigate(attack_class, now_ms);
-                if let Some(tara) = &mut self.tara {
-                    tara.retire(attack_class, now_ms);
-                }
+                self.mitigate(class, now_ms);
                 Some(true)
             }
         }
@@ -723,9 +726,10 @@ impl Fleet {
     /// [`RolloutPolicy::observe_ticks`]; IDS alerts raised by wave
     /// members during distribution or soak count towards
     /// [`RolloutPolicy::halt_alert_threshold`], and reaching it halts
-    /// the rollout. A fully completed rollout withdraws the
-    /// firmware-tampering escalation from the continuous assessment
-    /// (the fleet has patched; the field evidence is stale).
+    /// the rollout. A fully completed rollout mitigates firmware
+    /// tampering: the continuous assessment withdraws its escalation and
+    /// the class's TARA hypotheses retire (the fleet has patched; the
+    /// field evidence is stale).
     ///
     /// While an ops containment `HaltRollout` stands, the rollout is
     /// refused: nothing is published or distributed, no tick runs, and
@@ -736,7 +740,8 @@ impl Fleet {
     /// An empty fleet has no wave to run: nothing is published or
     /// distributed and no tick runs. No site is left on the old
     /// firmware, so the report reads `completed` with every count zero,
-    /// and the escalation is withdrawn as after any completed rollout.
+    /// and firmware tampering is mitigated as after any completed
+    /// rollout.
     pub fn run_rollout(&mut self, version: u32) -> RolloutReport {
         let mut report = RolloutReport {
             fleet_size: self.len(),
@@ -767,7 +772,7 @@ impl Fleet {
         let waves = self.config.policy.waves(self.len());
         if waves.is_empty() {
             report.completed = true;
-            self.withdraw_firmware_tampering();
+            self.mitigate("firmware-tampering", self.now.as_millis());
             return report;
         }
         let update_id = self.backend.next_update_id;
@@ -971,7 +976,7 @@ impl Fleet {
 
             if phase == RolloutPhase::Complete {
                 report.completed = true;
-                self.withdraw_firmware_tampering();
+                self.mitigate("firmware-tampering", self.now.as_millis());
                 break;
             }
         }
@@ -986,16 +991,6 @@ impl Fleet {
         }
         report.latency_ms = self.now.since(started).as_millis();
         report
-    }
-
-    /// The fleet has patched: withdraws the field-evidence escalation
-    /// that motivated the rollout.
-    fn withdraw_firmware_tampering(&mut self) {
-        self.risk
-            .mitigate("firmware-tampering", self.now.as_millis());
-        if let Some(tara) = &mut self.tara {
-            tara.retire("firmware-tampering", self.now.as_millis());
-        }
     }
 
     /// Models a poisoned image's misbehaviour: the compromised machine

@@ -186,24 +186,36 @@ impl RunStore {
     ///
     /// # Panics
     ///
-    /// Panics on an unknown run, a `from` that does not match the run's
-    /// current state, or an edge outside [`Step::can_transition`] — the
-    /// store is the typed backstop for the engine.
+    /// Panics where the replay would fail: on an unknown run, a `from`
+    /// that does not match the run's current state, or an edge outside
+    /// [`Step::can_transition`] — the store is the typed backstop for
+    /// the engine.
     pub fn record_transition(&mut self, run: u64, transition: Transition) {
-        let record = self.runs.get_mut(&run).expect("transition for unknown run");
-        assert_eq!(
-            record.state,
-            transition.from,
-            "run {run:#018x}: transition from {} but state is {}",
-            transition.from.as_str(),
-            record.state.as_str()
-        );
-        assert!(
-            transition.from.can_transition(transition.to),
-            "run {run:#018x}: invalid edge {} -> {}",
-            transition.from.as_str(),
-            transition.to.as_str()
-        );
+        self.try_transition(run, transition)
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// The one body of [`RunStore::record_transition`]: its checks fail
+    /// with a message naming the run, and the replay returns it.
+    fn try_transition(&mut self, run: u64, transition: Transition) -> Result<(), String> {
+        let record = self
+            .runs
+            .get_mut(&run)
+            .ok_or_else(|| format!("transition for unknown run {run:#018x}"))?;
+        if record.state != transition.from {
+            return Err(format!(
+                "run {run:#018x}: transition from {} but state is {}",
+                transition.from.as_str(),
+                record.state.as_str()
+            ));
+        }
+        if !transition.from.can_transition(transition.to) {
+            return Err(format!(
+                "run {run:#018x}: invalid edge {} -> {}",
+                transition.from.as_str(),
+                transition.to.as_str()
+            ));
+        }
         record.transitions.push(transition);
         record.state = transition.to;
         if transition.to.is_terminal() {
@@ -215,6 +227,7 @@ impl RunStore {
             }
             self.release_identity(run);
         }
+        Ok(())
     }
 
     /// Records the gate verdict for `run`.
@@ -223,9 +236,22 @@ impl RunStore {
     ///
     /// Panics on an unknown run or a second gate verdict.
     pub fn record_gate(&mut self, run: u64, decision: &str, auto: bool) {
-        let record = self.runs.get_mut(&run).expect("gate for unknown run");
-        assert!(record.gate.is_none(), "run {run:#018x}: gate decided twice");
+        self.try_gate(run, decision, auto)
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// The one body of [`RunStore::record_gate`], failing instead of
+    /// panicking.
+    fn try_gate(&mut self, run: u64, decision: &str, auto: bool) -> Result<(), String> {
+        let record = self
+            .runs
+            .get_mut(&run)
+            .ok_or_else(|| format!("gate for unknown run {run:#018x}"))?;
+        if record.gate.is_some() {
+            return Err(format!("run {run:#018x}: gate decided twice"));
+        }
         record.gate = Some((decision.to_string(), auto));
+        Ok(())
     }
 
     /// Records that the queue dead-lettered `run` after `deliveries`
@@ -377,7 +403,9 @@ impl RunStore {
     ///
     /// Returns a message when the trace fails to parse or the event
     /// stream violates the run-store protocol (e.g. a transition for a
-    /// run that was never enqueued).
+    /// run that was never enqueued, from a step the run is not in, or
+    /// a second gate verdict); a trace that dropped, duplicated or
+    /// reordered `Ops*` events fails this way instead of panicking.
     pub fn replay_from_jsonl(trace: &str) -> Result<RunStore, String> {
         let records = parse_jsonl_records(trace).map_err(|e| format!("trace parse: {e:?}"))?;
         let mut store = RunStore::new();
@@ -436,10 +464,7 @@ impl RunStore {
                         .ok_or_else(|| format!("unknown step {from}"))?;
                     let to = Step::from_str_name(to.as_str())
                         .ok_or_else(|| format!("unknown step {to}"))?;
-                    if !store.runs.contains_key(&run) {
-                        return Err(format!("step for unknown run {run:#018x}"));
-                    }
-                    store.record_transition(
+                    store.try_transition(
                         run,
                         Transition {
                             at_ms,
@@ -448,18 +473,13 @@ impl RunStore {
                             attempt,
                             ok,
                         },
-                    );
+                    )?;
                 }
                 Event::OpsGate {
                     run,
                     decision,
                     auto,
-                } => {
-                    if !store.runs.contains_key(&run) {
-                        return Err(format!("gate for unknown run {run:#018x}"));
-                    }
-                    store.record_gate(run, decision.as_str(), auto);
-                }
+                } => store.try_gate(run, decision.as_str(), auto)?,
                 Event::OpsDeadLetter { run, deliveries } => {
                     if !store.runs.contains_key(&run) {
                         return Err(format!("dead-letter for unknown run {run:#018x}"));

@@ -4,13 +4,13 @@
 //! The static TARA rates attack feasibility from expert judgement. At
 //! runtime, the IDS produces *field evidence*: an observed incident of an
 //! attack class proves the attack is being mounted here and now, so the
-//! matching threat scenarios' feasibility escalates and risks re-rank.
-//! The history of risk-level changes (with timestamps) is the measurable
-//! output — experiment E5 measures the latency from attack onset to risk
-//! update.
+//! matching threat scenarios' feasibility escalates and the report is
+//! assessed again at the escalated ratings — risks re-rank, and the
+//! requirements and interplay findings follow them. The history of
+//! risk-level changes (with timestamps) is the measurable output —
+//! experiment E5 measures the latency from attack onset to risk update.
 
 use crate::feasibility::AttackFeasibility;
-use crate::impact::ImpactLevel;
 use crate::tara::{RiskLevel, Tara, TaraReport};
 use crate::threat::WorksiteModel;
 use serde::{Deserialize, Serialize};
@@ -38,15 +38,6 @@ pub fn alert_class_to_attack_class(alert_class: &str) -> &str {
         "update-tampering" | "downgrade" | "rollout-poisoning" => "firmware-tampering",
         other => other,
     }
-}
-
-/// An incident reported by the runtime monitoring (IDS).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct IncidentReport {
-    /// The attack-class tag (matches `ThreatScenario::attack_class`).
-    pub attack_class: String,
-    /// When the incident was confirmed (worksite ms).
-    pub at_ms: u64,
 }
 
 /// A recorded risk-level change.
@@ -105,25 +96,30 @@ impl ContinuousAssessment {
         &self.changes
     }
 
-    /// Feeds an incident; escalates feasibility of matching threats and
-    /// re-assesses. Returns the changes this incident caused.
-    pub fn ingest(&mut self, incident: &IncidentReport) -> Vec<RiskChange> {
-        let mut changed_threats = Vec::new();
+    /// Feeds field evidence that `attack_class` is being mounted (an
+    /// incident confirmed at `at_ms`, worksite ms); escalates the
+    /// feasibility of matching threats and re-assesses. Returns the
+    /// changes the evidence caused.
+    pub fn ingest(&mut self, attack_class: &str, at_ms: u64) -> Vec<RiskChange> {
+        let mut escalated_any = false;
         for threat in &self.model.threats {
-            if threat.attack_class.as_deref() == Some(incident.attack_class.as_str()) {
-                let baseline = threat.feasibility();
-                let current = self.overrides.get(&threat.id).copied().unwrap_or(baseline);
-                let escalated = current.escalate().max(baseline);
+            if threat.attack_class.as_deref() == Some(attack_class) {
+                let current = self
+                    .overrides
+                    .get(&threat.id)
+                    .copied()
+                    .unwrap_or_else(|| threat.feasibility());
+                let escalated = current.escalate();
                 if escalated != current {
                     self.overrides.insert(threat.id.clone(), escalated);
-                    changed_threats.push(threat.id.clone());
+                    escalated_any = true;
                 }
             }
         }
-        if changed_threats.is_empty() {
+        if !escalated_any {
             return Vec::new();
         }
-        self.reassess(incident.at_ms)
+        self.reassess(at_ms)
     }
 
     /// Withdraws the field-evidence escalation for every threat of
@@ -154,45 +150,33 @@ impl ContinuousAssessment {
     /// ignored. Returns the changes the record caused.
     pub fn ingest_record(&mut self, record: &Record) -> Vec<RiskChange> {
         if let Event::IdsAlert { class, .. } = &record.event {
-            let incident = IncidentReport {
-                attack_class: alert_class_to_attack_class(class.as_str()).to_string(),
-                at_ms: record.at.as_millis(),
-            };
-            self.ingest(&incident)
+            self.ingest(
+                alert_class_to_attack_class(class.as_str()),
+                record.at.as_millis(),
+            )
         } else {
             Vec::new()
         }
     }
 
+    /// Assesses the model at the escalated feasibilities and records
+    /// every risk that moved.
     fn reassess(&mut self, at_ms: u64) -> Vec<RiskChange> {
-        let before: HashMap<String, RiskLevel> = self
-            .current
-            .risks
-            .iter()
-            .map(|r| (r.threat_id.clone(), r.risk))
-            .collect();
-
-        // Re-run the TARA, then apply feasibility overrides.
-        let mut report = Tara::assess(&self.model);
-        for risk in &mut report.risks {
-            if let Some(feas) = self.overrides.get(&risk.threat_id) {
-                if *feas > risk.feasibility {
-                    risk.feasibility = *feas;
-                    let impact: ImpactLevel = risk.impact;
-                    risk.risk = RiskLevel::from_matrix(impact, *feas);
-                    risk.treatment = Tara::default_treatment(risk.risk);
-                }
-            }
-        }
-        report.risks.sort_by(|a, b| {
-            b.risk
-                .cmp(&a.risk)
-                .then_with(|| a.threat_id.cmp(&b.threat_id))
+        let overrides = &self.overrides;
+        let report = Tara::assess_with(&self.model, |threat| {
+            overrides
+                .get(&threat.id)
+                .copied()
+                .unwrap_or_else(|| threat.feasibility())
         });
-
         let mut new_changes = Vec::new();
         for risk in &report.risks {
-            let old = before.get(&risk.threat_id).copied().unwrap_or(RiskLevel(1));
+            let old = self
+                .current
+                .risks
+                .iter()
+                .find(|r| r.threat_id == risk.threat_id)
+                .map_or(RiskLevel(1), |r| r.risk);
             if old != risk.risk {
                 self.recorder.record_at(
                     SimTime::from_millis(at_ms),
@@ -220,7 +204,7 @@ impl ContinuousAssessment {
 mod tests {
     use super::*;
     use crate::feasibility::AttackPotential;
-    use crate::impact::{ImpactCategory, ImpactRating};
+    use crate::impact::{ImpactCategory, ImpactLevel, ImpactRating};
     use crate::threat::{AttackStep, DamageScenario, ThreatScenario};
     use crate::{Asset, AssetCategory, SecurityProperty};
 
@@ -264,10 +248,7 @@ mod tests {
     #[test]
     fn incident_escalates_matching_threat() {
         let mut ca = ContinuousAssessment::new(model());
-        let changes = ca.ingest(&IncidentReport {
-            attack_class: "gnss-spoofing".into(),
-            at_ms: 5_000,
-        });
+        let changes = ca.ingest("gnss-spoofing", 5_000);
         assert_eq!(changes.len(), 1);
         assert_eq!(changes[0].from.0, 3);
         assert_eq!(changes[0].to.0, 4);
@@ -279,10 +260,7 @@ mod tests {
     fn repeated_incidents_saturate() {
         let mut ca = ContinuousAssessment::new(model());
         for t in 0..5 {
-            let _ = ca.ingest(&IncidentReport {
-                attack_class: "gnss-spoofing".into(),
-                at_ms: t * 1000,
-            });
+            let _ = ca.ingest("gnss-spoofing", t * 1000);
         }
         assert_eq!(ca.report().risks[0].feasibility, AttackFeasibility::High);
         assert_eq!(ca.report().risks[0].risk.0, 5);
@@ -293,10 +271,7 @@ mod tests {
     #[test]
     fn unrelated_incident_changes_nothing() {
         let mut ca = ContinuousAssessment::new(model());
-        let changes = ca.ingest(&IncidentReport {
-            attack_class: "replay".into(),
-            at_ms: 0,
-        });
+        let changes = ca.ingest("replay", 0);
         assert!(changes.is_empty());
         assert!(ca.changes().is_empty());
     }
@@ -305,10 +280,7 @@ mod tests {
     fn mitigation_restores_the_static_baseline() {
         let mut ca = ContinuousAssessment::new(model());
         for t in 0..3 {
-            let _ = ca.ingest(&IncidentReport {
-                attack_class: "gnss-spoofing".into(),
-                at_ms: t * 1000,
-            });
+            let _ = ca.ingest("gnss-spoofing", t * 1000);
         }
         assert_eq!(ca.report().risks[0].risk.0, 5);
         let changes = ca.mitigate("gnss-spoofing", 10_000);
@@ -353,8 +325,8 @@ mod tests {
         let mut ca = ContinuousAssessment::new(model());
         ca.set_recorder(recorder.clone());
 
-        // An IdsAlert record drives the assessment exactly like an
-        // IncidentReport with the aliased class.
+        // An IdsAlert record drives the assessment exactly like a
+        // direct `ingest` of the aliased class.
         recorder.record_at(
             SimTime::from_millis(5_000),
             Event::IdsAlert {
@@ -392,10 +364,7 @@ mod tests {
     fn treatment_escalates_with_risk() {
         let mut ca = ContinuousAssessment::new(model());
         for _ in 0..3 {
-            let _ = ca.ingest(&IncidentReport {
-                attack_class: "gnss-spoofing".into(),
-                at_ms: 0,
-            });
+            let _ = ca.ingest("gnss-spoofing", 0);
         }
         assert_eq!(
             ca.report().risks[0].treatment,

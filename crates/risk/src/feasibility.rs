@@ -37,16 +37,11 @@ impl AttackPotential {
         self.elapsed_time + self.expertise + self.knowledge + self.window + self.equipment
     }
 
-    /// Maps the total to an attack-feasibility rating (21434 table:
-    /// higher potential required ⇒ lower feasibility).
+    /// Maps the total to an attack-feasibility rating
+    /// ([`AttackFeasibility::from_total`]).
     #[must_use]
     pub fn feasibility(&self) -> AttackFeasibility {
-        match self.total() {
-            0..=13 => AttackFeasibility::High,
-            14..=19 => AttackFeasibility::Medium,
-            20..=24 => AttackFeasibility::Low,
-            _ => AttackFeasibility::VeryLow,
-        }
+        AttackFeasibility::from_total(self.total())
     }
 }
 
@@ -64,6 +59,19 @@ pub enum AttackFeasibility {
 }
 
 impl AttackFeasibility {
+    /// The 21434 table from a summed attack-potential total to a
+    /// feasibility rating: higher potential required ⇒ lower
+    /// feasibility. The one such table; every rating reads it.
+    #[must_use]
+    pub fn from_total(total: u8) -> Self {
+        match total {
+            0..=13 => AttackFeasibility::High,
+            14..=19 => AttackFeasibility::Medium,
+            20..=24 => AttackFeasibility::Low,
+            _ => AttackFeasibility::VeryLow,
+        }
+    }
+
     /// Numeric value 0–3 for risk matrices.
     #[must_use]
     pub fn value(self) -> u8 {

@@ -1,11 +1,12 @@
 //! The TARA core: risk values, treatment decisions and the assessment
 //! report (ISO/SAE 21434 clauses 15.8–15.9), extended with the combined
-//! safety–security findings.
+//! safety–security findings. One assessment body serves the static
+//! ratings and continuous assessment's escalated ones.
 
 use crate::feasibility::AttackFeasibility;
 use crate::impact::ImpactLevel;
 use crate::interplay::{evaluate_link, InterplayFinding};
-use crate::threat::WorksiteModel;
+use crate::threat::{ThreatScenario, WorksiteModel};
 use serde::{Deserialize, Serialize};
 
 /// A 21434 risk value (1 = lowest, 5 = highest).
@@ -143,6 +144,17 @@ impl Tara {
     /// Runs the full assessment over a model.
     #[must_use]
     pub fn assess(model: &WorksiteModel) -> TaraReport {
+        Self::assess_with(model, ThreatScenario::feasibility)
+    }
+
+    /// The assessment with each threat rated at `feasibility(threat)`:
+    /// the static rating for [`Tara::assess`], the field-evidence
+    /// escalation for continuous assessment. Risks, requirements and
+    /// interplay findings all read the same rating.
+    pub(crate) fn assess_with(
+        model: &WorksiteModel,
+        feasibility: impl Fn(&ThreatScenario) -> AttackFeasibility,
+    ) -> TaraReport {
         let mut risks = Vec::with_capacity(model.threats.len());
         let mut requirements = Vec::new();
 
@@ -151,7 +163,7 @@ impl Tara {
                 .damage_scenario(&threat.damage_scenario_id)
                 .map(|ds| ds.impact.overall())
                 .unwrap_or(ImpactLevel::Negligible);
-            let feasibility = threat.feasibility();
+            let feasibility = feasibility(threat);
             let risk = RiskLevel::from_matrix(impact, feasibility);
             let treatment = Self::default_treatment(risk);
             if treatment == Treatment::Reduce {
@@ -185,12 +197,8 @@ impl Tara {
             .iter()
             .filter_map(|link| {
                 let hazard = model.hazard(&link.hazard_id)?;
-                let feasibility = model
-                    .threats
-                    .iter()
-                    .find(|t| t.id == link.threat_id)?
-                    .feasibility();
-                Some(evaluate_link(link, hazard, feasibility))
+                let threat = model.threats.iter().find(|t| t.id == link.threat_id)?;
+                Some(evaluate_link(link, hazard, feasibility(threat)))
             })
             .collect();
         interplay_findings.sort_by(|a, b| {

@@ -2,7 +2,7 @@
 //! model they hang off.
 
 use crate::assets::{Asset, SecurityProperty};
-use crate::feasibility::AttackPotential;
+use crate::feasibility::{AttackFeasibility, AttackPotential};
 use crate::hara::Hazard;
 use crate::impact::ImpactRating;
 use crate::interplay::InterplayLink;
@@ -53,26 +53,24 @@ pub struct ThreatScenario {
 }
 
 impl ThreatScenario {
-    /// The scenario's attack feasibility: per 21434, a path's required
-    /// potential is dominated by its hardest step (max), and the scenario
-    /// takes its *easiest* path (min over paths).
+    /// The attack potential the scenario requires: per 21434, a path's
+    /// requirement is its hardest step (max), and the scenario takes its
+    /// *easiest* path (min over paths). `None` without a non-empty path.
     #[must_use]
-    pub fn feasibility(&self) -> crate::feasibility::AttackFeasibility {
+    pub fn required_potential(&self) -> Option<u8> {
         self.attack_paths
             .iter()
-            .filter_map(|path| {
-                path.iter()
-                    .map(|s| s.potential.total())
-                    .max()
-                    .map(|total| match total {
-                        0..=13 => crate::feasibility::AttackFeasibility::High,
-                        14..=19 => crate::feasibility::AttackFeasibility::Medium,
-                        20..=24 => crate::feasibility::AttackFeasibility::Low,
-                        _ => crate::feasibility::AttackFeasibility::VeryLow,
-                    })
-            })
-            .max() // easiest path = highest feasibility
-            .unwrap_or(crate::feasibility::AttackFeasibility::VeryLow)
+            .filter_map(|path| path.iter().map(|s| s.potential.total()).max())
+            .min()
+    }
+
+    /// The scenario's attack feasibility: the
+    /// [`required_potential`](Self::required_potential) through
+    /// [`AttackFeasibility::from_total`], `VeryLow` without a path.
+    #[must_use]
+    pub fn feasibility(&self) -> AttackFeasibility {
+        self.required_potential()
+            .map_or(AttackFeasibility::VeryLow, AttackFeasibility::from_total)
     }
 }
 
@@ -146,7 +144,6 @@ impl WorksiteModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::feasibility::AttackFeasibility;
 
     fn step(total_hint: u8) -> AttackStep {
         AttackStep {

@@ -50,10 +50,9 @@ pub struct Grounding {
     /// Index (into [`TaraCatalog::assets`]) of the asset the threat's
     /// damage scenario attacks.
     pub asset: u16,
-    /// The easiest hand-built attack path's required potential: min
-    /// over paths of the hardest step's total (21434: a path is
-    /// dominated by its hardest step, the scenario takes its easiest
-    /// path).
+    /// The hand-built threat's
+    /// [`required_potential`](silvasec_risk::threat::ThreatScenario::required_potential):
+    /// its easiest path's hardest step.
     pub base_total: u8,
     /// The hand-built damage scenario's impact rating.
     pub impact: ImpactRating,
@@ -152,12 +151,7 @@ impl TaraCatalog {
             let Some(asset) = asset_index(&ds.asset_id) else {
                 continue;
             };
-            let Some(base_total) = threat
-                .attack_paths
-                .iter()
-                .filter_map(|path| path.iter().map(|s| s.potential.total()).max())
-                .min()
-            else {
+            let Some(base_total) = threat.required_potential() else {
                 continue;
             };
             let slot = &mut grounded[class_index(class) as usize];

@@ -1,23 +1,23 @@
 //! The enumerator/scorer: cross product → canonical hash dedup →
 //! 21434 scoring → deterministic top-k.
 //!
-//! A [`ScenarioSpace`] walks `rows × assets × entry points × ODD
-//! conditions × variants`. Each cell's canonical identity is the axis
-//! tuple `(class, asset, entry, odd, variant)` — the Table I *row*
+//! A [`ScenarioSpace`] walks `variants × rows × assets × entry points
+//! × ODD conditions` in one loop. Each cell's canonical identity is the
+//! axis tuple `(class, asset, entry, odd, variant)` — the Table I *row*
 //! that exposed the class is deliberately not part of it, so a class
 //! exposed by several characteristics enumerates several cells that
 //! fold into one scenario. Identity is hashed with the stateless
 //! SplitMix64 [`scenario_hash`]; scoring is pure arithmetic over the
-//! existing 21434 machinery ([`RiskLevel::from_matrix`], the
-//! attack-potential → feasibility thresholds, impact-rating overall),
-//! so the grounded baseline cell of every hand-built threat reproduces
-//! the `exp3_tara` score exactly.
+//! 21434 machinery of `silvasec-risk` ([`RiskLevel::from_matrix`],
+//! [`AttackFeasibility::from_total`], impact-rating overall), so the
+//! grounded baseline cell of every hand-built threat reproduces the
+//! `exp3_tara` score exactly. The distinct cells are ranked with one
+//! sort on [`CellScore::rank_key`], cut at `top_k`.
 
 use crate::catalog::{TaraCatalog, CLEAR_ODD, ENTRY_PENALTY, ENTRY_POINTS, UNGROUNDED_BASE_TOTAL};
-use crate::topk::TopK;
 use serde::Serialize;
 use silvasec_crypto::sha256;
-use silvasec_risk::feasibility::{AttackFeasibility, AttackPotential};
+use silvasec_risk::feasibility::AttackFeasibility;
 use silvasec_risk::impact::{ImpactLevel, ImpactRating};
 use silvasec_risk::tara::{RiskLevel, Tara, Treatment};
 use silvasec_sim::rng::hash3;
@@ -30,19 +30,6 @@ use std::collections::HashSet;
 #[must_use]
 pub fn scenario_hash(class: u64, asset: u64, entry: u64, odd: u64, variant: u64) -> u64 {
     hash3(hash3(class, asset, entry), odd, variant)
-}
-
-/// Spreads a summed attack-potential total back over the 21434 factor
-/// scales, so the existing [`AttackPotential::feasibility`] thresholds
-/// stay the single source of the total → feasibility mapping.
-fn spread_total(total: u8) -> AttackPotential {
-    AttackPotential::new(
-        total.min(19),
-        total.saturating_sub(19).min(8),
-        total.saturating_sub(27).min(11),
-        total.saturating_sub(38).min(10),
-        total.saturating_sub(48),
-    )
 }
 
 /// Impact under an ODD condition: an adverse condition (any index
@@ -62,9 +49,9 @@ fn effective_impact(rating: &ImpactRating, odd: u8) -> ImpactLevel {
     }
 }
 
-/// A scored cell in compact, `Copy` form — what the hot enumeration
-/// loop and [`TopK`] traffic in; materialized into a [`ScoredScenario`]
-/// (with the axis names spelled out) only once ranked.
+/// A scored cell in compact, `Copy` form — what the enumeration loop
+/// ranks; materialized into a [`ScoredScenario`] (with the axis names
+/// spelled out) only once ranked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CellScore {
     /// Canonical scenario hash.
@@ -105,25 +92,6 @@ impl CellScore {
             self.odd,
             self.variant,
         )
-    }
-
-    /// A minimal score for ranking tests (risk + class + variant set,
-    /// everything else zeroed).
-    #[must_use]
-    pub fn synthetic(risk: u8, class: u16, variant: u32) -> Self {
-        CellScore {
-            hash: scenario_hash(u64::from(class), 0, 0, 0, u64::from(variant)),
-            class,
-            asset: 0,
-            entry: 0,
-            odd: 0,
-            variant,
-            grounded: false,
-            impact: ImpactLevel::Negligible,
-            feasibility: AttackFeasibility::VeryLow,
-            risk: RiskLevel(risk),
-            treatment: Tara::default_treatment(RiskLevel(risk)),
-        }
     }
 }
 
@@ -205,15 +173,6 @@ impl EnumerationReport {
     }
 }
 
-/// Per-variant partial result, merged in variant order.
-struct VariantPartial {
-    enumerated: u64,
-    distinct: u64,
-    duplicates_folded: u64,
-    grounded_scored: u64,
-    top: TopK,
-}
-
 /// The enumeration space: a catalog plus the scaling knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ScenarioSpace<'a> {
@@ -238,16 +197,6 @@ impl<'a> ScenarioSpace<'a> {
             variants,
             top_k,
         }
-    }
-
-    /// The smallest variant count whose cross product enumerates at
-    /// least `target` cells.
-    #[must_use]
-    pub fn variants_for(catalog: &TaraCatalog, target: u64) -> u32 {
-        let per = catalog.cells_per_variant().max(1);
-        u32::try_from(target.div_ceil(per))
-            .unwrap_or(u32::MAX)
-            .max(1)
     }
 
     /// Extra attack potential variant `v` adds to a cell: 0 for the
@@ -292,7 +241,7 @@ impl<'a> ScenarioSpace<'a> {
         let total = base_total
             .saturating_add(entry_cost)
             .saturating_add(self.variant_delta(class, asset, variant));
-        let feasibility = spread_total(total).feasibility();
+        let feasibility = AttackFeasibility::from_total(total);
         let impact = effective_impact(rating, odd);
         let risk = RiskLevel::from_matrix(impact, feasibility);
         CellScore {
@@ -316,48 +265,13 @@ impl<'a> ScenarioSpace<'a> {
         }
     }
 
-    /// Walks one variant of the cross product: every surface row ×
-    /// asset × entry × ODD cell, deduped by canonical hash.
-    fn enumerate_variant(&self, variant: u32) -> VariantPartial {
+    /// Walks every variant of the cross product — every surface row ×
+    /// asset × entry × ODD cell — deduped by canonical hash, and ranks
+    /// the distinct cells: one sort on [`CellScore::rank_key`], a total
+    /// order, cut at `top_k`.
+    #[must_use]
+    pub fn enumerate(&self) -> EnumerationReport {
         let catalog = self.catalog;
-        let mut seen: HashSet<u64> =
-            HashSet::with_capacity(catalog.distinct_per_variant() as usize);
-        let mut partial = VariantPartial {
-            enumerated: 0,
-            distinct: 0,
-            duplicates_folded: 0,
-            grounded_scored: 0,
-            top: TopK::new(self.top_k),
-        };
-        for &(_, class) in &catalog.rows {
-            for asset in 0..catalog.assets.len() as u16 {
-                for entry in 0..ENTRY_POINTS.len() as u8 {
-                    for odd in 0..catalog.odd_conditions.len() as u8 {
-                        partial.enumerated += 1;
-                        let hash = scenario_hash(
-                            u64::from(class),
-                            u64::from(asset),
-                            u64::from(entry),
-                            u64::from(odd),
-                            u64::from(variant),
-                        );
-                        if !seen.insert(hash) {
-                            partial.duplicates_folded += 1;
-                            continue;
-                        }
-                        let score = self.score_cell(class, asset, entry, odd, variant);
-                        partial.distinct += 1;
-                        partial.grounded_scored += u64::from(score.grounded);
-                        partial.top.push(score);
-                    }
-                }
-            }
-        }
-        partial
-    }
-
-    fn report_from(&self, partials: Vec<VariantPartial>) -> EnumerationReport {
-        let mut top = TopK::new(self.top_k);
         let mut report = EnumerationReport {
             seed: self.seed,
             variants: self.variants,
@@ -367,18 +281,37 @@ impl<'a> ScenarioSpace<'a> {
             grounded_scored: 0,
             top: Vec::new(),
         };
-        for partial in partials {
-            report.enumerated += partial.enumerated;
-            report.distinct += partial.distinct;
-            report.duplicates_folded += partial.duplicates_folded;
-            report.grounded_scored += partial.grounded_scored;
-            top.merge(&partial.top);
+        let mut seen: HashSet<u64> = HashSet::new();
+        let mut cells = Vec::new();
+        for variant in 0..self.variants {
+            for &(_, class) in &catalog.rows {
+                for asset in 0..catalog.assets.len() as u16 {
+                    for entry in 0..ENTRY_POINTS.len() as u8 {
+                        for odd in 0..catalog.odd_conditions.len() as u8 {
+                            report.enumerated += 1;
+                            let hash = scenario_hash(
+                                u64::from(class),
+                                u64::from(asset),
+                                u64::from(entry),
+                                u64::from(odd),
+                                u64::from(variant),
+                            );
+                            if !seen.insert(hash) {
+                                report.duplicates_folded += 1;
+                                continue;
+                            }
+                            let score = self.score_cell(class, asset, entry, odd, variant);
+                            report.grounded_scored += u64::from(score.grounded);
+                            cells.push(score);
+                        }
+                    }
+                }
+            }
         }
-        report.top = top
-            .into_vec()
-            .into_iter()
-            .map(|c| self.materialize(&c))
-            .collect();
+        report.distinct = cells.len() as u64;
+        cells.sort_unstable_by_key(CellScore::rank_key);
+        cells.truncate(self.top_k);
+        report.top = cells.iter().map(|c| self.materialize(c)).collect();
         report
     }
 
@@ -398,15 +331,6 @@ impl<'a> ScenarioSpace<'a> {
             risk: cell.risk,
             treatment: cell.treatment,
         }
-    }
-
-    /// Sequential enumeration: variants in order, one pass each.
-    #[must_use]
-    pub fn enumerate(&self) -> EnumerationReport {
-        let partials = (0..self.variants)
-            .map(|v| self.enumerate_variant(v))
-            .collect();
-        self.report_from(partials)
     }
 
     /// The grounded baseline cells — native entry point, clear ODD,
@@ -496,17 +420,6 @@ mod tests {
         }
         // The worksite's headline risks must surface at the top.
         assert_eq!(report.top[0].risk, RiskLevel(5));
-    }
-
-    #[test]
-    fn variants_for_covers_the_target() {
-        let catalog = TaraCatalog::from_model(&worksite_model());
-        let per = catalog.cells_per_variant();
-        assert_eq!(ScenarioSpace::variants_for(&catalog, 1), 1);
-        assert_eq!(ScenarioSpace::variants_for(&catalog, per), 1);
-        assert_eq!(ScenarioSpace::variants_for(&catalog, per + 1), 2);
-        let v = ScenarioSpace::variants_for(&catalog, 1_000_000);
-        assert!(u64::from(v) * per >= 1_000_000);
     }
 
     #[test]

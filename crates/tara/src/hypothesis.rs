@@ -13,8 +13,10 @@
 //! is terminal) and idempotent under duplicate evidence, and every
 //! transition is mirrored as an `Event::TaraHypothesis` record — the
 //! set's state is therefore a pure function of the JSONL trace, which
-//! [`HypothesisSet::replay_from_jsonl`] exploits. The replay is checked
-//! against the live set by the `experiments` unit test
+//! [`HypothesisSet::replay_from_jsonl`] exploits. Live evidence and
+//! replay move a hypothesis through one private transition rule, so
+//! the two cannot disagree about what a phase does. The replay is
+//! checked against the live set by the `experiments` unit test
 //! `tara_hypotheses_confirm_retire_and_replay_from_the_trace` and by the
 //! pathway benchmark every round, which requires
 //! [`HypothesisSet::first_divergence`] to find none.
@@ -47,6 +49,32 @@ pub struct TaraHypothesis {
     pub retired_at_ms: Option<u64>,
     /// Distinct sites behind the strongest confirming evidence seen.
     pub evidence_sites: u32,
+}
+
+/// The `TaraHypothesis` phase tag of a confirmation.
+const CONFIRM: &str = "confirm";
+/// The `TaraHypothesis` phase tag of a retirement.
+const RETIRE: &str = "retire";
+
+/// The one transition rule, live and on replay: [`CONFIRM`] moves an
+/// open hypothesis to confirmed with its evidence, [`RETIRE`] a live
+/// one to retired. Returns whether `h` moved; an unknown phase is an
+/// error.
+fn transition(h: &mut TaraHypothesis, phase: &str, sites: u32, at_ms: u64) -> Result<bool, String> {
+    match (phase, h.status) {
+        (CONFIRM, HypothesisStatus::Open) => {
+            h.status = HypothesisStatus::Confirmed;
+            h.confirmed_at_ms = Some(at_ms);
+            h.evidence_sites = sites;
+        }
+        (RETIRE, HypothesisStatus::Open | HypothesisStatus::Confirmed) => {
+            h.status = HypothesisStatus::Retired;
+            h.retired_at_ms = Some(at_ms);
+        }
+        (CONFIRM | RETIRE, _) => return Ok(false),
+        (other, _) => return Err(format!("unknown phase {other:?}")),
+    }
+    Ok(true)
 }
 
 /// The ranked hypotheses plus the recorder their transitions mirror to.
@@ -102,17 +130,29 @@ impl HypothesisSet {
         counts
     }
 
-    fn emit(&self, h: &TaraHypothesis, phase: &str, sites: u32, at_ms: u64) {
-        self.recorder.record_at(
-            SimTime::from_millis(at_ms),
-            Event::TaraHypothesis {
-                scenario: h.scenario.hash,
-                class: Label::new(&h.scenario.attack_class),
-                phase: Label::new(phase),
-                risk: h.scenario.risk.0,
-                sites,
-            },
-        );
+    /// Applies `phase` to every hypothesis of `attack_class` through
+    /// [`transition`], emitting each move as it happens.
+    fn apply(&mut self, attack_class: &str, phase: &str, sites: u32, at_ms: u64) -> usize {
+        let mut moved = 0;
+        for h in &mut self.hypotheses {
+            if h.scenario.attack_class != attack_class
+                || !transition(h, phase, sites, at_ms).expect("live phases are known")
+            {
+                continue;
+            }
+            self.recorder.record_at(
+                SimTime::from_millis(at_ms),
+                Event::TaraHypothesis {
+                    scenario: h.scenario.hash,
+                    class: Label::new(&h.scenario.attack_class),
+                    phase: Label::new(phase),
+                    risk: h.scenario.risk.0,
+                    sites,
+                },
+            );
+            moved += 1;
+        }
+        moved
     }
 
     /// Folds in SIEM campaign evidence: every *open* hypothesis of
@@ -120,41 +160,14 @@ impl HypothesisSet {
     /// (already-confirmed and retired hypotheses are untouched).
     /// Returns the number of transitions.
     pub fn confirm(&mut self, attack_class: &str, sites: u32, at_ms: u64) -> usize {
-        let mut transitions = Vec::new();
-        for (i, h) in self.hypotheses.iter_mut().enumerate() {
-            if h.scenario.attack_class != attack_class || h.status != HypothesisStatus::Open {
-                continue;
-            }
-            h.status = HypothesisStatus::Confirmed;
-            h.confirmed_at_ms = Some(at_ms);
-            h.evidence_sites = sites;
-            transitions.push(i);
-        }
-        for &i in &transitions {
-            let h = self.hypotheses[i].clone();
-            self.emit(&h, "confirm", sites, at_ms);
-        }
-        transitions.len()
+        self.apply(attack_class, CONFIRM, sites, at_ms)
     }
 
     /// Folds in a completed mitigation: every open or confirmed
     /// hypothesis of `attack_class` retires. Retirement is terminal, so
     /// duplicates are a no-op. Returns the number of transitions.
     pub fn retire(&mut self, attack_class: &str, at_ms: u64) -> usize {
-        let mut transitions = Vec::new();
-        for (i, h) in self.hypotheses.iter_mut().enumerate() {
-            if h.scenario.attack_class != attack_class || h.status == HypothesisStatus::Retired {
-                continue;
-            }
-            h.status = HypothesisStatus::Retired;
-            h.retired_at_ms = Some(at_ms);
-            transitions.push(i);
-        }
-        for &i in &transitions {
-            let h = self.hypotheses[i].clone();
-            self.emit(&h, "retire", 0, at_ms);
-        }
-        transitions.len()
+        self.apply(attack_class, RETIRE, 0, at_ms)
     }
 
     /// Rebuilds a set from the ranking plus a JSONL telemetry trace:
@@ -178,7 +191,6 @@ impl HypothesisSet {
             else {
                 continue;
             };
-            let at_ms = record.at.as_millis();
             let h = set
                 .hypotheses
                 .iter_mut()
@@ -186,24 +198,8 @@ impl HypothesisSet {
                 .ok_or_else(|| {
                     format!("line {}: unknown scenario hash {scenario:#x}", lineno + 1)
                 })?;
-            match phase.as_str() {
-                "confirm" => {
-                    if h.status == HypothesisStatus::Open {
-                        h.status = HypothesisStatus::Confirmed;
-                        h.confirmed_at_ms = Some(at_ms);
-                        h.evidence_sites = sites;
-                    }
-                }
-                "retire" => {
-                    if h.status != HypothesisStatus::Retired {
-                        h.status = HypothesisStatus::Retired;
-                        h.retired_at_ms = Some(at_ms);
-                    }
-                }
-                other => {
-                    return Err(format!("line {}: unknown phase {other:?}", lineno + 1));
-                }
-            }
+            transition(h, phase.as_str(), sites, record.at.as_millis())
+                .map_err(|e| format!("line {}: {e}", lineno + 1))?;
         }
         Ok(set)
     }

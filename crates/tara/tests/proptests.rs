@@ -1,11 +1,12 @@
 //! Property-based tests over the generative TARA's invariants:
-//! canonical-hash dedup, enumeration-order-independent top-k ranking,
-//! and hypothesis idempotence under duplicate SIEM evidence.
+//! canonical-hash dedup, the top-k ranking against a brute-force
+//! oracle, and hypothesis idempotence under duplicate SIEM evidence.
 
 use proptest::prelude::*;
 use silvasec_risk::catalog::worksite_model;
+use silvasec_tara::catalog::ENTRY_POINTS;
 use silvasec_tara::engine::CellScore;
-use silvasec_tara::{scenario_hash, HypothesisSet, ScenarioSpace, TaraCatalog, TopK};
+use silvasec_tara::{scenario_hash, HypothesisSet, ScenarioSpace, ScoredScenario, TaraCatalog};
 use std::collections::HashMap;
 
 /// Unpacks one word into a small canonical axis tuple (the real
@@ -19,6 +20,41 @@ fn tuple_of(word: u32) -> (u64, u64, u64, u64, u64) {
         u64::from((word >> 11) & 0x7),
         u64::from((word >> 14) & 0xFF),
     )
+}
+
+/// The ranking by brute force: every `(class, asset, entry, odd,
+/// variant)` of the catalog — walked by class, not by Table I row, so
+/// no cell repeats — scored by `score_cell`, sorted by `rank_key`, cut
+/// at `top_k` and materialized.
+fn oracle_ranking(space: &ScenarioSpace<'_>) -> Vec<ScoredScenario> {
+    let catalog = space.catalog;
+    let mut cells: Vec<CellScore> = Vec::new();
+    for class in 0..catalog.classes.len() as u16 {
+        for asset in 0..catalog.assets.len() as u16 {
+            for entry in 0..ENTRY_POINTS.len() as u8 {
+                for odd in 0..catalog.odd_conditions.len() as u8 {
+                    for variant in 0..space.variants {
+                        cells.push(space.score_cell(class, asset, entry, odd, variant));
+                    }
+                }
+            }
+        }
+    }
+    cells.sort_by_key(CellScore::rank_key);
+    cells.truncate(space.top_k);
+    cells.iter().map(|cell| space.materialize(cell)).collect()
+}
+
+/// The fleet's enumeration (2 variants, top 4 096) ranks exactly what
+/// the oracle ranks: all 4 000 distinct scenarios, since the cut
+/// exceeds them.
+#[test]
+fn fleet_ranking_matches_the_brute_force_oracle() {
+    let catalog = TaraCatalog::from_model(&worksite_model());
+    let space = ScenarioSpace::new(&catalog, 11, 2, 4_096);
+    let top = space.enumerate().top;
+    assert_eq!(top.len() as u64, 2 * catalog.distinct_per_variant());
+    assert_eq!(top, oracle_ranking(&space));
 }
 
 proptest! {
@@ -60,47 +96,21 @@ proptest! {
         prop_assert_eq!(report.top.len(), top_k.min(report.distinct as usize));
     }
 
-    // ---------------- top-k order independence ----------------
+    // ---------------- the ranking ----------------
 
-    /// The ranking depends only on the *set* of scenarios pushed:
-    /// forward order, reverse order, and an arbitrary two-shard split
-    /// merged back together all agree.
+    /// Whatever the seed, variant count and capacity, the one-sort
+    /// ranking equals the brute-force oracle: bounded by `top_k`, best
+    /// first under the total order, and every canonical scenario at
+    /// most once however many Table I rows reach it.
     #[test]
-    fn topk_is_enumeration_order_independent(
-        words in proptest::collection::vec(any::<u32>(), 1..200),
-        k in 0usize..32,
-        split in any::<u64>(),
+    fn ranking_matches_the_brute_force_oracle(
+        seed in any::<u64>(),
+        variants in 1u32..6,
+        top_k in 0usize..129,
     ) {
-        let scores: Vec<CellScore> = words
-            .iter()
-            .map(|&w| CellScore::synthetic((w % 6) as u8, (w >> 3) as u16 & 0xFF, w >> 11))
-            .collect();
-        let mut forward = TopK::new(k);
-        let mut backward = TopK::new(k);
-        let mut left = TopK::new(k);
-        let mut right = TopK::new(k);
-        for s in &scores {
-            forward.push(*s);
-        }
-        for s in scores.iter().rev() {
-            backward.push(*s);
-        }
-        for (i, s) in scores.iter().enumerate() {
-            if (split >> (i % 64)) & 1 == 0 {
-                left.push(*s);
-            } else {
-                right.push(*s);
-            }
-        }
-        left.merge(&right);
-        prop_assert_eq!(&forward, &backward);
-        prop_assert_eq!(&forward, &left);
-        // The contents really are sorted best-first under the total
-        // order, and bounded by k.
-        prop_assert!(forward.len() <= k);
-        for w in forward.entries().windows(2) {
-            prop_assert!(w[0].rank_key() < w[1].rank_key());
-        }
+        let catalog = TaraCatalog::from_model(&worksite_model());
+        let space = ScenarioSpace::new(&catalog, seed, variants, top_k);
+        prop_assert_eq!(space.enumerate().top, oracle_ranking(&space));
     }
 
     // ---------------- hypothesis idempotence ----------------

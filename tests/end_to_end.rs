@@ -6,7 +6,7 @@ use silvasec::certify::{certify_worksite, Verdict};
 use silvasec::experiments::{campaign_for, standard_config};
 use silvasec::prelude::*;
 use silvasec::risk::catalog;
-use silvasec::risk::continuous::{ContinuousAssessment, IncidentReport};
+use silvasec::risk::continuous::ContinuousAssessment;
 
 #[test]
 fn certification_pipeline_distinguishes_postures() {
@@ -52,10 +52,7 @@ fn attack_to_assurance_chain() {
         .find(|r| r.threat_id == "ts.gnss-spoofing")
         .unwrap()
         .risk;
-    let changes = continuous.ingest(&IncidentReport {
-        attack_class: "gnss-spoofing".into(),
-        at_ms: first_alert.as_millis(),
-    });
+    let changes = continuous.ingest("gnss-spoofing", first_alert.as_millis());
     assert!(!changes.is_empty(), "incident must change the risk picture");
     let after = continuous
         .report()

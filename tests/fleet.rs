@@ -64,6 +64,38 @@ fn clean_rollout_updates_every_site_and_lowers_risk() {
     );
 }
 
+/// A disclosure's escalation reaches the whole report, not only the
+/// risk list: the escalated firmware-tampering risk derives its
+/// requirement, and its interplay finding rates the escalated
+/// feasibility.
+#[test]
+fn escalated_report_agrees_with_itself() {
+    let mut fleet = Fleet::new(fleet_config(4), 11);
+    fleet.disclose_vulnerability("update-tampering");
+    let report = fleet.risk().report();
+    let risk = report
+        .risks
+        .iter()
+        .find(|r| r.threat_id == "ts.firmware-tamper")
+        .expect("firmware tampering is assessed");
+    assert_eq!(
+        (risk.risk, risk.treatment, risk.feasibility),
+        (RiskLevel(3), Treatment::Reduce, AttackFeasibility::Low)
+    );
+    assert!(
+        report
+            .requirements()
+            .any(|r| r.id == "req.ts.firmware-tamper"),
+        "a Reduce-treated risk derives its requirement"
+    );
+    let finding = report
+        .interplay_findings
+        .iter()
+        .find(|f| f.threat_id == "ts.firmware-tamper" && f.hazard_id == "hz.runover")
+        .expect("firmware tampering defeats the run-over stop");
+    assert_eq!(finding.feasibility, AttackFeasibility::Low);
+}
+
 #[test]
 fn tampered_bundle_rejected_on_every_site() {
     let (report, _) = run_fleet_rollout(3, 42, FleetScenario::Tampered);

@@ -6,9 +6,13 @@ use proptest::prelude::*;
 use silvasec::channel::messages::{Finished, Hello, Reply};
 use silvasec::crypto::edwards::EdwardsPoint;
 use silvasec::crypto::schnorr::{Signature, VerifyingKey};
+use silvasec::experiments::run_pathway_scenario;
 use silvasec::fleet::{chunk_payloads, ChunkHeader, Reassembly};
+use silvasec::ops::RunStore;
 use silvasec::prelude::*;
 use silvasec::sim::rng::mix64;
+use silvasec::tara::HypothesisSet;
+use silvasec::telemetry::{Event, Record};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
@@ -222,4 +226,121 @@ fn chunk_frames_survive_mutation() {
         intact > 1_000 && mutated_in > 200 && refused > 5_000,
         "{intact} {mutated_in} {refused}"
     );
+}
+
+/// The run a step or gate line belongs to and, for a step, whether it
+/// moves the run to another step (`None` for a gate).
+fn ops_line(line: &str) -> Option<(u64, Option<bool>)> {
+    match serde_json::from_str::<Record>(line).ok()?.event {
+        Event::OpsStep { run, from, to, .. } => Some((run, Some(from != to))),
+        Event::OpsGate { run, .. } => Some((run, None)),
+        _ => None,
+    }
+}
+
+/// The seed-11 `pathway` trace at 16 sites (every `Ops*` kind and
+/// 2 000 `TaraHypothesis` events), damaged as a trace ring that drops
+/// events or a broken file damages it: a line duplicated, dropped or
+/// swapped with its neighbour, a flipped bit, a truncation. Both
+/// replays, `RunStore::replay_from_jsonl` and
+/// `HypothesisSet::replay_from_jsonl`, take every damaged trace without
+/// a panic. The intact trace replays to the live store and hypotheses,
+/// and the damages the run store used to panic on (a repeated gate
+/// verdict, a repeated or a missing step) fail with an error naming the
+/// run.
+#[test]
+fn trace_replays_survive_mutation() {
+    let run = run_pathway_scenario(16, 2, 11);
+    let trace = run.fleet.export_trace_jsonl();
+    let live_store = run.fleet.ops().expect("pathway runs ops").store();
+    let live_tara = run.fleet.tara().expect("pathway runs TARA");
+    let ranking: Vec<_> = live_tara
+        .hypotheses()
+        .iter()
+        .map(|h| h.scenario.clone())
+        .collect();
+    let replay = |trace: &str| {
+        (
+            RunStore::replay_from_jsonl(trace),
+            HypothesisSet::replay_from_jsonl(ranking.clone(), trace),
+        )
+    };
+    let (store, tara) = replay(&trace);
+    assert_eq!(store.expect("intact trace").digest(), live_store.digest());
+    assert_eq!(
+        tara.expect("intact trace").first_divergence(live_tara),
+        None
+    );
+
+    let lines: Vec<&str> = trace.lines().collect();
+    let rejoin = |lines: &[&str]| -> String { lines.iter().map(|l| format!("{l}\n")).collect() };
+    let ops: Vec<(usize, u64, Option<bool>)> = lines
+        .iter()
+        .enumerate()
+        .filter_map(|(i, l)| ops_line(l).map(|(run, step)| (i, run, step)))
+        .collect();
+    let gate = ops.iter().find(|(_, _, step)| step.is_none());
+    let moving_step = ops.iter().find(|(_, _, step)| *step == Some(true));
+    // A moving step whose run steps again later: dropping it strands
+    // the run in the step it left.
+    let stranding_step = ops.iter().enumerate().find_map(|(k, (i, run, step))| {
+        let later = ops[k + 1..].iter().any(|(_, r, s)| r == run && s.is_some());
+        (*step == Some(true) && later).then_some((*i, *run))
+    });
+    let (gate, moving_step, stranding_step) = (
+        gate.expect("the trace carries a gate verdict"),
+        moving_step.expect("the trace carries a step"),
+        stranding_step.expect("some run steps twice"),
+    );
+    for (what, at, run, drop) in [
+        ("repeated gate", gate.0, gate.1, false),
+        ("repeated step", moving_step.0, moving_step.1, false),
+        ("missing step", stranding_step.0, stranding_step.1, true),
+    ] {
+        let mut damaged = lines.clone();
+        if drop {
+            damaged.remove(at);
+        } else {
+            damaged.insert(at, lines[at]);
+        }
+        let err = RunStore::replay_from_jsonl(&rejoin(&damaged)).expect_err(what);
+        assert!(err.contains(&format!("{run:#018x}")), "{what}: {err}");
+    }
+
+    // Every other line damage lands on one of the ~175 lines that are
+    // not `TaraHypothesis` events, so the run store's events are hit.
+    let audit: Vec<usize> = (0..lines.len() - 1)
+        .filter(|&i| !lines[i].contains("TaraHypothesis"))
+        .collect();
+    let mut rng = SplitMix(0x7EAC_E5ED);
+    for case in 0..20 {
+        let mut damaged = lines.clone();
+        let at = if case % 2 == 0 {
+            audit[rng.below(audit.len())]
+        } else {
+            rng.below(lines.len() - 1)
+        };
+        let text = match rng.below(5) {
+            0 => {
+                damaged.insert(at, lines[at]);
+                rejoin(&damaged)
+            }
+            1 => {
+                damaged.remove(at);
+                rejoin(&damaged)
+            }
+            2 => {
+                damaged.swap(at, at + 1);
+                rejoin(&damaged)
+            }
+            3 => {
+                let mut bytes = trace.clone().into_bytes();
+                let byte = rng.below(bytes.len());
+                bytes[byte] ^= 1 << rng.below(8);
+                String::from_utf8_lossy(&bytes).into_owned()
+            }
+            _ => String::from_utf8_lossy(&trace.as_bytes()[..rng.below(trace.len())]).into_owned(),
+        };
+        let _ = replay(&text);
+    }
 }
