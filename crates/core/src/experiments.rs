@@ -1268,10 +1268,10 @@ pub fn run_ops_load(incidents: usize, seed: u64) -> (silvasec_ops::OpsEngine, St
 // ---------------------------------------------------------------------
 
 /// The standard E11 TARA knob for fleet wiring: a ranking wide enough
-/// that every distinct scenario of the two-variant space (4 000) becomes
-/// a live hypothesis, so campaign evidence of *any* attack class finds
-/// hypotheses to confirm and the rollout mitigation finds the
-/// firmware-tampering ones to retire.
+/// that every distinct scenario of the two-variant space (4 000) is
+/// ranked, so every attack class has a live hypothesis for campaign
+/// evidence to confirm, and the rollout mitigation finds the
+/// firmware-tampering one to retire.
 #[must_use]
 pub fn tara_config() -> silvasec_fleet::TaraConfig {
     silvasec_fleet::TaraConfig {
@@ -1295,8 +1295,8 @@ pub fn tara_ranking(seed: u64) -> Vec<silvasec_tara::ScoredScenario> {
 /// Runs the E11 live-hypothesis scenario: the E10 fleet with the
 /// generative TARA on, a sustained fleet-wide deauthentication flood
 /// that correlates into a SIEM campaign (confirming the matching
-/// hypotheses), then a completed version-2 rollout whose mitigation
-/// retires the firmware-tampering hypotheses. Probe the result through
+/// class), then a completed version-2 rollout whose mitigation retires
+/// the firmware-tampering class. Probe the result through
 /// [`silvasec_fleet::Fleet::tara`] and the fleet trace.
 #[must_use]
 pub fn run_tara_hypotheses(sites: usize, seed: u64) -> silvasec_fleet::Fleet {
@@ -1679,7 +1679,7 @@ mod tests {
             .hypotheses()
             .iter()
             .filter(|h| h.status == HypothesisStatus::Retired)
-            .all(|h| h.scenario.attack_class == "firmware-tampering"));
+            .all(|h| h.class == "firmware-tampering"));
 
         // The hypothesis state is a pure function of the trace: rebuild
         // it from the JSONL alone and compare.

@@ -68,11 +68,12 @@ pub struct FleetConfig {
     /// behaviour.
     pub ops: Option<OpsConfig>,
     /// Generative-TARA mode: when set, the fleet enumerates and ranks
-    /// threat scenarios at commissioning and carries the top-k as live
-    /// hypotheses — SIEM-correlated campaigns confirm them, completed
-    /// mitigations retire them, every transition a `TaraHypothesis`
-    /// trace event. `None` (the default) keeps the generative TARA
-    /// off — byte-identical to the historical behaviour.
+    /// threat scenarios at commissioning and carries the top-k as one
+    /// live hypothesis per attack class — SIEM-correlated campaigns
+    /// confirm a class, completed mitigations retire it, every class
+    /// transition one `TaraHypothesis` trace event. `None` (the
+    /// default) keeps the generative TARA off — byte-identical to the
+    /// historical behaviour.
     pub tara: Option<TaraConfig>,
 }
 
@@ -363,8 +364,9 @@ impl Fleet {
         risk.set_recorder(recorder.clone());
 
         // Generative TARA: enumerate and rank once at commissioning
-        // (the model is static), then carry the top-k as live
-        // hypotheses wired into the same trace recorder.
+        // (the model is static), then carry the top-k as one live
+        // hypothesis per attack class wired into the same trace
+        // recorder.
         let tara = config.tara.map(|tc| {
             let catalog = TaraCatalog::from_model(&worksite_model());
             let top = ScenarioSpace::new(&catalog, seed, tc.variants, tc.top_k)
@@ -515,8 +517,8 @@ impl Fleet {
     }
 
     /// Correlated multi-site campaign evidence of alert class `class`:
-    /// escalates the continuous assessment and confirms every open TARA
-    /// hypothesis of the attack class.
+    /// escalates the continuous assessment and confirms the attack
+    /// class's TARA hypothesis while it is open.
     fn campaign_evidence(&mut self, class: &str, sites: u32, at_ms: u64) {
         let attack_class = alert_class_to_attack_class(class);
         self.risk.ingest(attack_class, at_ms);
@@ -527,7 +529,7 @@ impl Fleet {
 
     /// A completed mitigation of alert class `class`: withdraws the
     /// continuous assessment's escalation and retires the attack class's
-    /// TARA hypotheses.
+    /// TARA hypothesis.
     fn mitigate(&mut self, class: &str, at_ms: u64) {
         let attack_class = alert_class_to_attack_class(class);
         self.risk.mitigate(attack_class, at_ms);
@@ -1381,8 +1383,8 @@ mod tests {
     #[test]
     fn tara_knob_carries_hypotheses_and_rollout_retires_firmware_tampering() {
         // Rank wide enough that every distinct scenario (2000 per
-        // variant) becomes a hypothesis, so the firmware-tampering
-        // retirement below is observable.
+        // variant) is ranked, so the firmware-tampering retirement
+        // below is observable.
         let tc = TaraConfig {
             variants: 1,
             top_k: 2_048,
@@ -1393,26 +1395,32 @@ mod tests {
         };
         let mut fleet = Fleet::new(config, 42);
         let tara = fleet.tara().expect("tara knob on");
-        assert_eq!(tara.hypotheses().len(), 2_000);
-        let (open, confirmed, retired) = tara.counts();
-        assert_eq!((confirmed, retired), (0, 0));
-        assert!(open > 0);
+        assert_eq!(tara.counts(), (2_000, 0, 0));
 
-        // A completed rollout mitigates firmware-tampering: the matching
-        // hypotheses retire and the transitions land in the fleet trace.
+        // A completed rollout mitigates firmware-tampering: its class
+        // retires, and the one transition lands in the fleet trace.
         let report = fleet.run_rollout(2);
         assert!(report.completed);
         let tara = fleet.tara().expect("tara knob on");
-        let retired_classes: Vec<&str> = tara
+        let retired: Vec<(&str, u32)> = tara
             .hypotheses()
             .iter()
             .filter(|h| h.status == HypothesisStatus::Retired)
-            .map(|h| h.scenario.attack_class.as_str())
+            .map(|h| (h.class.as_str(), h.scenarios))
             .collect();
-        assert!(!retired_classes.is_empty());
-        assert!(retired_classes.iter().all(|c| *c == "firmware-tampering"));
+        let [("firmware-tampering", scenarios)] = retired[..] else {
+            panic!("only firmware-tampering retires: {retired:?}");
+        };
+        assert_eq!(
+            tara.counts(),
+            (2_000 - scenarios as usize, 0, scenarios as usize)
+        );
         let trace = fleet.export_trace_jsonl();
-        assert!(trace.contains("TaraHypothesis"), "transitions are traced");
+        assert_eq!(
+            trace.matches("TaraHypothesis").count(),
+            1,
+            "one traced transition"
+        );
 
         // With the knob off (the default), nothing TARA-shaped exists.
         let mut off = Fleet::new(small_config(3), 42);

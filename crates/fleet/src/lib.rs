@@ -33,10 +33,10 @@
 //!   ranges ([`RolloutPolicy::waves`]).
 //! * **Live TARA hypotheses** — with [`FleetConfig::tara`] set, the
 //!   generative TARA of `silvasec-tara` ranks the worksite's threat
-//!   scenarios at commissioning and the fleet carries the top-k as
-//!   live hypotheses: SIEM-correlated campaigns confirm them,
-//!   completed mitigations retire them, and every transition lands in
-//!   the fleet trace as a `TaraHypothesis` event.
+//!   scenarios at commissioning and the fleet carries the top-k as one
+//!   live hypothesis per attack class: SIEM-correlated campaigns
+//!   confirm a class, completed mitigations retire it, and every class
+//!   transition lands in the fleet trace as one `TaraHypothesis` event.
 //!
 //! [`Worksite`]: silvasec_sos::Worksite
 //!

@@ -320,14 +320,19 @@ fn scan_u32(bytes: &[u8], p: &mut usize) -> Option<u32> {
 }
 
 /// Scans one JSON number token (the same token boundary the fallback
-/// parser uses) and parses it as `f64`.
+/// parser uses) and parses it as `f64`. A token with no integer digit
+/// (`.5`, `-.5`) is left to the fallback, which rejects `.5`.
 fn scan_f64(bytes: &[u8], p: &mut usize) -> Option<f64> {
     let start = *p;
     if *p < bytes.len() && bytes[*p] == b'-' {
         *p += 1;
     }
+    let digits = *p;
     while *p < bytes.len() && bytes[*p].is_ascii_digit() {
         *p += 1;
+    }
+    if *p == digits {
+        return None;
     }
     if *p < bytes.len() && bytes[*p] == b'.' {
         *p += 1;
@@ -343,9 +348,6 @@ fn scan_f64(bytes: &[u8], p: &mut usize) -> Option<f64> {
         while *p < bytes.len() && bytes[*p].is_ascii_digit() {
             *p += 1;
         }
-    }
-    if *p == start {
-        return None;
     }
     std::str::from_utf8(&bytes[start..*p]).ok()?.parse().ok()
 }
@@ -643,6 +645,107 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Every occurrence of `a` in `bytes` becomes `b` and vice versa.
+    fn swap_tokens(bytes: &[u8], a: &[u8], b: &[u8]) -> Vec<u8> {
+        let (mut out, mut i) = (Vec::new(), 0);
+        while i < bytes.len() {
+            let (from, to) = if bytes[i..].starts_with(a) {
+                (a, b)
+            } else {
+                (b, a)
+            };
+            if bytes[i..].starts_with(from) {
+                out.extend_from_slice(to);
+                i += from.len();
+            } else {
+                out.push(bytes[i]);
+                i += 1;
+            }
+        }
+        out
+    }
+
+    /// Mutants of the `feed_cases` encodings, each with up to three
+    /// flipped bits, inserted whitespace, swapped keys, truncations or
+    /// respelt numbers: `detections_from_json` never panics, and
+    /// whenever the fast path accepts, the `serde_json` fallback accepts
+    /// the same bytes and decodes every field to the same bits.
+    #[test]
+    fn feed_fast_path_agrees_with_serde_under_mutation() {
+        let spellings: Vec<&str> =
+            "-0 0 -00 01 1e0 1E+0 10e-1 1. .5 -.5 -0.0 1e999 5e-324 4294967296 1.5 -1"
+                .split(' ')
+                .collect();
+        const KEYS: [(&[u8], &[u8]); 3] = [
+            (b"\"x\"", b"\"y\""),
+            (b"\"confidence\"", b"\"distance_m\""),
+            (b"\"human_id\"", b"\"position\""),
+        ];
+        let encodings: Vec<Vec<u8>> = feed_cases()
+            .iter()
+            .map(|feed| serde_json::to_vec(feed).unwrap())
+            .collect();
+        let mut state = 0x0F00_D5EE_D000_0001u64;
+        let mut below = |n: usize| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            (silvasec_sim::rng::mix64(state) % n as u64) as usize
+        };
+        let (mut fast, mut scratch) = (Vec::new(), Vec::new());
+        let mut fast_accepts = 0;
+        for case in 0..4_000 {
+            let mut bytes = encodings[case % encodings.len()].clone();
+            for _ in 0..case % 4 {
+                match below(5) {
+                    0 if !bytes.is_empty() => {
+                        let at = below(bytes.len());
+                        bytes[at] ^= 1 << below(8);
+                    }
+                    1 => bytes.insert(below(bytes.len() + 1), b" \n\t\r"[below(4)]),
+                    2 => {
+                        let (a, b) = KEYS[below(KEYS.len())];
+                        bytes = swap_tokens(&bytes, a, b);
+                    }
+                    3 => bytes.truncate(below(bytes.len() + 1)),
+                    _ => {
+                        let numbers: Vec<usize> = (1..bytes.len())
+                            .filter(|&i| {
+                                bytes[i - 1] == b':' && matches!(bytes[i], b'-' | b'0'..=b'9')
+                            })
+                            .collect();
+                        if numbers.is_empty() {
+                            continue;
+                        }
+                        let start = numbers[below(numbers.len())];
+                        let end = (start..bytes.len())
+                            .find(|&i| {
+                                !matches!(bytes[i], b'0'..=b'9' | b'+' | b'-' | b'.' | b'e' | b'E')
+                            })
+                            .unwrap_or(bytes.len());
+                        let spelling = spellings[below(spellings.len())];
+                        bytes.splice(start..end, spelling.bytes());
+                    }
+                }
+            }
+            let _ = detections_from_json(&bytes, &mut scratch);
+            fast.clear();
+            if !parse_feed_fast(&bytes, &mut fast) {
+                continue;
+            }
+            fast_accepts += 1;
+            let text = String::from_utf8_lossy(&bytes);
+            let oracle = serde_json::from_slice::<Vec<Detection>>(&bytes).unwrap_or_else(|e| {
+                panic!("serde rejects what the fast path accepts: {text}: {e:?}")
+            });
+            let bits = |d: &Detection| {
+                let fields = [d.position.x, d.position.y, d.confidence, d.distance_m];
+                (d.human_id, fields.map(f64::to_bits))
+            };
+            let oracle: Vec<_> = oracle.iter().map(bits).collect();
+            assert_eq!(fast.iter().map(bits).collect::<Vec<_>>(), oracle, "{text}");
+        }
+        assert!(fast_accepts > 1_000, "{fast_accepts}");
     }
 
     #[test]

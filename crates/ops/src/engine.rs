@@ -24,8 +24,8 @@
 //! # Failure discipline
 //!
 //! A failed command fails the step's current attempt; the Silas ladder
-//! ([`crate::workflow::LadderPolicy`]) decides retry / consult /
-//! re-plan / escalate, and the queue's nack backoff provides the
+//! ([`LadderAction::on_failure`]: two retries, then consult, re-plan,
+//! escalate) decides, and the queue's nack backoff provides the
 //! deterministic inter-attempt delay. A workflow that stalls without
 //! failing (the host never completes a command) is caught by lease
 //! expiry and redelivered; a run that exhausts its delivery budget is
@@ -36,38 +36,25 @@ use crate::gate::{GateDecision, GatePolicy};
 use crate::incident::{Incident, FLEET_SITE};
 use crate::queue::{DurableQueue, QueueConfig, QueueCounters};
 use crate::run_store::{OpenOutcome, RunStore, Transition};
-use crate::workflow::{LadderAction, LadderPolicy, Step};
+use crate::workflow::{LadderAction, Step};
 use silvasec_ids::alert::Severity;
 use silvasec_sim::SimTime;
 use silvasec_telemetry::{Event, Label, Recorder};
 use std::collections::BTreeMap;
 
+/// Leases granted per [`OpsEngine::tick`] call — bounds per-tick work
+/// so a 10k-incident backlog drains over ticks, not in one.
+const MAX_LEASES_PER_TICK: u32 = 64;
+
 /// Engine tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OpsConfig {
     /// Durable-queue tuning.
     pub queue: QueueConfig,
-    /// Failure-ladder tuning.
-    pub ladder: LadderPolicy,
     /// Review-gate policy.
     pub gate: GatePolicy,
-    /// Leases granted per [`OpsEngine::tick`] call — bounds per-tick
-    /// work so a 10k-incident backlog drains over ticks, not in one.
-    pub max_leases_per_tick: u32,
     /// Seed keying the queue's deterministic backoff jitter.
     pub seed: u64,
-}
-
-impl Default for OpsConfig {
-    fn default() -> Self {
-        OpsConfig {
-            queue: QueueConfig::default(),
-            ladder: LadderPolicy::default(),
-            gate: GatePolicy::default(),
-            max_leases_per_tick: 64,
-            seed: 0,
-        }
-    }
 }
 
 /// What the host is asked to do.
@@ -280,7 +267,7 @@ impl OpsEngine {
             let attempt = self.ctl[&run].attempt;
             self.transit(run, now_ms, Step::Gate, Step::Escalate, attempt, false);
         }
-        for _ in 0..self.config.max_leases_per_tick {
+        for _ in 0..MAX_LEASES_PER_TICK {
             let Some((run, delivery)) = self.queue.lease(now_ms) else {
                 break;
             };
@@ -582,15 +569,11 @@ impl OpsEngine {
     /// deterministic delay) or escalates / dead-letters it.
     fn fail_step(&mut self, run: u64, now_ms: u64, step: Step, attempt: u32) {
         let ctl = self.ctl.get(&run).expect("live run");
-        let mut action = self.config.ladder.on_failure(attempt);
+        let mut action = LadderAction::on_failure(attempt);
         // Each advisory rung is taken at most once per run; a rung
         // already spent falls through to the next.
         if action == LadderAction::Consult && ctl.consulted {
-            action = if self.config.ladder.allow_replan && !ctl.replanned {
-                LadderAction::Replan
-            } else {
-                LadderAction::Escalate
-            };
+            action = LadderAction::Replan;
         }
         if action == LadderAction::Replan && ctl.replanned {
             action = LadderAction::Escalate;

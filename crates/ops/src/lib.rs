@@ -53,4 +53,4 @@ pub use gate::{GateDecision, GatePolicy};
 pub use incident::{Incident, IncidentScope, FLEET_SITE};
 pub use queue::{DurableQueue, QueueConfig, QueueCounters};
 pub use run_store::{RunRecord, RunStore, StoreCounters, Transition};
-pub use workflow::{LadderAction, LadderPolicy, Step};
+pub use workflow::{LadderAction, Step};

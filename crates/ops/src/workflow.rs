@@ -28,9 +28,9 @@
 //!
 //! A failed step does not transition: it self-loops (recorded as a
 //! `from == to` transition with `ok: false`) and climbs the Silas
-//! ladder — **retry** the same action up to `max_retries` times,
-//! then **consult** (re-derive the plan from current state), then
-//! **re-plan** (widen the plan; at `Verify` this re-enters
+//! ladder ([`LadderAction::on_failure`]) — **retry** the same action
+//! twice, then **consult** (re-derive the plan from current state),
+//! then **re-plan** (widen the plan; at `Verify` this re-enters
 //! `Remediate`), then **escalate** to a human. Each rung is a
 //! deterministic decision from the per-step attempt counter, so the
 //! whole cascade replays from the trace.
@@ -134,56 +134,18 @@ pub enum LadderAction {
     Escalate,
 }
 
-/// The Silas failure ladder: retry → consult → re-plan → escalate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LadderPolicy {
-    /// Plain retries before the ladder starts climbing.
-    pub max_retries: u32,
-    /// Whether a consult rung exists.
-    pub allow_consult: bool,
-    /// Whether a re-plan rung exists.
-    pub allow_replan: bool,
-}
-
-impl Default for LadderPolicy {
-    fn default() -> Self {
-        LadderPolicy {
-            max_retries: 2,
-            allow_consult: true,
-            allow_replan: true,
-        }
-    }
-}
-
-impl LadderPolicy {
-    /// Decides the response to the `attempt`-th failure of one step
-    /// (1-based): failures `1..=max_retries` retry, then one consult,
-    /// then one re-plan, then escalate. Disabled rungs are skipped.
+impl LadderAction {
+    /// The Silas failure ladder's response to the `attempt`-th failure
+    /// of one step (1-based): two retries, then consult, re-plan and
+    /// escalate.
     #[must_use]
-    pub fn on_failure(&self, attempt: u32) -> LadderAction {
-        let mut budget = self.max_retries;
-        if attempt <= budget {
-            return LadderAction::Retry;
+    pub fn on_failure(attempt: u32) -> Self {
+        match attempt {
+            0..=2 => LadderAction::Retry,
+            3 => LadderAction::Consult,
+            4 => LadderAction::Replan,
+            _ => LadderAction::Escalate,
         }
-        if self.allow_consult {
-            budget += 1;
-            if attempt <= budget {
-                return LadderAction::Consult;
-            }
-        }
-        if self.allow_replan {
-            budget += 1;
-            if attempt <= budget {
-                return LadderAction::Replan;
-            }
-        }
-        LadderAction::Escalate
-    }
-
-    /// Total failed attempts a step absorbs before escalating.
-    #[must_use]
-    pub fn budget(&self) -> u32 {
-        self.max_retries + u32::from(self.allow_consult) + u32::from(self.allow_replan)
     }
 }
 
@@ -261,31 +223,8 @@ mod tests {
 
     #[test]
     fn ladder_climbs_in_order() {
-        let p = LadderPolicy::default(); // 2 retries + consult + replan
-        assert_eq!(p.on_failure(1), LadderAction::Retry);
-        assert_eq!(p.on_failure(2), LadderAction::Retry);
-        assert_eq!(p.on_failure(3), LadderAction::Consult);
-        assert_eq!(p.on_failure(4), LadderAction::Replan);
-        assert_eq!(p.on_failure(5), LadderAction::Escalate);
-        assert_eq!(p.budget(), 4);
-    }
-
-    #[test]
-    fn disabled_rungs_are_skipped() {
-        let p = LadderPolicy {
-            max_retries: 1,
-            allow_consult: false,
-            allow_replan: true,
-        };
-        assert_eq!(p.on_failure(1), LadderAction::Retry);
-        assert_eq!(p.on_failure(2), LadderAction::Replan);
-        assert_eq!(p.on_failure(3), LadderAction::Escalate);
-        let bare = LadderPolicy {
-            max_retries: 0,
-            allow_consult: false,
-            allow_replan: false,
-        };
-        assert_eq!(bare.on_failure(1), LadderAction::Escalate);
-        assert_eq!(bare.budget(), 0);
+        use LadderAction::{Consult, Escalate, Replan, Retry};
+        let rungs: Vec<LadderAction> = (1..=6).map(LadderAction::on_failure).collect();
+        assert_eq!(rungs, [Retry, Retry, Consult, Replan, Escalate, Escalate]);
     }
 }

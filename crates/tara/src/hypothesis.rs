@@ -1,22 +1,25 @@
 //! Live TARA hypotheses: the top-k ranking meets fleet evidence.
 //!
-//! A generated ranking is a stack of *claims* — "this scenario is the
-//! risk to worry about" — and the fleet produces exactly the evidence
-//! that can test them: SIEM-correlated campaigns name an attack class
-//! and the number of sites reporting it, and completed mitigations
-//! (e.g. a fleet-wide firmware rollout) remove the attack's standing.
-//! A [`HypothesisSet`] holds the ranked scenarios as [`TaraHypothesis`]
-//! entries and folds that evidence in: campaign evidence *confirms*
-//! every open hypothesis of the class, a mitigation *retires* them.
+//! A generated ranking is a stack of *claims* — "these scenarios are
+//! the risks to worry about" — and the fleet produces exactly the
+//! evidence that can test them: SIEM-correlated campaigns name an
+//! attack class and the number of sites reporting it, and completed
+//! mitigations (e.g. a fleet-wide firmware rollout) remove the attack's
+//! standing. Evidence only ever names an attack class, so a
+//! [`HypothesisSet`] keeps one [`TaraHypothesis`] per attack class of
+//! the ranking, counting the ranked scenarios the class covers, and
+//! folds that evidence in: campaign evidence *confirms* an open class,
+//! a mitigation *retires* it.
 //!
 //! Transitions are monotone (`Open → Confirmed → Retired`; retirement
 //! is terminal) and idempotent under duplicate evidence, and every
-//! transition is mirrored as an `Event::TaraHypothesis` record — the
-//! set's state is therefore a pure function of the JSONL trace, which
-//! [`HypothesisSet::replay_from_jsonl`] exploits. Live evidence and
-//! replay move a hypothesis through one private transition rule, so
-//! the two cannot disagree about what a phase does. The replay is
-//! checked against the live set by the `experiments` unit test
+//! class transition is mirrored as one `Event::TaraHypothesis` record —
+//! the set's state is therefore a pure function of the JSONL trace,
+//! which [`HypothesisSet::replay_from_jsonl`] exploits. Live evidence
+//! and replay reach a class through one lookup and move it through one
+//! private transition rule, so the two cannot disagree about what a
+//! phase does. The replay is checked against the live set by the
+//! `experiments` unit test
 //! `tara_hypotheses_confirm_retire_and_replay_from_the_trace` and by the
 //! pathway benchmark every round, which requires
 //! [`HypothesisSet::first_divergence`] to find none.
@@ -30,24 +33,26 @@ use silvasec_telemetry::{Event, Label, Record, Recorder};
 pub enum HypothesisStatus {
     /// Ranked but not yet supported by fleet evidence.
     Open,
-    /// Fleet SIEM evidence supports the scenario.
+    /// Fleet SIEM evidence supports the attack class.
     Confirmed,
-    /// A completed mitigation closed the scenario (terminal).
+    /// A completed mitigation closed the attack class (terminal).
     Retired,
 }
 
-/// One ranked scenario with its evidence state.
+/// One attack class of the ranking with its evidence state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaraHypothesis {
-    /// The ranked scenario the hypothesis claims.
-    pub scenario: ScoredScenario,
+    /// Attack-class tag the evidence names.
+    pub class: String,
+    /// How many ranked scenarios the class covers.
+    pub scenarios: u32,
     /// Current lifecycle state.
     pub status: HypothesisStatus,
     /// When the first confirming evidence arrived (worksite ms).
     pub confirmed_at_ms: Option<u64>,
-    /// When the hypothesis was retired (worksite ms).
+    /// When the class was retired (worksite ms).
     pub retired_at_ms: Option<u64>,
-    /// Distinct sites behind the strongest confirming evidence seen.
+    /// Distinct sites behind the first confirming evidence.
     pub evidence_sites: u32,
 }
 
@@ -77,7 +82,8 @@ fn transition(h: &mut TaraHypothesis, phase: &str, sites: u32, at_ms: u64) -> Re
     Ok(true)
 }
 
-/// The ranked hypotheses plus the recorder their transitions mirror to.
+/// One hypothesis per attack class of a ranking, plus the recorder
+/// their transitions mirror to.
 #[derive(Debug, Clone)]
 pub struct HypothesisSet {
     hypotheses: Vec<TaraHypothesis>,
@@ -85,22 +91,28 @@ pub struct HypothesisSet {
 }
 
 impl HypothesisSet {
-    /// Wraps a ranking (best first) as open hypotheses.
+    /// Wraps a ranking (best first) as one open hypothesis per attack
+    /// class, in the order the ranking first names each class.
     #[must_use]
     pub fn from_ranking(top: Vec<ScoredScenario>) -> Self {
-        HypothesisSet {
-            hypotheses: top
-                .into_iter()
-                .map(|scenario| TaraHypothesis {
-                    scenario,
+        let mut set = HypothesisSet {
+            hypotheses: Vec::new(),
+            recorder: Recorder::disabled(),
+        };
+        for scenario in top {
+            match set.class_mut(&scenario.attack_class) {
+                Some(h) => h.scenarios += 1,
+                None => set.hypotheses.push(TaraHypothesis {
+                    class: scenario.attack_class,
+                    scenarios: 1,
                     status: HypothesisStatus::Open,
                     confirmed_at_ms: None,
                     retired_at_ms: None,
                     evidence_sites: 0,
-                })
-                .collect(),
-            recorder: Recorder::disabled(),
+                }),
+            }
         }
+        set
     }
 
     /// Attaches a telemetry recorder; every subsequent transition is
@@ -110,96 +122,97 @@ impl HypothesisSet {
         self.recorder = recorder;
     }
 
-    /// The hypotheses, in ranking order.
+    /// The hypotheses, one per attack class, best-ranked class first.
     #[must_use]
     pub fn hypotheses(&self) -> &[TaraHypothesis] {
         &self.hypotheses
     }
 
-    /// `(open, confirmed, retired)` counts.
+    /// `(open, confirmed, retired)` counts of ranked scenarios.
     #[must_use]
     pub fn counts(&self) -> (usize, usize, usize) {
         let mut counts = (0, 0, 0);
         for h in &self.hypotheses {
+            let n = h.scenarios as usize;
             match h.status {
-                HypothesisStatus::Open => counts.0 += 1,
-                HypothesisStatus::Confirmed => counts.1 += 1,
-                HypothesisStatus::Retired => counts.2 += 1,
+                HypothesisStatus::Open => counts.0 += n,
+                HypothesisStatus::Confirmed => counts.1 += n,
+                HypothesisStatus::Retired => counts.2 += n,
             }
         }
         counts
     }
 
-    /// Applies `phase` to every hypothesis of `attack_class` through
-    /// [`transition`], emitting each move as it happens.
+    /// The one lookup, live and on replay: the hypothesis of `class`.
+    fn class_mut(&mut self, class: &str) -> Option<&mut TaraHypothesis> {
+        self.hypotheses.iter_mut().find(|h| h.class == class)
+    }
+
+    /// Applies `phase` to the hypothesis of `attack_class` through
+    /// [`transition`], emitting the move as it happens. Returns the
+    /// ranked scenarios that moved.
     fn apply(&mut self, attack_class: &str, phase: &str, sites: u32, at_ms: u64) -> usize {
-        let mut moved = 0;
-        for h in &mut self.hypotheses {
-            if h.scenario.attack_class != attack_class
-                || !transition(h, phase, sites, at_ms).expect("live phases are known")
-            {
-                continue;
-            }
-            self.recorder.record_at(
-                SimTime::from_millis(at_ms),
-                Event::TaraHypothesis {
-                    scenario: h.scenario.hash,
-                    class: Label::new(&h.scenario.attack_class),
-                    phase: Label::new(phase),
-                    risk: h.scenario.risk.0,
-                    sites,
-                },
-            );
-            moved += 1;
+        let Some(h) = self.class_mut(attack_class) else {
+            return 0;
+        };
+        if !transition(h, phase, sites, at_ms).expect("live phases are known") {
+            return 0;
         }
+        let event = Event::TaraHypothesis {
+            class: Label::new(&h.class),
+            phase: Label::new(phase),
+            sites,
+            scenarios: h.scenarios,
+        };
+        let moved = h.scenarios as usize;
+        self.recorder.record_at(SimTime::from_millis(at_ms), event);
         moved
     }
 
-    /// Folds in SIEM campaign evidence: every *open* hypothesis of
-    /// `attack_class` becomes confirmed. Duplicate evidence is a no-op
-    /// (already-confirmed and retired hypotheses are untouched).
-    /// Returns the number of transitions.
+    /// Folds in SIEM campaign evidence: an *open* `attack_class` becomes
+    /// confirmed. Duplicate evidence is a no-op (confirmed and retired
+    /// classes are untouched). Returns the ranked scenarios that moved.
     pub fn confirm(&mut self, attack_class: &str, sites: u32, at_ms: u64) -> usize {
         self.apply(attack_class, CONFIRM, sites, at_ms)
     }
 
-    /// Folds in a completed mitigation: every open or confirmed
-    /// hypothesis of `attack_class` retires. Retirement is terminal, so
-    /// duplicates are a no-op. Returns the number of transitions.
+    /// Folds in a completed mitigation: an open or confirmed
+    /// `attack_class` retires. Retirement is terminal, so duplicates are
+    /// a no-op. Returns the ranked scenarios that moved.
     pub fn retire(&mut self, attack_class: &str, at_ms: u64) -> usize {
         self.apply(attack_class, RETIRE, 0, at_ms)
     }
 
     /// Rebuilds a set from the ranking plus a JSONL telemetry trace:
-    /// every `TaraHypothesis` record is applied, addressed by scenario
-    /// hash. Unknown scenario hashes and unknown phase tags are errors
-    /// (the trace and the ranking must come from the same run).
+    /// every `TaraHypothesis` record is applied to its class. A class
+    /// the ranking lacks, or covers with another number of scenarios,
+    /// and an unknown phase tag are errors naming the line (the trace
+    /// and the ranking must come from the same run).
     pub fn replay_from_jsonl(top: Vec<ScoredScenario>, jsonl: &str) -> Result<Self, String> {
         let mut set = HypothesisSet::from_ranking(top);
-        for (lineno, line) in jsonl.lines().enumerate() {
+        for (n, line) in (1_u64..).zip(jsonl.lines()) {
             if line.trim().is_empty() {
                 continue;
             }
             let record: Record = serde_json::from_str(line)
-                .map_err(|e| format!("line {}: unparseable record: {e:?}", lineno + 1))?;
+                .map_err(|e| format!("line {n}: unparseable record: {e:?}"))?;
             let Event::TaraHypothesis {
-                scenario,
+                class,
                 phase,
                 sites,
-                ..
+                scenarios,
             } = record.event
             else {
                 continue;
             };
             let h = set
-                .hypotheses
-                .iter_mut()
-                .find(|h| h.scenario.hash == scenario)
+                .class_mut(class.as_str())
+                .filter(|h| h.scenarios == scenarios)
                 .ok_or_else(|| {
-                    format!("line {}: unknown scenario hash {scenario:#x}", lineno + 1)
+                    format!("line {n}: unknown class {class} of {scenarios} scenarios")
                 })?;
             transition(h, phase.as_str(), sites, record.at.as_millis())
-                .map_err(|e| format!("line {}: {e}", lineno + 1))?;
+                .map_err(|e| format!("line {n}: {e}"))?;
         }
         Ok(set)
     }
@@ -215,22 +228,11 @@ impl HypothesisSet {
                 other.hypotheses.len()
             ));
         }
-        for (a, b) in self.hypotheses.iter().zip(&other.hypotheses) {
-            if a != b {
-                return Some(format!(
-                    "scenario {:#018x} ({}): {:?}@{:?}/{:?} != {:?}@{:?}/{:?}",
-                    a.scenario.hash,
-                    a.scenario.attack_class,
-                    a.status,
-                    a.confirmed_at_ms,
-                    a.retired_at_ms,
-                    b.status,
-                    b.confirmed_at_ms,
-                    b.retired_at_ms
-                ));
-            }
-        }
-        None
+        self.hypotheses
+            .iter()
+            .zip(&other.hypotheses)
+            .find(|(a, b)| a != b)
+            .map(|(a, b)| format!("{a:?} != {b:?}"))
     }
 }
 
@@ -240,27 +242,60 @@ mod tests {
     use crate::catalog::TaraCatalog;
     use crate::engine::ScenarioSpace;
     use silvasec_risk::catalog::worksite_model;
-    use silvasec_telemetry::EventKind;
 
     fn ranking() -> Vec<ScoredScenario> {
         let catalog = TaraCatalog::from_model(&worksite_model());
         ScenarioSpace::new(&catalog, 11, 2, 96).enumerate().top
     }
 
+    /// The scenarios of `class` in `top`.
+    fn covered(top: &[ScoredScenario], class: &str) -> usize {
+        top.iter().filter(|s| s.attack_class == class).count()
+    }
+
+    /// The records `recorder` gave `sub`, as a JSONL trace.
+    fn jsonl(recorder: &Recorder, sub: silvasec_telemetry::SubscriberId) -> String {
+        recorder
+            .records(sub)
+            .iter()
+            .map(|r| serde_json::to_string(r).unwrap() + "\n")
+            .collect()
+    }
+
+    #[test]
+    fn one_hypothesis_per_class_counts_the_ranked_scenarios() {
+        let top = ranking();
+        let set = HypothesisSet::from_ranking(top.clone());
+        let classes: Vec<&str> = set.hypotheses().iter().map(|h| h.class.as_str()).collect();
+        let mut first_named: Vec<&str> = Vec::new();
+        for s in &top {
+            if !first_named.contains(&s.attack_class.as_str()) {
+                first_named.push(&s.attack_class);
+            }
+        }
+        assert_eq!(classes, first_named, "best-ranked class first");
+        for h in set.hypotheses() {
+            assert_eq!(h.scenarios as usize, covered(&top, &h.class));
+        }
+        assert_eq!(set.counts(), (top.len(), 0, 0));
+    }
+
     #[test]
     fn evidence_confirms_only_the_matching_open_hypotheses() {
         let top = ranking();
         let class = top[0].attack_class.clone();
-        let expected = top.iter().filter(|s| s.attack_class == class).count();
+        let expected = covered(&top, &class);
         let mut set = HypothesisSet::from_ranking(top);
         assert_eq!(set.confirm(&class, 3, 1_000), expected);
         let (_, confirmed, retired) = set.counts();
         assert_eq!(confirmed, expected);
         assert_eq!(retired, 0);
-        // Duplicate evidence is a no-op.
+        // Duplicate evidence is a no-op, and so is a class the ranking
+        // lacks.
         assert_eq!(set.confirm(&class, 7, 2_000), 0);
+        assert_eq!(set.confirm("no-such-class", 7, 2_000), 0);
         for h in set.hypotheses() {
-            if h.scenario.attack_class == class {
+            if h.class == class {
                 assert_eq!(h.confirmed_at_ms, Some(1_000));
                 assert_eq!(h.evidence_sites, 3);
             } else {
@@ -273,19 +308,19 @@ mod tests {
     fn retirement_is_terminal_and_idempotent() {
         let top = ranking();
         let class = top[0].attack_class.clone();
-        let matching = top.iter().filter(|s| s.attack_class == class).count();
+        let matching = covered(&top, &class);
         let mut set = HypothesisSet::from_ranking(top);
         set.confirm(&class, 2, 500);
         assert_eq!(set.retire(&class, 1_500), matching);
         assert_eq!(set.retire(&class, 2_500), 0);
         // Evidence after retirement changes nothing.
         assert_eq!(set.confirm(&class, 9, 3_500), 0);
-        for h in set.hypotheses() {
-            if h.scenario.attack_class == class {
-                assert_eq!(h.status, HypothesisStatus::Retired);
-                assert_eq!(h.retired_at_ms, Some(1_500));
-            }
-        }
+        let h = set.hypotheses().iter().find(|h| h.class == class).unwrap();
+        assert_eq!(h.status, HypothesisStatus::Retired);
+        assert_eq!(
+            (h.confirmed_at_ms, h.retired_at_ms, h.evidence_sites),
+            (Some(500), Some(1_500), 2)
+        );
     }
 
     #[test]
@@ -305,17 +340,29 @@ mod tests {
             .clone();
         set.confirm(&class_a, 4, 1_000);
         set.confirm(&class_b, 2, 2_000);
+        set.confirm(&class_b, 5, 2_500);
         set.retire(&class_a, 3_000);
 
-        let records = recorder.records(sub);
-        assert!(records
+        let events: Vec<_> = recorder
+            .records(sub)
             .iter()
-            .all(|r| r.event.kind() == EventKind::TaraHypothesis));
-        let jsonl: String = records
-            .iter()
-            .map(|r| serde_json::to_string(r).unwrap() + "\n")
+            .map(|r| (r.at.as_millis(), r.event))
             .collect();
-        let replayed = HypothesisSet::replay_from_jsonl(top, &jsonl).unwrap();
+        let event = |class: &str, phase: &str, sites: u32| Event::TaraHypothesis {
+            class: Label::new(class),
+            phase: Label::new(phase),
+            sites,
+            scenarios: covered(&top, class) as u32,
+        };
+        assert_eq!(
+            events,
+            [
+                (1_000, event(&class_a, CONFIRM, 4)),
+                (2_000, event(&class_b, CONFIRM, 2)),
+                (3_000, event(&class_a, RETIRE, 0)),
+            ]
+        );
+        let replayed = HypothesisSet::replay_from_jsonl(top, &jsonl(&recorder, sub)).unwrap();
         assert_eq!(replayed.first_divergence(&set), None);
         assert_eq!(replayed.counts(), set.counts());
     }
@@ -323,26 +370,33 @@ mod tests {
     #[test]
     fn replay_rejects_foreign_traces() {
         let top = ranking();
-        let recorder = Recorder::new();
-        let sub = recorder.subscribe("tara", 16);
-        recorder.record(Event::TaraHypothesis {
-            scenario: 0xDEAD_BEEF,
-            class: Label::new("rf-jamming"),
-            phase: Label::new("confirm"),
-            risk: 5,
-            sites: 1,
-        });
-        let jsonl: String = recorder
-            .records(sub)
-            .iter()
-            .map(|r| serde_json::to_string(r).unwrap() + "\n")
-            .collect();
-        let err = HypothesisSet::replay_from_jsonl(top, &jsonl).unwrap_err();
-        assert!(err.contains("unknown scenario hash"), "{err}");
+        let class = top[0].attack_class.clone();
+        let scenarios = covered(&top, &class) as u32;
+        for (event_class, phase, scenarios, want) in [
+            ("no-such-class", CONFIRM, scenarios, "unknown class"),
+            (class.as_str(), CONFIRM, scenarios + 1, "unknown class"),
+            (class.as_str(), "reopen", scenarios, "unknown phase"),
+        ] {
+            let recorder = Recorder::new();
+            let sub = recorder.subscribe("tara", 16);
+            recorder.record(Event::CampaignAlert {
+                class: Label::new("jamming"),
+                sites: 2,
+            });
+            recorder.record(Event::TaraHypothesis {
+                class: Label::new(event_class),
+                phase: Label::new(phase),
+                sites: 1,
+                scenarios,
+            });
+            let err =
+                HypothesisSet::replay_from_jsonl(top.clone(), &jsonl(&recorder, sub)).unwrap_err();
+            assert!(err.starts_with("line 2: ") && err.contains(want), "{err}");
+        }
     }
 
     #[test]
-    fn divergence_is_reported_with_the_scenario() {
+    fn divergence_is_reported_with_the_class() {
         let top = ranking();
         let class = top[0].attack_class.clone();
         let mut a = HypothesisSet::from_ranking(top.clone());

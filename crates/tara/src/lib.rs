@@ -21,12 +21,14 @@
 //!   one loop, dedups by a canonical SplitMix64 scenario hash
 //!   ([`engine::scenario_hash`]), scores every distinct scenario and
 //!   ranks them with one sort under a total order, cut at top-k.
-//! * [`hypothesis`] — the live end: the top-k ranking becomes a set of
-//!   *hypotheses* that fleet SIEM evidence (correlated campaigns by
-//!   attack class) confirms, and completed mitigations retire. Every
-//!   transition is a `TaraHypothesis` telemetry event, and live
-//!   evidence and replay apply one transition rule, so the hypothesis
-//!   state replays from the JSONL trace alone.
+//! * [`hypothesis`] — the live end: the top-k ranking becomes one
+//!   *hypothesis* per attack class, covering the class's ranked
+//!   scenarios, that fleet SIEM evidence (correlated campaigns by
+//!   attack class) confirms and completed mitigations retire. Every
+//!   class transition is one `TaraHypothesis` telemetry event, and live
+//!   evidence and replay reach a class through one lookup and apply one
+//!   transition rule, so the hypothesis state replays from the JSONL
+//!   trace alone.
 //!
 //! # Determinism contract
 //!

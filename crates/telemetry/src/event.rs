@@ -339,19 +339,18 @@ pub enum Event {
         deliveries: u32,
     },
     /// A generative-TARA live hypothesis changed state: fleet SIEM
-    /// evidence confirmed it, or a completed mitigation retired it.
+    /// evidence confirmed an attack class of the ranking, or a
+    /// completed mitigation retired it.
     TaraHypothesis {
-        /// Canonical scenario hash of the hypothesis.
-        scenario: u64,
-        /// Attack-class tag of the hypothesised scenario.
+        /// Attack-class tag of the hypothesis.
         class: Label,
         /// Transition tag ("confirm", "retire").
         phase: Label,
-        /// Risk value (1..=5) the scenario was ranked with.
-        risk: u8,
         /// Distinct sites behind the evidence (0 for a retirement not
         /// driven by site evidence).
         sites: u32,
+        /// Ranked scenarios of the class, which move with it.
+        scenarios: u32,
     },
 }
 

@@ -6,8 +6,10 @@ use proptest::prelude::*;
 use silvasec::channel::messages::{Finished, Hello, Reply};
 use silvasec::crypto::edwards::EdwardsPoint;
 use silvasec::crypto::schnorr::{Signature, VerifyingKey};
-use silvasec::experiments::run_pathway_scenario;
-use silvasec::fleet::{chunk_payloads, ChunkHeader, Reassembly};
+use silvasec::experiments::{fleet_config, run_pathway_scenario, tara_ranking};
+use silvasec::fleet::{
+    chunk_payloads, ChunkHeader, Fleet, Reassembly, UpdateBundle, FLEET_COMPONENT,
+};
 use silvasec::ops::RunStore;
 use silvasec::prelude::*;
 use silvasec::sim::rng::mix64;
@@ -228,6 +230,58 @@ fn chunk_frames_survive_mutation() {
     );
 }
 
+/// Mutants of a published bundle's encoding (11 258 bytes): single-bit
+/// flips, the MITM's `0x41` flips, deleted and duplicated bytes and
+/// truncations, drawn over the whole encoding (manifest, images, chain
+/// and signature). `UpdateBundle::decode` never panics, the genuine
+/// bytes decode to the published bundle, and no mutant that decodes to
+/// another bundle verifies against the backend's trust store.
+#[test]
+fn mutated_bundles_never_verify() {
+    let fleet = Fleet::new(fleet_config(4), 11);
+    let backend = fleet.backend();
+    let bundle = &backend.published()[0];
+    let bytes = bundle.encode();
+    let verify = |b: &UpdateBundle| {
+        b.verify(
+            backend.trust_store(),
+            1_000,
+            backend.crls(),
+            FLEET_COMPONENT,
+            0,
+        )
+    };
+    assert_eq!(UpdateBundle::decode(&bytes).as_ref(), Ok(bundle));
+    assert_eq!(verify(bundle), Ok(()));
+    let mut rng = SplitMix(0xB0_0D1E);
+    let (mut decoded, mut different) = (0, 0);
+    for _ in 0..1_000 {
+        let mut mutant = bytes.clone();
+        let at = rng.below(mutant.len());
+        match rng.below(5) {
+            0 => mutant[at] ^= 1 << rng.below(8),
+            1 => mutant[at] ^= 0x41,
+            2 => {
+                mutant.remove(at);
+            }
+            3 => mutant.insert(at, mutant[at]),
+            _ => mutant.truncate(at),
+        }
+        let Ok(decoded_bundle) = UpdateBundle::decode(&mutant) else {
+            continue;
+        };
+        decoded += 1;
+        if decoded_bundle != *bundle {
+            different += 1;
+            assert!(
+                verify(&decoded_bundle).is_err(),
+                "a mutant at byte {at} verifies"
+            );
+        }
+    }
+    assert!(decoded > 100 && different > 100, "{decoded} {different}");
+}
+
 /// The run a step or gate line belongs to and, for a step, whether it
 /// moves the run to another step (`None` for a gate).
 fn ops_line(line: &str) -> Option<(u64, Option<bool>)> {
@@ -238,10 +292,10 @@ fn ops_line(line: &str) -> Option<(u64, Option<bool>)> {
     }
 }
 
-/// The seed-11 `pathway` trace at 16 sites (every `Ops*` kind and
-/// 2 000 `TaraHypothesis` events), damaged as a trace ring that drops
-/// events or a broken file damages it: a line duplicated, dropped or
-/// swapped with its neighbour, a flipped bit, a truncation. Both
+/// The seed-11 `pathway` trace at 16 sites (179 lines: every `Ops*`
+/// kind and 4 `TaraHypothesis` events), damaged as a trace ring that
+/// drops events or a broken file damages it: a line duplicated, dropped
+/// or swapped with its neighbour, a flipped bit, a truncation. Both
 /// replays, `RunStore::replay_from_jsonl` and
 /// `HypothesisSet::replay_from_jsonl`, take every damaged trace without
 /// a panic. The intact trace replays to the live store and hypotheses,
@@ -254,11 +308,7 @@ fn trace_replays_survive_mutation() {
     let trace = run.fleet.export_trace_jsonl();
     let live_store = run.fleet.ops().expect("pathway runs ops").store();
     let live_tara = run.fleet.tara().expect("pathway runs TARA");
-    let ranking: Vec<_> = live_tara
-        .hypotheses()
-        .iter()
-        .map(|h| h.scenario.clone())
-        .collect();
+    let ranking = tara_ranking(11);
     let replay = |trace: &str| {
         (
             RunStore::replay_from_jsonl(trace),
@@ -307,16 +357,16 @@ fn trace_replays_survive_mutation() {
         assert!(err.contains(&format!("{run:#018x}")), "{what}: {err}");
     }
 
-    // Every other line damage lands on one of the ~175 lines that are
-    // not `TaraHypothesis` events, so the run store's events are hit.
-    let audit: Vec<usize> = (0..lines.len() - 1)
-        .filter(|&i| !lines[i].contains("TaraHypothesis"))
+    // Every other line damage lands on one of the 4 `TaraHypothesis`
+    // events, so the hypothesis replay's events are hit.
+    let tara: Vec<usize> = (0..lines.len() - 1)
+        .filter(|&i| lines[i].contains("TaraHypothesis"))
         .collect();
     let mut rng = SplitMix(0x7EAC_E5ED);
     for case in 0..20 {
         let mut damaged = lines.clone();
         let at = if case % 2 == 0 {
-            audit[rng.below(audit.len())]
+            tara[rng.below(tara.len())]
         } else {
             rng.below(lines.len() - 1)
         };

@@ -85,7 +85,7 @@ const EPISODE_SWEEP_2W_SEED11: &str =
 /// 128 sites, 8 full, ops and live TARA): fleet trace JSONL, run-store
 /// digest, `{:?}` of the store counters, then the version-2 and the
 /// remediation `RolloutReport`s as JSON lines.
-const PATHWAY_SEED11: &str = "9844edeb7115bf8ec3034e15ab0fae77209e993541196cb7fdf228680336f40d";
+const PATHWAY_SEED11: &str = "fd544790b7dcd6a0e2f486ff13d8a387bd2c9917ff15e780bcdc107443b51863";
 
 /// The generative TARA's enumeration of the worksite catalog at seed 11,
 /// two variants, top 4 096: `EnumerationReport::digest` (dedup counters

@@ -7,9 +7,11 @@
 //! whole audit trail replaying byte-identically from the fleet's
 //! security trace.
 
-use silvasec::experiments::{run_fleet_ops_scenario, run_pathway_scenario};
+use silvasec::experiments::{run_fleet_ops_scenario, run_pathway_scenario, tara_ranking};
 use silvasec::ops::{GateDecision, RunStore, Step, FLEET_SITE};
 use silvasec::sim::time::SimDuration;
+use silvasec::tara::HypothesisSet;
+use silvasec::telemetry::{Event, Record};
 
 #[test]
 fn campaign_is_contained_reviewed_remediated_and_verified_closed() {
@@ -136,11 +138,54 @@ fn rejected_review_escalates_instead_of_remediating() {
 /// The benchmark's pathway scenario (128 sites, 8 full) closes every
 /// incident it opens: the parked remediations share one rollout that
 /// finishes inside every lease, so nothing is redelivered or
-/// dead-lettered.
+/// dead-lettered. Its live TARA moves one hypothesis per attack class,
+/// each move one trace event, and replays from the trace.
 #[test]
 fn pathway_closes_every_incident_it_opens() {
     for seed in [11, 29] {
         let run = run_pathway_scenario(128, 8, seed);
+
+        // The flood and the replay campaigns confirm their classes; the
+        // remediation's completed rollouts retire them and the
+        // firmware-tampering class, each move covering 500 scenarios.
+        let trace = run.fleet.export_trace_jsonl();
+        assert_eq!(trace.lines().count(), 1_162, "seed {seed}");
+        let tara_events: Vec<(u64, String, String, u32, u32)> = trace
+            .lines()
+            .filter_map(|line| {
+                let record: Record = serde_json::from_str(line).ok()?;
+                let Event::TaraHypothesis {
+                    class,
+                    phase,
+                    sites,
+                    scenarios,
+                } = record.event
+                else {
+                    return None;
+                };
+                let at = record.at.as_millis();
+                Some((at, class.to_string(), phase.to_string(), sites, scenarios))
+            })
+            .collect();
+        let event = |at: u64, class: &str, phase: &str, sites: u32| {
+            (at, class.to_string(), phase.to_string(), sites, 500)
+        };
+        assert_eq!(
+            tara_events,
+            [
+                event(5_000, "replay", "confirm", 8),
+                event(5_000, "deauth-flood", "confirm", 8),
+                event(140_000, "firmware-tampering", "retire", 0),
+                event(140_000, "deauth-flood", "retire", 0),
+                event(140_000, "replay", "retire", 0),
+            ],
+            "seed {seed}"
+        );
+        let tara = run.fleet.tara().expect("pathway fleets run TARA");
+        assert_eq!(tara.counts(), (2_500, 0, 1_500), "seed {seed}");
+        let replayed = HypothesisSet::replay_from_jsonl(tara_ranking(seed), &trace)
+            .expect("the TARA trace replays");
+        assert_eq!(replayed.first_divergence(tara), None, "seed {seed}");
 
         // Containment's rollout halt stands when version 2 is requested:
         // the staged rollout is refused and publishes nothing, so the
